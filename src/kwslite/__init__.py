@@ -20,6 +20,7 @@ from .arch import (
     build_cnn_tstride,
     build_dnn_baseline,
     forward,
+    forward_frames,
     get_arch,
     init_weights,
     validate,

@@ -22,6 +22,7 @@ from . import arch as _arch
 from .audio import read_wav
 from .data import center_window_examples, load_dataset_dir, make_synthetic_dataset, SyntheticSpec
 from .errors import (
+    AgreementError,
     AudioFormatError,
     InfeasibleBudgetError,
     InsufficientAudioError,
@@ -358,20 +359,42 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
+# Frames in bench's agreement stream: edge replication at both ends and, for a
+# time stride or pool of 2, a phase group holding two windows; few enough that
+# the naive per-window reference stays quick.
+AGREEMENT_FRAMES = 3
+
+
+def _check_agreement(arch: _arch.ArchSpec, weights: dict, frames: np.ndarray) -> float:
+    """Compare the production paths against the naive per-window oracle.
+
+    Every forward_frames row of `frames`, and the optimized forward of the
+    first stacked window, must match naive forward of the same window
+    (rtol 1e-5, atol 1e-12); raises AgreementError otherwise. Returns the
+    worst relative difference.
+    """
+    windows = stack_context(frames, arch.context)
+    naive = np.stack([_arch.forward(arch, weights, w, conv_path="naive") for w in windows])
+    naive = np.concatenate([naive[:1], naive])
+    fast = np.concatenate([_arch.forward(arch, weights, windows[0], conv_path="optimized")[None],
+                           _arch.forward_frames(arch, weights, frames)])
+    worst = float(np.max(np.abs(naive.astype(np.float64) - fast.astype(np.float64))
+                         / np.maximum(np.abs(naive).astype(np.float64), 1e-12)))
+    if not np.allclose(naive, fast, rtol=1e-5, atol=1e-12):
+        raise AgreementError(
+            f"optimized paths disagree with the naive reference before timing "
+            f"(worst relative difference {worst:.3e})"
+        )
+    return worst
+
+
 def cmd_bench(args) -> int:
     model = load_model(args.model)
     seed = args.seed if args.seed is not None else _default_seed()
     rng = np.random.default_rng(seed)
-    window = rng.standard_normal((model.arch.input_t, model.arch.input_f)).astype(np.float32)
-
-    naive_out = _arch.forward(model.arch, model.weights, window, conv_path="naive")
-    fast_out = _arch.forward(model.arch, model.weights, window, conv_path="optimized")
-    worst = float(np.max(np.abs(naive_out.astype(np.float64) - fast_out.astype(np.float64))
-                         / np.maximum(np.abs(naive_out).astype(np.float64), 1e-12)))
-    if not np.allclose(naive_out, fast_out, rtol=1e-5, atol=1e-12):
-        raise NumericError(
-            f"conv paths disagree before timing (worst relative difference {worst:.3e})"
-        )
+    frames = rng.standard_normal((AGREEMENT_FRAMES, model.arch.input_f)).astype(np.float32)
+    worst = _check_agreement(model.arch, model.weights, frames)
+    window = stack_context(frames, model.arch.context)[0]
 
     paths = (args.path,) if args.path else ("naive", "optimized")
     timings = {}

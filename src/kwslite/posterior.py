@@ -22,8 +22,8 @@ import numpy as np
 from . import arch as _arch
 from .arch import ArchSpec
 from .audio import Waveform
-from .errors import ShapeError
-from .frontend import FrameConfig, log_mel_frames, stack_context
+from .errors import NumericError, ShapeError
+from .frontend import FrameConfig, log_mel_frames
 
 __all__ = [
     "DetectorConfig",
@@ -155,9 +155,18 @@ def posteriors_from_waveform(
     weights: dict[str, np.ndarray],
     waveform: Waveform,
     cfg: FrameConfig = FrameConfig(),
-    conv_path: str = "optimized",
 ) -> np.ndarray:
-    """Classifier posteriors for every frame of a waveform, (frames, labels)."""
-    frames = log_mel_frames(waveform, cfg)
-    windows = stack_context(frames, arch.context)
-    return np.stack([_arch.forward(arch, weights, win, conv_path) for win in windows])
+    """Classifier posteriors for every frame of a waveform, (frames, labels).
+
+    Raises NumericError naming the first frame whose posterior is not finite
+    (for instance a model with a NaN weight), rather than letting detection
+    report no events.
+    """
+    probs = _arch.forward_frames(arch, weights, log_mel_frames(waveform, cfg))
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise NumericError(
+            f"{arch.name}: posterior of frame {bad[0]} is not finite "
+            f"({bad.size} of {probs.shape[0]} frames affected)"
+        )
+    return probs

@@ -8,7 +8,8 @@ product. Both accumulate in float64 and cast back to the input dtype at
 the end, so their float32 results agree to within rounding.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
-flattened activations are 1-D vectors.
+flattened activations are 1-D vectors, or (windows, features) matrices when
+a batch of windows is classified at once.
 """
 
 from __future__ import annotations
@@ -234,9 +235,16 @@ def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major flatten of a (time, freq, channels) tensor to a vector."""
-    x = _require_tensor3(x, "flatten")
-    return np.ascontiguousarray(x).reshape(-1)
+    """Row-major flatten of a (time, freq, channels) tensor to a vector.
+
+    A (windows, time, freq, channels) batch flattens to one row per window.
+    """
+    x = np.asarray(x)
+    if x.ndim not in (3, 4):
+        raise ShapeError(
+            f"flatten expects a (time, freq, channels) tensor or a batch of them, got shape {x.shape}"
+        )
+    return np.ascontiguousarray(x).reshape(x.shape[:-3] + (-1,))
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -246,21 +254,35 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return (e / e.sum()).astype(np.asarray(z).dtype)
 
 
-def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
-    """Bias-free projection y = W x, the low-rank bottleneck primitive."""
-    x = np.asarray(x)
-    weights = np.asarray(weights)
-    if x.ndim != 1:
-        raise ShapeError(f"linear expects a flat vector, got shape {x.shape}")
-    if weights.ndim != 2 or weights.shape[1] != x.shape[0]:
+def _check_flat_input(x: np.ndarray, weights: np.ndarray, who: str) -> int:
+    """Validate a vector or (windows, features) input; returns the row count."""
+    if x.ndim not in (1, 2):
+        raise ShapeError(f"{who} expects a flat vector or a (windows, features) matrix, got shape {x.shape}")
+    if weights.ndim != 2 or weights.shape[1] != x.shape[-1]:
         raise ShapeError(
-            f"weight shape {weights.shape} does not accept input of length {x.shape[0]}",
+            f"weight shape {weights.shape} does not accept input of length {x.shape[-1]}",
             axis="in",
         )
+    return 1 if x.ndim == 1 else x.shape[0]
+
+
+def _project(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    # W x for a vector and (W X^T)^T for a batch: one float64 product either way
+    return (weights.astype(np.float64) @ x.astype(np.float64).T).T
+
+
+def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
+    """Bias-free projection y = W x, the low-rank bottleneck primitive.
+
+    x is one vector or a (windows, features) batch, projected row by row;
+    the counter meters rows * weights.size multiplies.
+    """
+    x = np.asarray(x)
+    weights = np.asarray(weights)
+    rows = _check_flat_input(x, weights, "linear")
     if counter is not None:
-        counter.add(weights.size)
-    out_dtype = np.result_type(x.dtype, weights.dtype)
-    return (weights.astype(np.float64) @ x.astype(np.float64)).astype(out_dtype)
+        counter.add(rows * weights.size)
+    return _project(x, weights).astype(np.result_type(x.dtype, weights.dtype))
 
 
 def dense(
@@ -272,19 +294,15 @@ def dense(
 ) -> np.ndarray:
     """Fully connected layer y = act(W x + b).
 
-    activation is one of "none", "relu", "softmax". Multiplies metered on the
-    counter equal weights.size (one per weight); bias adds are not counted.
+    activation is one of "none", "relu", "softmax". x is one vector or a
+    (windows, features) batch, each row mapped on its own. Multiplies metered
+    on the counter equal rows * weights.size (one per weight per row); bias
+    adds are not counted.
     """
     x = np.asarray(x)
     weights = np.asarray(weights)
     bias = np.asarray(bias)
-    if x.ndim != 1:
-        raise ShapeError(f"dense expects a flat vector, got shape {x.shape}")
-    if weights.ndim != 2 or weights.shape[1] != x.shape[0]:
-        raise ShapeError(
-            f"weight shape {weights.shape} does not accept input of length {x.shape[0]}",
-            axis="in",
-        )
+    rows = _check_flat_input(x, weights, "dense")
     if bias.shape != (weights.shape[0],):
         raise ShapeError(
             f"bias shape {bias.shape} does not match {weights.shape[0]} output units",
@@ -293,13 +311,13 @@ def dense(
     if activation not in ("none", "relu", "softmax"):
         raise ValueError(f"unknown activation {activation!r}")
     if counter is not None:
-        counter.add(weights.size)
+        counter.add(rows * weights.size)
 
     out_dtype = np.result_type(x.dtype, weights.dtype)
-    z = weights.astype(np.float64) @ x.astype(np.float64) + bias.astype(np.float64)
+    z = _project(x, weights) + bias.astype(np.float64)
     if activation == "relu":
         z = np.maximum(z, 0.0)
     elif activation == "softmax":
-        e = np.exp(z - z.max())
-        z = e / e.sum()
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        z = e / e.sum(axis=-1, keepdims=True)
     return z.astype(out_dtype)

@@ -30,6 +30,7 @@ from kwslite import (
     detect,
     evaluate,
     fit_to_budget,
+    forward,
     get_arch,
     grad_check,
     init_weights,
@@ -41,6 +42,7 @@ from kwslite import (
     posteriors_from_waveform,
     report,
     save_model,
+    stack_context,
     train,
 )
 from kwslite.arch import Conv
@@ -174,6 +176,8 @@ def run_end_to_end(model_path):
         "noise_events": [(e.frame_index, e.keyword, e.confidence) for e in noise_events],
         "model_sha256": hashlib.sha256(model_path.read_bytes()).hexdigest(),
         "elapsed": time.perf_counter() - start,
+        "model_path": model_path,
+        "clips": [kw_samples, noise_samples],
     }
 
 
@@ -192,6 +196,24 @@ def test_end_to_end_training_and_detection(first_run):
     for _, keyword, _ in first_run["kw_events"]:
         assert keyword == first_run["kw_label"]
     assert first_run["noise_events"] == []
+
+
+def test_detect_events_match_per_window_loop(first_run):
+    # the shared-stream forward against the per-window loop it replaced
+    model = load_model(first_run["model_path"])
+    cfg = DetectorConfig(threshold=0.7)
+    filler = model.labels.index("_filler")
+    found = []
+    for samples in first_run["clips"]:
+        wave = Waveform(samples)
+        windows = stack_context(log_mel_frames(wave), model.arch.context)
+        looped = np.stack([forward(model.arch, model.weights, w) for w in windows])
+        streamed = posteriors_from_waveform(model.arch, model.weights, wave)
+        np.testing.assert_allclose(streamed, looped, rtol=1e-5, atol=1e-12)
+        events = detect(streamed, cfg, filler)
+        assert events == detect(looped, cfg, filler)
+        found.append([(e.frame_index, e.keyword, e.confidence) for e in events])
+    assert found == [first_run["kw_events"], first_run["noise_events"]]
 
 
 @criterion(7, budget_seconds=300.0)

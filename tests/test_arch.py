@@ -1,5 +1,7 @@
 """Architecture builders, shape traces, weight manifests, and inference."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -20,13 +22,16 @@ from kwslite import (
     build_cnn_tstride,
     build_dnn_baseline,
     forward,
+    forward_frames,
     get_arch,
     init_weights,
     validate,
     weight_manifest,
 )
-from kwslite.arch import arch_from_dict, arch_to_dict, layer_names
-from kwslite.errors import ManifestMismatchError, ShapeError
+from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, layer_names
+from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
+from kwslite.frontend import stack_context
+from kwslite.tensor import FilterBank, conv2d_optimized
 
 from conftest import random_arch, random_window
 
@@ -200,3 +205,93 @@ def test_random_archs_validate_and_run(rng):
         probs = forward(arch, weights, random_window(rng, arch))
         assert probs.shape == (arch.labels,)
         assert abs(float(probs.sum()) - 1.0) < 1e-6
+
+
+def per_window(arch, weights, frames, conv_path="optimized"):
+    """The oracle for forward_frames: stack every window, classify it alone."""
+    windows = stack_context(frames, arch.context)
+    return np.stack([forward(arch, weights, w, conv_path=conv_path) for w in windows])
+
+
+def assert_frames_match(arch, weights, frames, conv_path="optimized"):
+    got = forward_frames(arch, weights, frames, conv_path=conv_path)
+    assert got.shape == (len(frames), arch.labels)
+    assert got.dtype == np.float32
+    npt.assert_allclose(got, per_window(arch, weights, frames, conv_path), rtol=1e-5, atol=1e-12)
+
+
+# lengths around the context size and the block size: one frame, fewer frames
+# than one window spans, a partial block, exactly one block, several blocks
+EDGE_LENGTHS = (1, 5, BLOCK_WINDOWS - 1, BLOCK_WINDOWS, 2 * BLOCK_WINDOWS + 3)
+
+
+def test_forward_frames_matches_per_window_on_stock_archs(rng):
+    for name in ARCHITECTURES:
+        arch = get_arch(name, 4)
+        weights = init_weights(arch, 5, init_scale=0.2)
+        for n in EDGE_LENGTHS:
+            assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
+        # the naive oracle costs up to half a second per stock window
+        assert_frames_match(arch, weights, rng.standard_normal((2, 40)).astype(np.float32), "naive")
+
+
+def test_forward_frames_matches_per_window_on_random_archs(rng):
+    for trial in range(40):
+        arch = random_arch(rng, max_convs=3)
+        weights = init_weights(arch, trial, init_scale=0.5)
+        n = EDGE_LENGTHS[trial % len(EDGE_LENGTHS)]
+        frames = rng.standard_normal((n, 40)).astype(np.float32)
+        assert_frames_match(arch, weights, frames)
+        assert_frames_match(arch, weights, frames[:7], "naive")
+
+
+def test_forward_frames_casts_like_stack_context(rng):
+    arch = build_cnn_one(4)
+    weights = init_weights(arch, 0)
+    frames = rng.standard_normal((20, 40))
+    got = forward_frames(arch, weights, frames)
+    assert got.dtype == np.float32
+    npt.assert_array_equal(got, forward_frames(arch, weights, frames.astype(np.float32)))
+
+
+def test_forward_frames_rejects_bad_streams():
+    arch = build_dnn_baseline(4)
+    weights = init_weights(arch, 0)
+    with pytest.raises(ShapeError):
+        forward_frames(arch, weights, np.zeros((10, 39), dtype=np.float32))
+    with pytest.raises(ShapeError):
+        forward_frames(arch, weights, np.zeros(40, dtype=np.float32))
+    with pytest.raises(InsufficientAudioError):
+        forward_frames(arch, weights, np.zeros((0, 40), dtype=np.float32))
+    with pytest.raises(ValueError):
+        forward_frames(arch, weights, np.zeros((3, 40), dtype=np.float32), conv_path="fast")
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_frames_memory_does_not_grow_with_clip_length(rng):
+    # Each im2col call leaves a few small tuples on the interpreter's free
+    # lists until those lists are full; fill them first so the peaks compare
+    # forward_frames' own working sets. The slack covers allocator jitter of
+    # a few hundred bytes, far below one extra copy of the output (80 kB).
+    tiny = FilterBank(np.ones((1, 1, 1, 1), dtype=np.float32))
+    for _ in range(3000):
+        conv2d_optimized(np.ones((2, 2, 1), dtype=np.float32), tiny)
+    slack = 16 * 1024
+    short = rng.standard_normal((1000, 40)).astype(np.float32)  # 10 s at 100 frames/s
+    long = rng.standard_normal((6000, 40)).astype(np.float32)  # 60 s
+    for name in ("cnn-trad", "cnn-tpool2"):
+        arch = get_arch(name, 4)
+        weights = init_weights(arch, 0)
+        forward_frames(arch, weights, short[:100])
+        peak_short = traced_peak(lambda: forward_frames(arch, weights, short))
+        peak_long = traced_peak(lambda: forward_frames(arch, weights, long))
+        extra_rows = (len(long) - len(short)) * arch.labels * np.dtype(np.float32).itemsize
+        assert peak_long <= peak_short + extra_rows + slack, (name, peak_short, peak_long)

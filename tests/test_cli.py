@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
+import kwslite.arch
+from kwslite import cli
 from kwslite.audio import SAMPLE_RATE, write_wav
 from kwslite.cli import main
+from kwslite.errors import AgreementError
 from kwslite.frontend import read_feature_dump
-from kwslite.modelio import load_model
+from kwslite.modelio import load_model, save_model
 
 
 def make_wav(path, seconds=1.0, freq=1000.0):
@@ -237,6 +240,30 @@ def test_detect_garbage_model_is_data_error(tmp_path, capsys, tone_wav):
     bad.write_bytes(b"this is not a model file")
     code, _, _ = run(capsys, "detect", tone_wav, "--model", str(bad))
     assert code == 2
+
+
+def test_detect_nan_weight_is_numeric_failure(tmp_path, capsys, tiny_model, tone_wav):
+    model = load_model(tiny_model)
+    model.weights["dense1.weights"][0, 0] = np.nan
+    broken = tmp_path / "nan.kwsm"
+    save_model(broken, model.arch, model.weights, model.labels)
+    code, out, err = run(capsys, "detect", tone_wav, "--model", str(broken), "--format", "structured")
+    assert code == 3
+    assert out == ""
+    assert "frame 0 is not finite" in err
+
+
+def test_bench_disagreement_is_numeric_failure(capsys, monkeypatch, tiny_model):
+    honest = kwslite.arch.forward_frames
+    monkeypatch.setattr(kwslite.arch, "forward_frames", lambda *args: honest(*args) + 1e-3)
+    model = load_model(tiny_model)
+    rng = np.random.default_rng(0)
+    frames = rng.standard_normal((cli.AGREEMENT_FRAMES, model.arch.input_f)).astype(np.float32)
+    with pytest.raises(AgreementError):
+        cli._check_agreement(model.arch, model.weights, frames)
+    code, out, err = run(capsys, "bench", "--model", tiny_model, "--iters", "1")
+    assert code == 3
+    assert "disagree" in err and "agreement check OK" not in out
 
 
 def test_bench_times_both_paths(capsys, tiny_model):

@@ -191,6 +191,32 @@ def test_linear_has_no_bias(rng):
     assert counter.count == 15
 
 
+def test_dense_and_linear_map_a_batch_row_by_row(rng):
+    x = rng.standard_normal((5, 6)).astype(np.float32)
+    w = rng.standard_normal((4, 6)).astype(np.float32)
+    b = rng.standard_normal(4).astype(np.float32)
+    for activation in ("none", "relu", "softmax"):
+        counter = MacCounter()
+        batch = dense(x, w, b, activation, counter=counter)
+        assert batch.shape == (5, 4) and batch.dtype == np.float32
+        assert counter.count == 5 * w.size
+        npt.assert_allclose(batch, [dense(row, w, b, activation) for row in x], rtol=1e-6)
+    counter = MacCounter()
+    npt.assert_allclose(linear(x, w, counter=counter), [linear(row, w) for row in x], rtol=1e-6)
+    assert counter.count == 5 * w.size
+    with pytest.raises(ShapeError):
+        linear(x[None], w)
+
+
+def test_flatten_batch_of_windows(rng):
+    y = rng.standard_normal((2, 3, 7, 4)).astype(np.float32)
+    flat = flatten(y)
+    assert flat.shape == (2, 84)
+    npt.assert_array_equal(flat[1], flatten(y[1]))
+    with pytest.raises(ShapeError):
+        flatten(np.zeros((2, 2), dtype=np.float32))
+
+
 def test_softmax_properties(rng):
     for _ in range(50):
         z = (10.0 * rng.standard_normal(int(rng.integers(2, 9)))).astype(np.float32)
