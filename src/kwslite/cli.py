@@ -309,7 +309,8 @@ def cmd_train(args) -> int:
     if args.format == "text" and not args.quiet:
         for i, stats in enumerate(result.history, 1):
             if i == 1 or i == len(result.history) or i % 20 == 0:
-                print(f"epoch {i}/{cfg.epochs} loss={stats.loss:.4f} acc={stats.accuracy:.3f}")
+                print(f"epoch {i}/{cfg.epochs} loss={stats.loss:.4f} acc={stats.accuracy:.3f} "
+                      f"grad_norm={stats.grad_norm:.4g} time={stats.seconds:.3f}s")
     save_model(args.out, arch, result.weights, dataset.labels)
     final = result.history[-1]
     doc = {
@@ -318,7 +319,8 @@ def cmd_train(args) -> int:
         "final_loss": final.loss,
         "final_accuracy": final.accuracy,
         "model": args.out,
-        "history": [{"loss": s.loss, "accuracy": s.accuracy} for s in result.history],
+        "history": [{"loss": s.loss, "accuracy": s.accuracy, "seconds": s.seconds, "grad_norm": s.grad_norm}
+                    for s in result.history],
     }
     text = [f"final loss={final.loss:.4f} acc={final.accuracy:.3f}", f"wrote {args.out}"]
     if args.quiet:

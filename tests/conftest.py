@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kwslite import (
     ArchSpec,
@@ -14,6 +15,11 @@ from kwslite import (
     validate,
 )
 from kwslite.errors import ShapeError
+
+# property tests draw the same examples on every run, with no per-example
+# time limit (timings on a loaded machine vary too much for one)
+settings.register_profile("kwslite", derandomize=True, deadline=None)
+settings.load_profile("kwslite")
 
 
 @pytest.fixture

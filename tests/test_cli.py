@@ -157,6 +157,23 @@ def test_train_writes_loadable_model(tmp_path, capsys):
     assert loaded.arch.name == "dnn"
 
 
+def test_train_history_reports_time_and_gradient_norm(tmp_path, capsys):
+    args = ("train", "--arch", "dnn", "--synthetic", "2", "--per-class", "4",
+            "--epochs", "2", "--seed", "0", "--out", str(tmp_path / "m.kwsm"))
+    doc = run_json(capsys, *args)
+    for entry in doc["history"]:
+        assert set(entry) == {"loss", "accuracy", "seconds", "grad_norm"}
+        assert entry["seconds"] > 0.0
+        assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+    code, text, _ = run(capsys, *args)
+    assert code == 0
+    epoch_lines = [line for line in text.splitlines() if line.startswith("epoch ")]
+    assert len(epoch_lines) == 2
+    for line, entry in zip(epoch_lines, doc["history"]):
+        assert f"grad_norm={entry['grad_norm']:.4g}" in line  # same seed, same gradients
+        assert " time=" in line and line.endswith("s")
+
+
 def test_train_is_deterministic(tmp_path, capsys):
     args = ["train", "--arch", "dnn", "--synthetic", "2", "--per-class", "4",
             "--epochs", "2", "--seed", "9", "--quiet"]

@@ -5,6 +5,7 @@ synthetic dataset."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 from kwslite import (
     ArchSpec,
@@ -16,7 +17,9 @@ from kwslite import (
     TrainConfig,
     Waveform,
     build_cnn_one,
+    build_cnn_tpool,
     build_cnn_trad,
+    build_cnn_tstride,
     build_dnn_baseline,
     cross_entropy,
     evaluate,
@@ -33,12 +36,12 @@ from kwslite.data import (
     center_window_examples,
     load_dataset_dir,
 )
-from kwslite.errors import DivergenceError, KwsError
-from kwslite.tensor import Pool
-from kwslite.train import _maxpool_argmax, _maxpool_scatter
+from kwslite.errors import DivergenceError, KwsError, ShapeError
+from kwslite.tensor import Pool, Stride, im2col
+from kwslite.train import CHUNK, _col2im, _im2col, _maxpool_argmax, _maxpool_scatter
 from kwslite.audio import write_wav
 
-from conftest import random_window
+from conftest import random_arch, random_window
 
 
 # --- cross entropy ----------------------------------------------------------
@@ -81,6 +84,41 @@ def test_grad_check_pooled_arch(rng):
     assert err < 1e-4, err
 
 
+def test_grad_check_strided_and_time_pooled_archs(rng):
+    for build in (build_cnn_tstride, build_cnn_tpool):
+        arch = build(4)
+        example = LabeledExample(random_window(rng, arch, scale=0.5), 3)
+        err = grad_check(arch, example, samples_per_tensor=25, seed=5)
+        assert err < 1e-4, (arch.name, err)
+
+
+def test_grad_check_random_stacks():
+    # random stacks mix time/frequency strides and pools over up to 3 convs
+    rng = np.random.default_rng(77)
+    for trial in range(10):
+        arch = random_arch(rng, max_convs=3)
+        example = LabeledExample(random_window(rng, arch), int(rng.integers(arch.labels)))
+        err = grad_check(arch, example, samples_per_tensor=15, seed=trial)
+        assert err < 1e-4, (trial, arch.layers, err)
+
+
+@pytest.mark.parametrize("build", [build_cnn_tstride, build_cnn_tpool])
+def test_batch_gradients_are_the_mean_of_single_examples(rng, build):
+    arch = build(4)
+    weights = {k: v.astype(np.float64) for k, v in init_weights(arch, 3).items()}
+    sizes = (1, 3, 16, 17)
+    assert any(size > CHUNK and size % CHUNK for size in sizes)  # a chunk boundary mid-batch
+    for size in sizes:
+        batch = [LabeledExample(random_window(rng, arch), int(rng.integers(4))) for _ in range(size)]
+        grads, loss, correct = loss_and_grads(arch, weights, batch)
+        singles = [loss_and_grads(arch, weights, [ex]) for ex in batch]
+        assert loss == pytest.approx(np.mean([s[1] for s in singles]), rel=1e-12)
+        assert correct == sum(s[2] for s in singles)
+        for key in grads:
+            mean = np.mean([s[0][key] for s in singles], axis=0)
+            npt.assert_allclose(grads[key], mean, rtol=1e-6, atol=1e-12, err_msg=f"{key} batch {size}")
+
+
 def test_zero_input_dense_only_gradients():
     arch = ArchSpec("toy", Context(1, 1), (Flatten(), Dense(8), SoftmaxOut(3)))
     weights = init_weights(arch, 3)
@@ -103,6 +141,21 @@ def test_duplicated_batch_equals_single_example(rng):
     assert loss1 == pytest.approx(loss4, rel=1e-12)
     for key in single:
         npt.assert_array_equal(single[key], quad[key])
+
+
+def test_window_dtype_does_not_change_gradients(rng):
+    # windows are cast to the weights' dtype before batching, so a float64
+    # window cannot pull the other examples of its chunk into float64
+    arch = build_cnn_trad(4)
+    weights = init_weights(arch, 7)
+    a = LabeledExample(random_window(rng, arch), 1)
+    b = LabeledExample(random_window(rng, arch), 2)
+    a64 = LabeledExample(a.window.astype(np.float64), a.label)
+    plain, loss, _ = loss_and_grads(arch, weights, [a, b])
+    mixed, loss_mixed, _ = loss_and_grads(arch, weights, [a64, b])
+    assert loss == loss_mixed
+    for key in plain:
+        npt.assert_array_equal(plain[key], mixed[key])
 
 
 def test_maxpool_routing_conserves_gradient(rng):
@@ -129,6 +182,54 @@ def test_maxpool_ties_break_to_earliest():
     x = np.zeros((2, 2, 1), dtype=np.float64)  # all equal: earliest wins
     pooled, arg, _ = _maxpool_argmax(x, Pool(2, 2))
     assert arg[0, 0, 0] == 0
+
+
+@st.composite
+def conv_cases(draw):
+    b = draw(st.sampled_from([1, 3]))
+    t, f, c = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(1, 3))
+    kernel_t, kernel_f = draw(st.integers(1, t)), draw(st.integers(1, f))
+    stride = Stride(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    return (b, t, f, c), kernel_t, kernel_f, stride, draw(st.integers(0, 2**32 - 1))
+
+
+@given(conv_cases())
+def test_col2im_is_the_adjoint_of_im2col(case):
+    shape, kernel_t, kernel_f, stride, seed = case
+    rng = np.random.default_rng(seed)
+    # positive entries: no cancellation, so the two sums agree to rounding
+    x = rng.uniform(1.0, 2.0, shape)
+    cols = _im2col(x, kernel_t, kernel_f, stride)
+    for b in range(shape[0]):  # per example, the layout of the inference im2col
+        npt.assert_array_equal(cols[b], im2col(x[b], kernel_t, kernel_f, stride)[0])
+    g = rng.uniform(1.0, 2.0, cols.shape)
+    back = _col2im(g, shape, kernel_t, kernel_f, stride)
+    assert back.shape == shape
+    npt.assert_allclose(np.sum(cols * g), np.sum(x * back), rtol=1e-12)
+
+
+@st.composite
+def pool_cases(draw):
+    pool = Pool(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    t, f = draw(st.integers(pool.time, 8)), draw(st.integers(pool.freq, 8))
+    shape = (draw(st.sampled_from([1, 3])), t, f, draw(st.integers(1, 3)))
+    return shape, pool, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@given(pool_cases())
+def test_batched_maxpool_equals_stacked_examples(case):
+    shape, pool, ties, seed = case
+    rng = np.random.default_rng(seed)
+    # few distinct values make ties inside a window likely
+    x = rng.integers(0, 3, shape).astype(np.float64) if ties else rng.standard_normal(shape)
+    pooled, arg, _ = _maxpool_argmax(x, pool)
+    upstream = rng.standard_normal(pooled.shape)
+    routed = _maxpool_scatter(upstream, arg, x.shape, pool)
+    for b in range(shape[0]):
+        pooled_b, arg_b, _ = _maxpool_argmax(x[b], pool)
+        npt.assert_array_equal(pooled[b], pooled_b)
+        npt.assert_array_equal(arg[b], arg_b)
+        npt.assert_array_equal(routed[b], _maxpool_scatter(upstream[b], arg_b, x[b].shape, pool))
 
 
 # --- training loop ----------------------------------------------------------
@@ -165,6 +266,46 @@ def test_training_reduces_loss(tiny_corpus):
     result = train(arch, examples, TrainConfig(epochs=15, seed=0))
     assert result.history[-1].loss < result.history[0].loss
     assert len(result.history) == 15
+
+
+def test_wrong_window_shape_is_rejected(tiny_corpus):
+    arch, examples = tiny_corpus
+    # right size, transposed: (input_f, input_t)
+    bad = list(examples)
+    bad[5] = LabeledExample(np.ascontiguousarray(bad[5].window.T), bad[5].label)
+    with pytest.raises(ShapeError, match="example 5"):
+        train(arch, bad, TrainConfig(epochs=1, seed=0))
+    weights = init_weights(arch, 0)
+    with pytest.raises(ShapeError, match="example 1"):
+        loss_and_grads(arch, weights, [examples[0], bad[5]])
+
+
+@pytest.mark.parametrize("label", [-1, 3, 7])
+def test_out_of_range_label_is_rejected_before_training(tiny_corpus, label):
+    arch, examples = tiny_corpus
+    assert arch.labels == 3
+    bad = list(examples)
+    last = len(bad) - 1
+    bad[last] = LabeledExample(bad[last].window, label)
+    # the check runs before epoch 1, not when the bad example's batch comes up
+    with pytest.raises(ValueError, match=f"example {last}"):
+        train(arch, bad, TrainConfig(epochs=1, batch_size=1, seed=0))
+    with pytest.raises(ValueError, match="example 0"):
+        loss_and_grads(arch, init_weights(arch, 0), [bad[last]])
+
+
+def test_history_records_time_and_gradient_norm(tiny_corpus):
+    arch, examples = tiny_corpus
+    result = train(arch, examples, TrainConfig(epochs=2, seed=0))
+    for stats in result.history:
+        assert stats.seconds > 0.0
+        assert np.isfinite(stats.grad_norm) and stats.grad_norm > 0.0
+    # at zero learning rate every epoch sees the same gradients
+    frozen = train(arch, examples, TrainConfig(learning_rate=0.0, epochs=2, batch_size=len(examples), seed=0))
+    grads, _, _ = loss_and_grads(arch, init_weights(arch, 0), examples)
+    expected = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
+    for stats in frozen.history:
+        assert stats.grad_norm == pytest.approx(expected, rel=1e-6)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
