@@ -12,6 +12,7 @@ serialization deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -129,6 +130,17 @@ class ArchSpec:
     def labels(self) -> int:
         return self.layers[-1].labels  # validate() guarantees SoftmaxOut last
 
+    # Derived once per spec, on first use: every field is immutable, so the
+    # names and the manifest cannot go stale. A spec that fails validate()
+    # caches nothing and raises again on the next call. Callers get copies.
+    @cached_property
+    def _names(self) -> tuple[str, ...]:
+        return tuple(_derive_layer_names(self))
+
+    @cached_property
+    def _manifest(self) -> dict[str, tuple[int, ...]]:
+        return dict(_derive_manifest(self))
+
 
 @dataclass(frozen=True)
 class TraceEntry:
@@ -138,6 +150,10 @@ class TraceEntry:
 
 def layer_names(arch: ArchSpec) -> list[str]:
     """Stable per-layer names: kind-scoped counters, e.g. conv1, dense2."""
+    return list(arch._names)
+
+
+def _derive_layer_names(arch: ArchSpec) -> list[str]:
     counts: dict[str, int] = {}
     names = []
     for layer in arch.layers:
@@ -242,6 +258,10 @@ def validate(arch: ArchSpec) -> list[TraceEntry]:
 
 def weight_manifest(arch: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
     """Ordered (name, shape) list of every weight tensor the stack owns."""
+    return list(arch._manifest.items())
+
+
+def _derive_manifest(arch: ArchSpec) -> list[tuple[str, tuple[int, ...]]]:
     validate(arch)
     manifest: list[tuple[str, tuple[int, ...]]] = []
     shape: tuple[int, ...] = (arch.input_t, arch.input_f, 1)
@@ -285,16 +305,14 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
 
 def check_weights(arch: ArchSpec, weights: dict[str, np.ndarray]) -> None:
     """Raise ManifestMismatchError listing missing/extra/mis-shaped tensors."""
-    manifest = weight_manifest(arch)
     problems = []
-    expected_names = {name for name, _ in manifest}
-    for name, shape in manifest:
+    for name, shape in arch._manifest.items():
         if name not in weights:
             problems.append(f"missing {name} {shape}")
         elif tuple(np.asarray(weights[name]).shape) != shape:
             problems.append(f"{name} has shape {tuple(np.asarray(weights[name]).shape)}, expected {shape}")
     for name in weights:
-        if name not in expected_names:
+        if name not in arch._manifest:
             problems.append(f"unexpected tensor {name}")
     if problems:
         raise ManifestMismatchError(
@@ -321,7 +339,7 @@ def _prepare(arch: ArchSpec, weights: dict[str, np.ndarray], conv_path: str) -> 
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
     check_weights(arch, weights)
-    return list(zip(layer_names(arch), arch.layers))
+    return list(zip(arch._names, arch.layers))
 
 
 def _by_phase(groups: list[_Group], step: int, span: int) -> list[_Group]:

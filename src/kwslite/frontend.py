@@ -12,6 +12,7 @@ All intermediate math is float64; emitted features are float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -114,15 +115,29 @@ def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     # pre-emphasis inside each frame; the first sample has no predecessor
     emphasized = frames.copy()
     emphasized[:, 1:] -= cfg.preemphasis * frames[:, :-1]
-    return emphasized * np.hamming(cfg.window_length)
+    return emphasized * _hamming(cfg.window_length)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=8)
+def _hamming(length: int) -> np.ndarray:
+    return _read_only(np.hamming(length))
+
+
+@lru_cache(maxsize=8)
 def build_mel_filterbank(cfg: FrameConfig = FrameConfig(), sample_rate: int = 16000) -> np.ndarray:
     """Triangular filters, rows (mel_filters, fft_size // 2 + 1).
 
     Filter centres are equally spaced on the mel scale between fmin and fmax;
     each triangle rises from the previous centre and falls to the next one,
     evaluated at the FFT bin frequencies.
+
+    Built once per (cfg, sample_rate): both are immutable, and the returned
+    array is shared and read-only, so a one-frame call costs no rebuild.
     """
     n_bins = cfg.fft_size // 2 + 1
     if cfg.mel_filters > n_bins:
@@ -144,7 +159,7 @@ def build_mel_filterbank(cfg: FrameConfig = FrameConfig(), sample_rate: int = 16
         weights[m] = np.maximum(0.0, np.minimum(rising, falling))
         if not weights[m].any():
             raise KwsError(f"mel filter {m} covers no FFT bin; increase fft_size")
-    return weights
+    return _read_only(weights)
 
 
 def mel_filter_centers(cfg: FrameConfig = FrameConfig()) -> np.ndarray:
@@ -159,6 +174,12 @@ def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -
     The FFT length is implied by the filterbank width: melbank has
     fft_size // 2 + 1 columns. Energies are floored before the log so silence
     maps to log(log_floor) instead of -inf.
+
+    Each row is projected by its own (1, bins) @ (bins, filters) product, so a
+    frame's features do not depend on how many frames share the call: one
+    streamed frame equals its row of the whole-clip batch bit for bit. (One
+    (n, bins) @ (bins, filters) product picks a BLAS kernel by n, and the
+    one-row and many-row kernels round the float64 energies differently.)
     """
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
@@ -170,7 +191,7 @@ def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -
         )
     spectrum = np.fft.rfft(frames, n=fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    energies = power @ melbank.T
+    energies = np.matmul(power[:, None, :], melbank.T)[:, 0]
     return np.log(np.maximum(energies, log_floor)).astype(np.float32)
 
 
@@ -211,7 +232,7 @@ def write_feature_dump(path: str | Path, windows: np.ndarray) -> None:
 
 
 def read_feature_dump(path: str | Path) -> np.ndarray:
-    """Inverse of write_feature_dump; validates the payload length."""
+    """Inverse of write_feature_dump; validates the header and payload length."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -219,6 +240,8 @@ def read_feature_dump(path: str | Path) -> np.ndarray:
         t, f, count = (int(part) for part in header.split())
     except ValueError as exc:
         raise KwsError(f"{path}: malformed feature dump header {header!r}") from exc
+    if min(t, f, count) < 1:
+        raise KwsError(f"{path}: feature dump header {header!r} needs positive t, f and count")
     expected = 4 * t * f * count
     if len(payload) != expected:
         raise KwsError(

@@ -9,12 +9,12 @@ no event fired within the last `refractory` frames.
 
 Windows are deliberately computed by direct slicing (the streams are short),
 so a brute-force recomputation is bit-identical, and StreamingDetector can
-reproduce batch results exactly from ring buffers.
+reproduce batch results exactly from ring buffers that hand out the same
+trailing windows.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,15 +117,21 @@ def detect(probs: np.ndarray, cfg: DetectorConfig = DetectorConfig(), filler_ind
 class StreamingDetector:
     """Frame-at-a-time detector that reproduces detect() exactly.
 
-    Keeps a ring of the last w_smooth raw frames and the last w_max smoothed
-    frames; push() returns the event fired at this frame, if any.
+    Keeps the last w_smooth raw rows and the last w_max smoothed rows in two
+    preallocated float64 rings of 2*w rows. Every row is written at slot i
+    and at slot i + w, so the trailing window is always the contiguous slice
+    ring[i + 1 : i + 1 + w], oldest row first: the mean runs on the same
+    float64 (w, labels) layout as smooth(), with no per-frame stacking, and
+    the threshold test runs in the pushed row's dtype, the dtype of smooth()'s
+    output that detect() tests. push() returns the event fired at this frame,
+    if any.
     """
 
     def __init__(self, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0):
         self.cfg = cfg
         self.filler_index = filler_index
-        self._raw: deque[np.ndarray] = deque(maxlen=cfg.w_smooth)
-        self._smoothed: deque[np.ndarray] = deque(maxlen=cfg.w_max)
+        self._raw: np.ndarray | None = None  # (2 * w_smooth, labels), allocated by the first push
+        self._smoothed: np.ndarray | None = None  # (2 * w_max, labels)
         self._frame = -1
         self._last_fired: int | None = None
 
@@ -133,21 +139,41 @@ class StreamingDetector:
         frame_probs = np.asarray(frame_probs)
         if frame_probs.ndim != 1:
             raise ShapeError(f"push expects one posterior row, got shape {frame_probs.shape}")
+        if self._raw is None:
+            self._raw = np.empty((2 * self.cfg.w_smooth, frame_probs.shape[0]))
+            self._smoothed = np.empty((2 * self.cfg.w_max, frame_probs.shape[0]))
+        elif frame_probs.shape[0] != self._raw.shape[1]:
+            raise ShapeError(
+                f"push got {frame_probs.shape[0]} labels after rows of {self._raw.shape[1]}", axis="labels"
+            )
         self._frame += 1
-        self._raw.append(frame_probs)
-        # identical op and operand layout to smooth(): mean over a (w, labels) block
-        block = np.stack(self._raw).astype(np.float64)
+        # identical op and operand layout to smooth(): mean over a (w, labels) float64 block
+        block = _append(self._raw, self._frame, frame_probs)
         smoothed = np.mean(block, axis=0).astype(frame_probs.dtype)
-        self._smoothed.append(smoothed)
+        window = _append(self._smoothed, self._frame, smoothed)
         if self._last_fired is not None and self._frame - self._last_fired <= self.cfg.refractory:
             return None
-        conf = np.max(np.stack(self._smoothed), axis=0).copy()
+        # the ring holds smoothed rows exactly; the threshold test runs in their dtype
+        conf = np.max(window, axis=0).astype(frame_probs.dtype)
         conf[self.filler_index] = 0.0
         best = int(np.argmax(conf))
         if conf[best] >= self.cfg.threshold:
             self._last_fired = self._frame
             return DetectionEvent(self._frame, best, float(conf[best]))
         return None
+
+
+def _append(ring: np.ndarray, frame: int, row: np.ndarray) -> np.ndarray:
+    """Store frame's row in a double-written ring; return the trailing window.
+
+    ring has 2 * w rows; frame f lands in slots f % w and f % w + w. Before
+    the ring fills, frames 0..f sit in slots 0..f.
+    """
+    w = ring.shape[0] // 2
+    i = frame % w
+    ring[i] = row
+    ring[i + w] = row
+    return ring[: frame + 1] if frame < w else ring[i + 1 : i + 1 + w]
 
 
 def posteriors_from_waveform(

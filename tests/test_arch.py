@@ -133,6 +133,29 @@ def test_manifest_matches_trace(rng):
             assert weights[key].dtype == np.float32
 
 
+def test_cached_manifest_and_names_are_handed_out_as_copies():
+    arch = build_cnn_trad(4)
+    manifest, names = weight_manifest(arch), layer_names(arch)
+    manifest.append(("extra.weights", (1,)))
+    manifest[0] = ("conv1.weights", (0,))
+    names.reverse()
+    fresh = arch_from_dict(arch_to_dict(arch))  # an equal spec that has cached nothing
+    assert fresh is not arch
+    assert weight_manifest(arch) == weight_manifest(fresh)
+    assert weight_manifest(arch)[0] == ("conv1.weights", (21, 9, 1, 64))
+    assert len(weight_manifest(arch)) == len(manifest) - 1
+    assert layer_names(arch) == layer_names(fresh) == ["conv1", "conv2", "flatten1", "lowrank1", "dense1", "softmax"]
+
+
+def test_invalid_spec_raises_on_every_call():
+    arch = ArchSpec("bad", Context(2, 2), (Conv(9, 3, 4), Flatten(), SoftmaxOut(3)))
+    for _ in range(2):
+        with pytest.raises(ShapeError):
+            weight_manifest(arch)
+        with pytest.raises(ShapeError):
+            init_weights(arch, 0)
+
+
 def test_init_weights_deterministic_and_bounded():
     arch = build_cnn_one(4)
     a = init_weights(arch, 42)
@@ -187,6 +210,27 @@ def test_forward_reports_missing_and_misshaped_tensors(rng):
         forward(arch, weights, random_window(rng, arch))
     message = str(info.value)
     assert "dense1.bias" in message and "lowrank1.weights" in message
+
+
+def test_weights_are_checked_on_every_call(rng):
+    arch = build_cnn_one(4)
+    weights = init_weights(arch, 0)
+    window = random_window(rng, arch)
+    frames = rng.standard_normal((5, 40)).astype(np.float32)
+    forward(arch, weights, window)
+    forward_frames(arch, weights, frames)
+    broken = [
+        {k: v for k, v in weights.items() if k != "dense2.bias"},
+        {**weights, "lowrank1.weights": np.zeros((3, 3), dtype=np.float32)},
+        {**weights, "conv1.bias": np.zeros(63, dtype=np.float32)},
+        {**weights, "conv2.weights": np.zeros((1, 1, 1, 1), dtype=np.float32)},
+    ]
+    for bad in broken:
+        with pytest.raises(ManifestMismatchError):
+            forward(arch, bad, window)
+        with pytest.raises(ManifestMismatchError):
+            forward_frames(arch, bad, frames)
+    npt.assert_array_equal(forward(arch, weights, window), forward(arch, dict(weights), window))
 
 
 def test_arch_dict_roundtrip(rng):

@@ -4,6 +4,8 @@ WAV IO, and the feature dump format."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kwslite import (
     Context,
@@ -103,6 +105,25 @@ def test_filters_too_many_for_fft():
         build_mel_filterbank(FrameConfig(window_length=8, hop=4, fft_size=16, mel_filters=40))
 
 
+def test_melbank_is_shared_and_read_only():
+    bank = build_mel_filterbank(FrameConfig(), 16000)
+    assert build_mel_filterbank(FrameConfig(), 16000) is bank
+    assert not bank.flags.writeable
+    with pytest.raises(ValueError):
+        bank[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        bank += 1.0
+
+
+def test_melbank_per_config_equals_uncached_build():
+    cfg = FrameConfig(window_length=200, hop=80, fft_size=256, mel_filters=20, fmax=4000.0)
+    bank = build_mel_filterbank(cfg, 8000)
+    assert bank is not build_mel_filterbank()
+    assert bank.shape == (20, 129)
+    npt.assert_array_equal(bank, build_mel_filterbank.__wrapped__(cfg, 8000))
+    npt.assert_array_equal(build_mel_filterbank(), build_mel_filterbank.__wrapped__())
+
+
 # --- log-mel ----------------------------------------------------------------
 
 
@@ -138,6 +159,32 @@ def test_frontend_deterministic():
     a = log_mel_frames(Waveform(x))
     b = log_mel_frames(Waveform(x.copy()))
     npt.assert_array_equal(a, b)
+
+
+def test_one_row_log_mel_equals_its_batch_row():
+    # each row scaled so filter 7 has energy 1, putting its log near 0 where a
+    # float32 feature resolves the last bits of the float64 energy
+    bank = build_mel_filterbank()
+    frames = np.random.default_rng(5).standard_normal((200, 400))
+    spectrum = np.fft.rfft(frames, n=512, axis=1)
+    energy = (spectrum.real**2 + spectrum.imag**2) @ bank[7]
+    frames /= np.sqrt(energy)[:, None]
+    batch = log_mel(frames, bank)
+    assert np.abs(batch[:, 7]).max() < 1e-6
+    for i in range(len(frames)):
+        npt.assert_array_equal(log_mel(frames[i : i + 1], bank)[0], batch[i], err_msg=f"row {i}")
+    npt.assert_array_equal(log_mel(frames[3:10], bank), batch[3:10])
+
+
+def test_streamed_hop_frames_equal_batch_frames():
+    cfg = FrameConfig()
+    n = 3 * SR
+    rng = np.random.default_rng(7)
+    samples = (rng.standard_normal(n) * np.geomspace(1e-3, 1.0, n)).astype(np.float32)
+    batch = log_mel_frames(Waveform(samples), cfg)
+    for h in range(len(batch)):
+        hop = samples[h * cfg.hop : h * cfg.hop + cfg.window_length]
+        npt.assert_array_equal(log_mel_frames(Waveform(hop), cfg)[0], batch[h], err_msg=f"hop {h}")
 
 
 def test_log_mel_rejects_overlong_frames():
@@ -235,6 +282,44 @@ def test_feature_dump_roundtrip(tmp_path, rng):
     with open(path, "rb") as fh:
         assert fh.readline() == b"32 40 7\n"
     npt.assert_array_equal(read_feature_dump(path), windows)
+
+
+@pytest.mark.parametrize("header", [b"-1 -1 4\n", b"0 5 3\n", b"2 0 1\n", b"2 2 0\n", b"2 -2 -1\n"])
+def test_feature_dump_rejects_non_positive_header(tmp_path, header):
+    path = tmp_path / "feats.bin"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(KwsError, match="positive"):
+        read_feature_dump(path)
+
+
+_DUMP_PAYLOAD = np.arange(16, dtype="<f4").tobytes()  # a valid dump is b"2 2 4\n" + this
+
+
+@given(
+    header=st.one_of(
+        st.just(b"2 2 4"),
+        st.lists(st.integers(-2, 4), min_size=3, max_size=3).map(lambda v: " ".join(map(str, v)).encode()),
+        st.text(alphabet="-+0123456789 _x", max_size=10).map(str.encode),
+        st.binary(max_size=10),
+    ),
+    cut=st.integers(0, len(_DUMP_PAYLOAD)),
+    edits=st.lists(st.tuples(st.integers(0, len(_DUMP_PAYLOAD) - 1), st.integers(0, 255)), max_size=4),
+)
+def test_feature_dump_fuzz_gives_kws_error_or_valid_array(tmp_path_factory, header, cut, edits):
+    payload = bytearray(_DUMP_PAYLOAD)
+    for pos, value in edits:
+        payload[pos] = value
+    path = tmp_path_factory.mktemp("fuzz") / "feats.bin"
+    path.write_bytes(header + b"\n" + bytes(payload[:cut]))
+    try:
+        windows = read_feature_dump(path)
+    except KwsError:
+        return
+    assert windows.dtype == np.float32 and windows.ndim == 3 and min(windows.shape) >= 1
+    count, t, f = windows.shape
+    stored_header, stored_payload = path.read_bytes().split(b"\n", 1)
+    assert [int(v) for v in stored_header.split()] == [t, f, count]
+    assert windows.tobytes() == stored_payload
 
 
 def test_feature_dump_truncation_detected(tmp_path, rng):

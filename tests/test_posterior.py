@@ -4,6 +4,8 @@ oracle, and streaming equivalence."""
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kwslite import (
     DetectionEvent,
@@ -185,3 +187,74 @@ def test_streaming_rejects_matrix_push():
     detector = StreamingDetector(DetectorConfig())
     with pytest.raises(ShapeError):
         detector.push(np.zeros((3, 4), dtype=np.float32))
+
+
+def stream_events(detector, probs):
+    return [e for e in (detector.push(row) for row in probs) if e is not None]
+
+
+@given(
+    n=st.integers(1, 90),
+    labels=st.integers(2, 5),
+    w_smooth=st.integers(1, 12),
+    w_max=st.integers(1, 30),
+    refractory=st.integers(0, 8),
+    threshold=st.sampled_from([0.3, 0.4, 0.5, 0.7]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_streaming_equals_detect_property(n, labels, w_smooth, w_max, refractory, threshold, dtype, seed):
+    # rings hold 2 * w rows (at most 60); n up to 90 ends streams both before
+    # the rings first wrap and after they have wrapped
+    probs = random_stream(np.random.default_rng(seed), n=n, labels=labels).astype(dtype)
+    cfg = DetectorConfig(threshold=threshold, w_smooth=w_smooth, w_max=w_max, refractory=refractory)
+    assert stream_events(StreamingDetector(cfg), probs) == detect(probs, cfg)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streaming_confidences_equal_detect_bit_for_bit(dtype):
+    # w_max 1, no refractory and a low threshold: every frame fires with its
+    # own smoothed keyword posterior as confidence, so any change in how the
+    # trailing mean is summed shows in the event list (rows drawn in float64:
+    # float32 values sum exactly in float64, in any order)
+    raw = np.random.default_rng(3).random((300, 3))
+    probs = (raw / raw.sum(axis=1, keepdims=True)).astype(dtype)
+    cfg = DetectorConfig(threshold=0.01, w_smooth=30, w_max=1, refractory=0)
+    batch = detect(probs, cfg)
+    assert len(batch) == len(probs)
+    assert stream_events(StreamingDetector(cfg), probs) == batch
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("w_smooth, w_max", [(1, 1), (1, 4), (3, 1), (30, 100)])
+def test_streaming_threshold_test_runs_in_row_dtype(dtype, w_smooth, w_max):
+    # a keyword posterior exactly at the float32 rounding of the threshold: in
+    # float32 it reaches 0.7, in float64 it is just below; both paths must agree
+    row = np.array([1 - np.float32(0.7), np.float32(0.7)], dtype=dtype)
+    probs = np.tile(row, (2 * w_max + 5, 1))
+    cfg = DetectorConfig(threshold=0.7, w_smooth=w_smooth, w_max=w_max, refractory=0)
+    batch = detect(probs, cfg)
+    assert stream_events(StreamingDetector(cfg), probs) == batch
+    assert len(batch) == (len(probs) if dtype == np.float32 else 0)
+
+
+def test_streaming_rejects_label_count_change():
+    detector = StreamingDetector(DetectorConfig())
+    detector.push(np.full(4, 0.25, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        detector.push(np.full(3, 1 / 3, dtype=np.float32))
+    with pytest.raises(ShapeError):
+        detector.push(np.full(5, 0.2, dtype=np.float32))
+
+
+def test_interleaved_detectors_share_no_state():
+    cfg = DetectorConfig(threshold=0.4, w_smooth=5, w_max=12, refractory=3)
+    a = random_stream(np.random.default_rng(7), n=150, labels=4)
+    b = random_stream(np.random.default_rng(8), n=150, labels=3)
+    da, db = StreamingDetector(cfg), StreamingDetector(cfg, filler_index=2)
+    got_a, got_b = [], []
+    for ra, rb in zip(a, b):
+        got_a.append(da.push(ra))
+        got_b.append(db.push(rb))
+    assert [e for e in got_a if e is not None] == detect(a, cfg)
+    assert [e for e in got_b if e is not None] == detect(b, cfg, filler_index=2)
