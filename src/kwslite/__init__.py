@@ -36,6 +36,7 @@ from .budget import (
     format_report,
     instrumented_forward,
     report,
+    streamed_multiplies,
 )
 from .data import (
     FILLER_NAME,

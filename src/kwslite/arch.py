@@ -107,6 +107,9 @@ class SoftmaxOut:
 
 LayerSpec = Union[Conv, Flatten, LowRank, Dense, SoftmaxOut]
 
+# (name, layer) pairs of a stack, in order
+_Named = tuple[tuple[str, LayerSpec], ...]
+
 
 @dataclass(frozen=True)
 class ArchSpec:
@@ -140,6 +143,13 @@ class ArchSpec:
     @cached_property
     def _manifest(self) -> dict[str, tuple[int, ...]]:
         return dict(_derive_manifest(self))
+
+    @cached_property
+    def _convs_and_tail(self) -> tuple[_Named, _Named]:
+        # (name, layer) pairs before and after the one Flatten of a valid stack
+        layers = tuple(zip(self._names, self.layers))
+        cut = next(i for i, (_, layer) in enumerate(layers) if isinstance(layer, Flatten))
+        return layers[:cut], layers[cut + 1 :]
 
 
 @dataclass(frozen=True)
@@ -320,90 +330,54 @@ def check_weights(arch: ArchSpec, weights: dict[str, np.ndarray]) -> None:
         )
 
 
-# Windows classified together by forward_frames. Larger blocks recompute
-# fewer shared edge rows but hold larger im2col matrices. In a process that
-# scans 10 s clips with all five stock architectures and also keeps its own
-# arrays (the repository benchmark's scan workload), peak RSS was 64.6 MB
-# with 32-window blocks and about 70 MB with 48 or 64, against 64.1 MB for
-# the per-window loop; 64-window blocks ran 5-15% faster than 32 (2-vCPU x86
-# VM, glibc malloc, one BLAS thread).
+# Windows classified per chunk by forward_frames. Every conv position is
+# computed once whatever the chunk size; larger chunks only save per-call
+# overhead, and hold larger im2col matrices. On a 10 s clip, 48-window chunks
+# ran cnn-tpool2 1.3x faster than 32 but raised the tracemalloc peak by 1.3 MB
+# (cnn-trad: 2.4 MB, no faster); in a process that scans 10 s clips with all
+# five stock architectures (the repository benchmark's scan workload), rises
+# of that size have cost several MB of peak RSS (2-vCPU x86 VM, one BLAS
+# thread).
 BLOCK_WINDOWS = 32
 
-# One group of windows sharing a time stream: (stream, positions of the
-# windows in the block). Window k of a group starts at row k of its stream.
-_Group = tuple[np.ndarray, range]
+# One step of the carried stream: (rows it keeps for the next chunk, what it
+# does to its rows). A stage given r rows returns r - keep rows.
+_Stage = tuple[int, Callable[[np.ndarray], np.ndarray]]
 
 
-def _prepare(arch: ArchSpec, weights: dict[str, np.ndarray], conv_path: str) -> list[tuple[str, LayerSpec]]:
-    """Per-call set-up shared by every block: argument checks and layer names."""
+def _prepare(arch: ArchSpec, weights: dict[str, np.ndarray], conv_path: str) -> tuple[_Named, _Named]:
+    """Per-call set-up: argument checks, then the (name, layer) pairs before
+    and after flatten. validate(), which check_weights() runs through the
+    manifest, guarantees exactly one Flatten, with every conv before it and
+    every dense layer after it."""
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
     check_weights(arch, weights)
-    return list(zip(arch._names, arch.layers))
+    return arch._convs_and_tail
 
 
-def _by_phase(groups: list[_Group], step: int, span: int) -> list[_Group]:
-    """Regroup windows for a time stride or pool of `step` over `span` rows each.
-
-    A strided or pooled kernel applied to stream[r:] serves exactly the windows
-    starting at rows congruent to r mod step, and the m-th of them starts at
-    row m of the kernel's output, so each group splits by phase into groups of
-    the same form. Each new stream is cut to its windows' rows.
-    """
-    if step == 1:
-        return groups
-    out = []
-    for stream, idx in groups:
-        for phase in range(min(step, len(idx))):
-            sub = idx[phase::step]
-            out.append((stream[phase : phase + (len(sub) - 1) * step + span], sub))
-    return out
-
-
-def _forward_block(
-    layers: list[tuple[str, LayerSpec]],
+def _dense_tail(
+    tail: _Named,
     weights: dict[str, np.ndarray],
-    stream: np.ndarray,
-    count: int,
-    span: int,
-    conv_path: str,
-    counter: MacCounter | None,
+    x: np.ndarray,
+    counter: MacCounter | None = None,
+    cast: dict[str, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Posteriors of the windows stream[k : k + span], k < count.
+    """The layers after flatten, on one vector or a (windows, features) batch.
 
-    Each conv and pool runs once over the rows its windows share instead of
-    once per window; flatten gathers every window's rows, and the dense tail
-    is one batched product, giving (count, labels). One window over a stream
-    `span` rows long runs exactly the per-window kernels on the per-window
-    tensors, down to a flat vector and (labels,) posteriors.
+    With `cast` (float64 copies of the tail's weights), the kernels run on the
+    copies and each output is rounded to the dtype `weights` would give it.
     """
-    groups: list[_Group] = [(stream, range(count))]
-    for name, layer in layers:
-        if isinstance(layer, Conv):
-            bank = FilterBank(weights[f"{name}.weights"], weights[f"{name}.bias"])
-            groups = _by_phase(groups, layer.stride.time, span)
-            if conv_path == "naive":
-                groups = [(tensor.conv2d_valid(s, bank, layer.stride, counter=counter), i) for s, i in groups]
-            else:
-                groups = [(tensor.conv2d_optimized(s, bank, layer.stride), i) for s, i in groups]
-            span = (span - layer.kernel_t) // layer.stride.time + 1
-            if layer.pool.active:
-                groups = _by_phase(groups, layer.pool.time, span)
-                groups = [(tensor.maxpool(s, layer.pool), i) for s, i in groups]
-                span //= layer.pool.time
-        elif isinstance(layer, Flatten):
-            if count == 1:
-                x = tensor.flatten(groups[0][0])
-            else:
-                # rows come out phase group by phase group; sort them back to block order
-                rows = [tensor.flatten(s[np.arange(len(i))[:, None] + np.arange(span)]) for s, i in groups]
-                x = np.concatenate(rows)[np.argsort(np.concatenate([i for _, i in groups]))]
-        elif isinstance(layer, LowRank):
-            x = tensor.linear(x, weights[f"{name}.weights"], counter=counter)
-        elif isinstance(layer, Dense):
-            x = tensor.dense(x, weights[f"{name}.weights"], weights[f"{name}.bias"], "relu", counter=counter)
-        elif isinstance(layer, SoftmaxOut):
-            x = tensor.dense(x, weights["softmax.weights"], weights["softmax.bias"], "softmax", counter=counter)
+    use = weights if cast is None else cast
+    for name, layer in tail:
+        if isinstance(layer, LowRank):
+            y = tensor.linear(x, use[f"{name}.weights"], counter=counter)
+        else:
+            act = "relu" if isinstance(layer, Dense) else "softmax"
+            y = tensor.dense(x, use[f"{name}.weights"], use[f"{name}.bias"], act, counter=counter)
+        if cast is not None:
+            y = y.astype(np.promote_types(x.dtype, weights[f"{name}.weights"].dtype), copy=False)
+        x = y
     return x
 
 
@@ -420,7 +394,7 @@ def forward(
     loops); the naive path honours `counter`, metering one increment per
     scalar multiply it executes.
     """
-    layers = _prepare(arch, weights, conv_path)
+    convs, tail = _prepare(arch, weights, conv_path)
     window = np.asarray(window)
     if window.shape != (arch.input_t, arch.input_f):
         raise ShapeError(
@@ -428,8 +402,99 @@ def forward(
             f"{(arch.input_t, arch.input_f)} input of {arch.name}",
             axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
         )
-    stream = window.reshape(arch.input_t, arch.input_f, 1)
-    return _forward_block(layers, weights, stream, 1, arch.input_t, conv_path, counter)
+    x = window.reshape(arch.input_t, arch.input_f, 1)
+    for name, layer in convs:
+        bank = FilterBank(weights[f"{name}.weights"], weights[f"{name}.bias"])
+        x = _conv(x, bank, layer.stride, conv_path, counter)
+        if layer.pool.active:
+            x = tensor.maxpool(x, layer.pool)
+    return _dense_tail(tail, weights, tensor.flatten(x), counter)
+
+
+def _conv(
+    x: np.ndarray, bank: FilterBank, stride: Stride, conv_path: str, counter: MacCounter | None
+) -> np.ndarray:
+    if conv_path == "naive":
+        return tensor.conv2d_valid(x, bank, stride, counter=counter)
+    return tensor.conv2d_optimized(x, bank, stride)
+
+
+def _conv_stage(
+    layer: Conv, bank: FilterBank, step: int, conv_path: str, counter: MacCounter | None
+) -> _Stage:
+    """A conv over rows u, u+step, ..., run as `step` interleaved calls of the
+    unchanged kernel on rows[p::step]."""
+    keep = step * (layer.kernel_t - 1)
+    freq_only = Stride(1, layer.stride.freq)
+    freq_pool = Pool(1, layer.pool.freq)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        if step == 1:
+            y = _conv(x, bank, freq_only, conv_path, counter)
+        else:
+            n = len(x) - keep
+            y = None
+            for p in range(min(step, n)):
+                part = _conv(x[p::step], bank, freq_only, conv_path, counter)
+                if y is None:
+                    y = np.empty((n,) + part.shape[1:], part.dtype)
+                y[p::step] = part
+        return tensor.maxpool(y, freq_pool) if freq_pool.active else y
+
+    return keep, run
+
+
+def _time_pool_stage(size: int, step: int) -> _Stage:
+    """Max over rows u, u+step, ..., u+(size-1)*step."""
+    keep = step * (size - 1)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        n = len(x) - keep
+        y = x[:n]
+        for k in range(1, size):
+            y = np.maximum(y, x[k * step : k * step + n])
+        return y
+
+    return keep, run
+
+
+def _stream_stages(
+    arch: ArchSpec,
+    convs: _Named,
+    weights: dict[str, np.ndarray],
+    conv_path: str,
+    counter: MacCounter | None,
+) -> list[_Stage]:
+    """The layers up to flatten as stages over the edge-padded frame stream.
+
+    Every stage's output row u starts at row u of the padded stream, and
+    window j reads rows j, j+step, ..., of it, where `step` is the product
+    of the time strides and time pools before it: a stride or pool of s
+    multiplies the step of every later layer by s instead of dropping rows.
+    So each conv position is computed once for every window that uses it.
+    The last stage gathers each window's rows and flattens them.
+    """
+    stages = []
+    step, span = 1, arch.input_t
+    for name, layer in convs:
+        bank = FilterBank(weights[f"{name}.weights"], weights[f"{name}.bias"])
+        stages.append(_conv_stage(layer, bank, step, conv_path, counter))
+        step *= layer.stride.time
+        span = (span - layer.kernel_t) // layer.stride.time + 1
+        if layer.pool.time > 1:
+            stages.append(_time_pool_stage(layer.pool.time, step))
+            step *= layer.pool.time
+            span //= layer.pool.time
+    # the last window needs rows up to step*(span-1) past its start; the
+    # rows after that, which no window of a valid stack reads, are kept too
+    keep = arch.input_t - 1 - sum(k for k, _ in stages)
+    offsets = step * np.arange(span)
+
+    def gather(x: np.ndarray) -> np.ndarray:
+        return tensor.flatten(x[np.arange(len(x) - keep)[:, None] + offsets])
+
+    stages.append((keep, gather))
+    return stages
 
 
 def forward_frames(
@@ -437,16 +502,21 @@ def forward_frames(
     weights: dict[str, np.ndarray],
     frames: np.ndarray,
     conv_path: str = "optimized",
+    counter: MacCounter | None = None,
 ) -> np.ndarray:
     """Posteriors (n_frames, labels) for the context window of every frame.
 
     Window j is the one stack_context builds for frame j (edge frames
-    replicated), but no window is materialised: each block of BLOCK_WINDOWS
-    consecutive windows shares one float32 stream of frames, so a conv
-    position common to overlapping windows is computed once. Agrees with
-    forward() on each stacked window to float32 rounding.
+    replicated), but no window is materialised: the frames stream through
+    the conv stack once, BLOCK_WINDOWS windows' worth of new rows at a time,
+    and each stage carries its last rows into the next chunk, so every conv
+    position of the clip is computed exactly once. The dense tail's weights
+    are cast to float64 once per call, and every layer's output is rounded
+    as in forward(). Agrees with forward() on each stacked window to float32
+    rounding. The naive conv path honours `counter`; the dense tail meters
+    one window per frame.
     """
-    layers = _prepare(arch, weights, conv_path)
+    convs, tail = _prepare(arch, weights, conv_path)
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(
@@ -455,12 +525,25 @@ def forward_frames(
     n = frames.shape[0]
     if n == 0:
         raise InsufficientAudioError("cannot classify zero frames")
+    # the conv weights are still cast inside the kernels: float64 copies held
+    # for the whole call (1.4 MB for a 64-map conv2) would raise its peak memory
+    tail_names = {name for name, _ in tail}
+    cast = {key: np.asarray(w, dtype=np.float64) for key, w in weights.items() if key.split(".")[0] in tail_names}
+    stages = _stream_stages(arch, convs, weights, conv_path, counter)
+    carries: list[np.ndarray | None] = [None] * len(stages)
     out = None
+    fed = 0  # padded-stream rows streamed so far
     for j0 in range(0, n, BLOCK_WINDOWS):
         j1 = min(j0 + BLOCK_WINDOWS, n)
-        rows = np.clip(np.arange(j0 - arch.context.left, j1 + arch.context.right), 0, n - 1)
-        stream = frames[rows].astype(np.float32, copy=False)[:, :, None]
-        block = _forward_block(layers, weights, stream, j1 - j0, arch.input_t, conv_path, None)
+        rows = np.clip(np.arange(fed, j1 + arch.input_t - 1) - arch.context.left, 0, n - 1)
+        fed = j1 + arch.input_t - 1
+        x = frames[rows].astype(np.float32, copy=False)[:, :, None]
+        for i, (keep, run) in enumerate(stages):
+            if carries[i] is not None:
+                x = np.concatenate((carries[i], x))
+            carries[i] = x[len(x) - keep :].copy()  # a view would hold the whole buffer
+            x = run(x)
+        block = _dense_tail(tail, weights, x, counter, cast)
         if out is None:
             out = np.empty((n, block.shape[-1]), dtype=block.dtype)
         out[j0:j1] = block

@@ -50,6 +50,10 @@ def read_wav(path: str | Path) -> Waveform:
             raw = wf.readframes(wf.getnframes())
     except (wave.Error, EOFError) as exc:
         raise AudioFormatError(f"{path}: not a readable RIFF/WAVE file ({exc})") from exc
+    except RuntimeError as exc:
+        # wave raises a bare RuntimeError when a chunk size points past the
+        # chunk that holds it, e.g. a fmt chunk claiming 4 GB
+        raise AudioFormatError(f"{path}: a chunk size runs past its enclosing chunk") from exc
     if comptype != "NONE":
         raise AudioFormatError(f"{path}: compressed WAV ({comptype}) is unsupported")
     if channels != 1:
@@ -58,6 +62,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise AudioFormatError(f"{path}: expected 16-bit PCM, got {8 * width}-bit")
     if rate != SAMPLE_RATE:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
+    if len(raw) % width:
+        raise AudioFormatError(f"{path}: the data chunk ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
     return Waveform(samples, rate)
 

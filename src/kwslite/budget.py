@@ -6,6 +6,11 @@ every scalar multiply as it executes (`instrumented_forward`). Bias additions
 and activations are not multiplies and are never counted; pooling and
 flatten are free; convolution multiplies are metered at the pre-pool output
 size, since pooling discards values after they are computed.
+
+Both routes also cover a streamed clip, where `forward_frames` computes each
+conv position once for all the windows that share it: `report` gives the
+multiplies per new frame and `streamed_multiplies` the exact count for a
+clip of n frames, which a metered `forward_frames` run reproduces.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "compare",
     "fit_to_budget",
     "instrumented_forward",
+    "streamed_multiplies",
     "format_report",
 ]
 
@@ -50,9 +56,15 @@ ZERO_COST = LayerCost(0, 0)
 
 @dataclass(frozen=True)
 class LayerBudget:
+    """One row of a report. `per_frame` is the layer's multiplies per new
+    frame of a streamed clip: a conv's cost for one output row (its
+    per-window cost over its pre-pool output rows), a dense layer's cost for
+    one window."""
+
     name: str
     out_shape: tuple[int, ...]
     cost: LayerCost
+    per_frame: int
 
 
 @dataclass(frozen=True)
@@ -60,6 +72,7 @@ class BudgetReport:
     arch_name: str
     per_layer: tuple[LayerBudget, ...]
     total: LayerCost
+    per_frame: int
 
 
 @dataclass(frozen=True)
@@ -106,16 +119,44 @@ def report(arch: ArchSpec) -> BudgetReport:
     cursor = 1  # walks the trace in step with the layers
     for name, layer in zip(_arch.layer_names(arch), arch.layers):
         cost = count_layer(layer, shape)
-        rows.append(LayerBudget(name, trace[cursor].shape, cost))
+        out_shape = trace[cursor].shape
+        per_frame = cost.multiplies // out_shape[0] if isinstance(layer, Conv) else cost.multiplies
+        rows.append(LayerBudget(name, out_shape, cost, per_frame))
         cursor += 1
         if isinstance(layer, Conv) and layer.pool.active:
-            rows.append(LayerBudget(f"{name}.pool", trace[cursor].shape, ZERO_COST))
+            rows.append(LayerBudget(f"{name}.pool", trace[cursor].shape, ZERO_COST, 0))
             cursor += 1
         shape = trace[cursor - 1].shape
     total = ZERO_COST
     for row in rows:
         total = total + row.cost
-    return BudgetReport(arch.name, tuple(rows), total)
+    return BudgetReport(arch.name, tuple(rows), total, sum(row.per_frame for row in rows))
+
+
+def streamed_multiplies(arch: ArchSpec, n_frames: int) -> int:
+    """Exact multiplies `forward_frames` executes on a clip of n_frames frames.
+
+    The conv stack runs once over the edge-padded stream of n_frames +
+    input_t - 1 rows. At time step d (the product of the time strides and
+    pools before it), a conv of kernel_t rows turns r rows into
+    r - d*(kernel_t - 1), and a time pool of p rows into r - d*(p - 1); each
+    conv output row costs the layer's per-frame multiplies. The dense tail
+    runs once per frame.
+    """
+    if n_frames < 1:
+        raise ValueError(f"need at least one frame, got {n_frames}")
+    per_frame = {row.name: row.per_frame for row in report(arch).per_layer}
+    rows, step, total = n_frames + arch.input_t - 1, 1, 0
+    for name, layer in zip(_arch.layer_names(arch), arch.layers):
+        if isinstance(layer, Conv):
+            rows -= step * (layer.kernel_t - 1)
+            total += rows * per_frame[name]
+            step *= layer.stride.time
+            rows -= step * (layer.pool.time - 1)
+            step *= layer.pool.time
+        else:
+            total += n_frames * per_frame[name]
+    return total
 
 
 def compare(a: ArchSpec, b: ArchSpec) -> CompareResult:
@@ -183,12 +224,20 @@ def instrumented_forward(
 
 
 def format_report(rep: BudgetReport) -> str:
-    """Fixed-width text table, one row per layer plus a totals row."""
-    header = f"{'layer':<14} {'output':<16} {'params':>12} {'multiplies':>14}"
+    """Fixed-width text table, one row per layer plus a totals row.
+
+    `multiplies` is the cost of one isolated window, `per frame` the cost of
+    each new frame when `detect` streams a clip.
+    """
+    header = f"{'layer':<14} {'output':<16} {'params':>12} {'multiplies':>14} {'per frame':>12}"
     lines = [f"architecture: {rep.arch_name}", header, "-" * len(header)]
     for row in rep.per_layer:
         shape = "x".join(str(d) for d in row.out_shape)
-        lines.append(f"{row.name:<14} {shape:<16} {row.cost.params:>12,} {row.cost.multiplies:>14,}")
+        lines.append(
+            f"{row.name:<14} {shape:<16} {row.cost.params:>12,} {row.cost.multiplies:>14,} {row.per_frame:>12,}"
+        )
     lines.append("-" * len(header))
-    lines.append(f"{'total':<14} {'':<16} {rep.total.params:>12,} {rep.total.multiplies:>14,}")
+    lines.append(
+        f"{'total':<14} {'':<16} {rep.total.params:>12,} {rep.total.multiplies:>14,} {rep.per_frame:>12,}"
+    )
     return "\n".join(lines)

@@ -240,10 +240,12 @@ def cmd_budget(args) -> int:
         "config": settings,
         "layers": [
             {"layer": row.name, "output": list(row.out_shape),
-             "params": row.cost.params, "multiplies": row.cost.multiplies}
+             "params": row.cost.params, "multiplies": row.cost.multiplies,
+             "per_frame_multiplies": row.per_frame}
             for row in rep.per_layer
         ],
         "total": {"params": rep.total.params, "multiplies": rep.total.multiplies},
+        "per_frame": {"multiplies": rep.per_frame},
     }
     lines = [_config_header("budget", settings), _budget.format_report(rep)]
     if args.compare:

@@ -213,7 +213,8 @@ def conv2d_optimized(x: np.ndarray, filters: FilterBank, stride: Stride = Stride
 
     cols, out_t, out_f = im2col(x.astype(np.float64), filters.kernel_t, filters.kernel_f, stride)
     wmat = filters.weights.astype(np.float64).reshape(-1, filters.maps)
-    out = cols @ wmat + filters.bias.astype(np.float64)
+    out = cols @ wmat
+    out += filters.bias.astype(np.float64)  # in place: no second (rows, maps) array
     return out.reshape(out_t, out_f, filters.maps).astype(out_dtype)
 
 
@@ -268,7 +269,7 @@ def _check_flat_input(x: np.ndarray, weights: np.ndarray, who: str) -> int:
 
 def _project(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # W x for a vector and (W X^T)^T for a batch: one float64 product either way
-    return (weights.astype(np.float64) @ x.astype(np.float64).T).T
+    return (weights.astype(np.float64, copy=False) @ x.astype(np.float64).T).T
 
 
 def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
@@ -282,7 +283,7 @@ def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None
     rows = _check_flat_input(x, weights, "linear")
     if counter is not None:
         counter.add(rows * weights.size)
-    return _project(x, weights).astype(np.result_type(x.dtype, weights.dtype))
+    return _project(x, weights).astype(np.result_type(x.dtype, weights.dtype), copy=False)
 
 
 def dense(
@@ -314,10 +315,10 @@ def dense(
         counter.add(rows * weights.size)
 
     out_dtype = np.result_type(x.dtype, weights.dtype)
-    z = _project(x, weights) + bias.astype(np.float64)
+    z = _project(x, weights) + bias.astype(np.float64, copy=False)
     if activation == "relu":
         z = np.maximum(z, 0.0)
     elif activation == "softmax":
         e = np.exp(z - z.max(axis=-1, keepdims=True))
         z = e / e.sum(axis=-1, keepdims=True)
-    return z.astype(out_dtype)
+    return z.astype(out_dtype, copy=False)

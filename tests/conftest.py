@@ -14,6 +14,7 @@ from kwslite import (
     Stride,
     validate,
 )
+from kwslite.audio import write_wav
 from kwslite.errors import ShapeError
 
 # property tests draw the same examples on every run, with no per-example
@@ -61,3 +62,18 @@ def random_arch(rng, max_convs=2):
             continue
         return arch
     raise AssertionError("could not sample a valid architecture in 200 tries")
+
+
+def hostile_wavs(path_dir):
+    """The two header corruptions that once escaped as raw exceptions."""
+    base = path_dir / "base.wav"
+    write_wav(base, 0.5 * np.sin(np.arange(1600) / 10.0))
+    data = base.read_bytes()
+    fmt_size = bytearray(data)
+    fmt_size[19] = 0xF4  # fmt chunk size 0xF4000010: wave raised a bare RuntimeError
+    riff_size = bytearray(data)
+    riff_size[4] = 0x41  # the RIFF chunk now ends 3101 bytes into the data chunk, mid-sample
+    paths = (path_dir / "fmt_size.wav", path_dir / "riff_size.wav")
+    for path, raw in zip(paths, (fmt_size, riff_size)):
+        path.write_bytes(bytes(raw))
+    return paths

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import kwslite.arch
 from kwslite import (
     ARCHITECTURES,
     ArchSpec,
@@ -14,6 +15,7 @@ from kwslite import (
     Dense,
     Flatten,
     LowRank,
+    Pool,
     SoftmaxOut,
     Stride,
     build_cnn_one,
@@ -287,6 +289,46 @@ def test_forward_frames_matches_per_window_on_random_archs(rng):
         frames = rng.standard_normal((n, 40)).astype(np.float32)
         assert_frames_match(arch, weights, frames)
         assert_frames_match(arch, weights, frames[:7], "naive")
+
+
+def test_forward_frames_does_not_depend_on_chunk_size(rng, monkeypatch):
+    # each chunk carries every stage's last rows into the next; a carry one
+    # row short or long shifts whole windows, far beyond float32 rounding
+    stacks = [get_arch(name, 4) for name in ARCHITECTURES] + [random_arch(rng, max_convs=3) for _ in range(6)]
+    frames = rng.standard_normal((75, 40)).astype(np.float32)
+    for trial, arch in enumerate(stacks):
+        weights = init_weights(arch, trial, init_scale=0.2)
+        got = {}
+        for size in (1, 2, 7, 32):
+            monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", size)
+            got[size] = forward_frames(arch, weights, frames)
+        for size in (1, 2, 7):
+            npt.assert_allclose(got[size], got[32], rtol=1e-6, atol=1e-12, err_msg=f"{arch} chunk {size}")
+
+
+def test_forward_frames_compound_time_steps_end_mid_chunk(rng, monkeypatch):
+    # a stride-2 conv, then a pool-2 conv: the third conv reads every 4th row
+    # of its stream, and flatten every 8th
+    arch = ArchSpec(
+        "steps",
+        Context(14, 6),
+        (
+            Conv(3, 5, 3, Stride(2, 1)),
+            Conv(2, 4, 4, Stride(1, 2), Pool(2, 2)),
+            Conv(2, 3, 2),
+            Flatten(),
+            Dense(6),
+            SoftmaxOut(3),
+        ),
+    )
+    assert [e.shape for e in validate(arch)][1:5] == [(10, 36, 3), (9, 17, 4), (4, 8, 4), (3, 6, 2)]
+    weights = init_weights(arch, 4, init_scale=0.5)
+    for n in (BLOCK_WINDOWS + 13, 2 * BLOCK_WINDOWS - 1):
+        assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
+    monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", 7)
+    for n in (1, 6, 9, 20, 23):
+        assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
+    assert_frames_match(arch, weights, rng.standard_normal((9, 40)).astype(np.float32), "naive")
 
 
 def test_forward_frames_casts_like_stack_context(rng):

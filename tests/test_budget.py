@@ -4,6 +4,7 @@ instrumented-versus-analytic cross-check."""
 import numpy as np
 import pytest
 
+import kwslite.arch
 from kwslite import (
     ARCHITECTURES,
     Conv,
@@ -20,15 +21,17 @@ from kwslite import (
     compare,
     count_layer,
     fit_to_budget,
+    forward_frames,
     format_report,
     get_arch,
     init_weights,
     instrumented_forward,
     report,
+    streamed_multiplies,
     weight_manifest,
 )
 from kwslite.errors import InfeasibleBudgetError
-from kwslite.tensor import Pool
+from kwslite.tensor import MacCounter, Pool
 
 from conftest import random_arch, random_window
 
@@ -137,3 +140,49 @@ def test_format_report_mentions_layers():
     text = format_report(report(build_cnn_trad(4)))
     for token in ("conv1", "conv1.pool", "lowrank1", "total", "8,133,120"):
         assert token in text
+
+
+def test_per_frame_counts_for_stock():
+    rep = report(build_cnn_trad(4))
+    convs = [row for row in rep.per_layer if row.name in ("conv1", "conv2")]
+    assert [row.per_frame for row in convs] == [387_072, 1_146_880]
+    assert sum(row.per_frame for row in convs) == 1_533_952
+    assert sum(row.cost.multiplies for row in convs) == 8_085_504
+    assert rep.per_frame == 1_581_568
+    for name in ARCHITECTURES:
+        arch = get_arch(name, 4)
+        per_frame = report(arch).per_frame
+        # every extra frame adds one row to each conv stream and one window to the tail
+        for n in (1, 2, 50, 998):
+            assert streamed_multiplies(arch, n + 1) - streamed_multiplies(arch, n) == per_frame, name
+    dnn = build_dnn_baseline(4)
+    assert streamed_multiplies(dnn, 7) == 7 * report(dnn).total.multiplies
+    with pytest.raises(ValueError):
+        streamed_multiplies(dnn, 0)
+
+
+def time_steps(arch):
+    """Product of the time strides and pools before each conv of the stack."""
+    steps, step = [], 1
+    for layer in arch.layers:
+        if isinstance(layer, Conv):
+            steps.append(step)
+            step *= layer.stride.time * layer.pool.time
+    return steps
+
+
+def test_streamed_closed_form_equals_metered_forward_frames(rng, monkeypatch):
+    # several chunks per clip, and lengths ending mid-chunk
+    monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", 4)
+    checked = 0
+    while checked < 8:
+        arch = random_arch(rng, max_convs=3)
+        if max(time_steps(arch)) < 2:
+            continue  # a time stride or pool must dilate some later conv
+        weights = init_weights(arch, checked)
+        for n in (1, 6, 11):
+            counter = MacCounter()
+            frames = rng.standard_normal((n, 40)).astype(np.float32)
+            forward_frames(arch, weights, frames, conv_path="naive", counter=counter)
+            assert counter.count == streamed_multiplies(arch, n), (arch, n)
+        checked += 1

@@ -13,6 +13,8 @@ from kwslite.errors import AgreementError
 from kwslite.frontend import read_feature_dump
 from kwslite.modelio import load_model, save_model
 
+from conftest import hostile_wavs
+
 
 def make_wav(path, seconds=1.0, freq=1000.0):
     t = np.arange(int(SAMPLE_RATE * seconds)) / SAMPLE_RATE
@@ -112,6 +114,17 @@ def test_budget_matches_frozen_totals(capsys):
     assert doc["total"] == {"params": 223_812, "multiplies": 8_133_120}
     doc = run_json(capsys, "budget", "--arch", "cnn-one", "--labels", "4")
     assert doc["total"] == {"params": 105_284, "multiplies": 676_352}
+
+
+def test_budget_prints_per_frame_streamed_multiplies(capsys):
+    code, text, _ = run(capsys, "budget", "--arch", "cnn-trad", "--labels", "4")
+    assert code == 0
+    assert "per frame" in text
+    assert "1,581,568" in text  # beside the 8,133,120 of one isolated window
+    doc = run_json(capsys, "budget", "--arch", "cnn-trad", "--labels", "4")
+    assert doc["per_frame"] == {"multiplies": 1_581_568}
+    conv1 = doc["layers"][0]
+    assert (conv1["layer"], conv1["multiplies"], conv1["per_frame_multiplies"]) == ("conv1", 4_644_864, 387_072)
 
 
 def test_budget_compare_ratios(capsys):
@@ -214,6 +227,13 @@ def test_train_bad_environment_seed_is_usage_error(tmp_path, capsys, monkeypatch
                        "--out", str(tmp_path / "m.kwsm"), "--quiet")
     assert code == 1
     assert "KWS_SEED" in err
+
+
+def test_detect_hostile_wav_headers_are_data_errors(tmp_path, capsys, tiny_model):
+    for wav in hostile_wavs(tmp_path):
+        code, _, err = run(capsys, "detect", str(wav), "--model", tiny_model)
+        assert code == 2, (wav.name, err)
+        assert "kwslite" in err and "Traceback" not in err
 
 
 def test_detect_runs_and_reports_schema(tmp_path, capsys, tiny_model, tone_wav):

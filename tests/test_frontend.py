@@ -25,6 +25,8 @@ from kwslite import (
 from kwslite.errors import AudioFormatError, InsufficientAudioError, KwsError
 from kwslite.frontend import frame_count
 
+from conftest import hostile_wavs
+
 SR = 16000
 
 
@@ -270,6 +272,38 @@ def test_wav_rejects_wrong_formats(tmp_path):
     not_wav.write_bytes(struct.pack("<I", 0xDEADBEEF) * 8)
     with pytest.raises(AudioFormatError):
         read_wav(not_wav)
+
+
+def test_wav_hostile_chunk_sizes_are_format_errors(tmp_path):
+    fmt_size, riff_size = hostile_wavs(tmp_path)
+    with pytest.raises(AudioFormatError, match="chunk size"):
+        read_wav(fmt_size)
+    with pytest.raises(AudioFormatError, match="mid-sample"):
+        read_wav(riff_size)
+
+
+_WAV_SAMPLES = (0.5 * np.sin(np.arange(64) / 3.0)).astype(np.float32)
+
+
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), min_size=1, max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 44 + 2 * len(_WAV_SAMPLES))),
+)
+def test_wav_header_fuzz_gives_format_error_or_valid_waveform(tmp_path_factory, edits, cut):
+    path = tmp_path_factory.mktemp("fuzz") / "x.wav"
+    write_wav(path, _WAV_SAMPLES)
+    data = bytearray(path.read_bytes())
+    for pos, value in edits:
+        data[pos] = value
+    path.write_bytes(bytes(data[:cut]))
+    try:
+        wav = read_wav(path)
+    except KwsError:
+        return
+    assert wav.sample_rate == SR
+    assert wav.samples.dtype == np.float32 and wav.samples.ndim == 1
+    assert len(wav.samples) <= len(_WAV_SAMPLES)
+    assert np.all(np.abs(wav.samples) <= 1.0)
 
 
 # --- feature dump -----------------------------------------------------------

@@ -6,16 +6,28 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kwslite import (
     ARCHITECTURES,
+    ArchSpec,
+    Context,
+    Conv,
+    Dense,
+    Flatten,
+    Pool,
+    SoftmaxOut,
+    Stride,
     get_arch,
     init_weights,
     load_model,
     save_model,
 )
+from kwslite.arch import check_weights
 from kwslite.errors import (
     BadMagicError,
+    KwsError,
     ManifestMismatchError,
     ModelFormatError,
     TruncatedPayloadError,
@@ -153,3 +165,31 @@ def test_corrupted_weight_values_still_load_shape_safe(saved):
     path.write_bytes(bytes(corrupted))
     loaded = load_model(path)
     assert loaded.weights["softmax.bias"].shape == (4,)
+
+
+TINY = ArchSpec(
+    "tiny",
+    Context(2, 1),
+    (Conv(2, 3, 2, Stride(1, 2), Pool(1, 2)), Flatten(), Dense(3), SoftmaxOut(2)),
+)
+
+
+@given(
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 1 << 12)),
+)
+def test_load_model_header_fuzz_gives_kws_error_or_valid_model(tmp_path_factory, edits, cut):
+    path = tmp_path_factory.mktemp("fuzz") / "tiny.kwsm"
+    save_model(path, TINY, init_weights(TINY, 0), ["_filler", "kw"])
+    data = bytearray(path.read_bytes())
+    header_end = 12 + struct.unpack_from("<I", data, 8)[0]
+    for pos, value in edits:
+        data[pos % header_end] = value  # magic, version, header length and JSON header
+    path.write_bytes(bytes(data[:cut]))
+    try:
+        model = load_model(path)
+    except KwsError:
+        return
+    check_weights(model.arch, model.weights)
+    assert len(model.labels) == model.arch.labels
+    assert all(w.dtype == np.float32 for w in model.weights.values())
