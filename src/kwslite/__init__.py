@@ -94,7 +94,6 @@ from .tensor import (
     flatten,
     linear,
     maxpool,
-    softmax,
 )
 from .train import (
     EpochStats,

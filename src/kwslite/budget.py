@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from . import arch as _arch
-from . import tensor
-from .arch import ArchSpec, Conv, Dense, Flatten, LowRank, SoftmaxOut, validate
+from .arch import ArchSpec, validate
 from .errors import InfeasibleBudgetError
+from .layers import ZERO_COST, LayerCost
 from .tensor import MacCounter
 
 __all__ = [
@@ -40,18 +40,6 @@ __all__ = [
     "streamed_multiplies",
     "format_report",
 ]
-
-
-@dataclass(frozen=True)
-class LayerCost:
-    params: int
-    multiplies: int
-
-    def __add__(self, other: "LayerCost") -> "LayerCost":
-        return LayerCost(self.params + other.params, self.multiplies + other.multiplies)
-
-
-ZERO_COST = LayerCost(0, 0)
 
 
 @dataclass(frozen=True)
@@ -86,47 +74,18 @@ class CompareResult:
 
 
 def count_layer(layer, in_shape: tuple[int, ...]) -> LayerCost:
-    """Closed-form cost of one layer given its input shape.
-
-    Conv: params kt*kf*c_in*maps + maps, multiplies out_t*out_f*kt*kf*c_in*maps
-    with out dims taken before any pooling. Dense and the softmax output add
-    a bias to params only. LowRank has no bias: params = multiplies = in*rank.
-    """
-    if isinstance(layer, Conv):
-        t, f, c = in_shape
-        out_t, out_f = tensor.conv_output_shape(t, f, layer.kernel_t, layer.kernel_f, layer.stride)
-        weights = layer.kernel_t * layer.kernel_f * c * layer.maps
-        return LayerCost(weights + layer.maps, out_t * out_f * weights)
-    if isinstance(layer, Flatten):
-        return ZERO_COST
-    if isinstance(layer, LowRank):
-        (n,) = in_shape
-        return LayerCost(n * layer.rank, n * layer.rank)
-    if isinstance(layer, Dense):
-        (n,) = in_shape
-        return LayerCost(n * layer.units + layer.units, n * layer.units)
-    if isinstance(layer, SoftmaxOut):
-        (n,) = in_shape
-        return LayerCost(n * layer.labels + layer.labels, n * layer.labels)
-    raise TypeError(f"unknown layer spec {layer!r}")
+    """Closed-form cost of one layer given its input shape (see its `cost`)."""
+    return layer.cost(in_shape)
 
 
 def report(arch: ArchSpec) -> BudgetReport:
     """Per-layer and total costs; totals are the exact sum of the parts."""
-    trace = validate(arch)
     rows: list[LayerBudget] = []
-    shape: tuple[int, ...] = trace[0].shape
-    cursor = 1  # walks the trace in step with the layers
-    for name, layer in zip(_arch.layer_names(arch), arch.layers):
-        cost = count_layer(layer, shape)
-        out_shape = trace[cursor].shape
-        per_frame = cost.multiplies // out_shape[0] if isinstance(layer, Conv) else cost.multiplies
-        rows.append(LayerBudget(name, out_shape, cost, per_frame))
-        cursor += 1
-        if isinstance(layer, Conv) and layer.pool.active:
-            rows.append(LayerBudget(f"{name}.pool", trace[cursor].shape, ZERO_COST, 0))
-            cursor += 1
-        shape = trace[cursor - 1].shape
+    for p in arch.placed:
+        out, *pooled = p.trace
+        cost, per_frame = p.layer.cost(p.in_shape), p.layer.frame_multiplies(p.in_shape)
+        rows.append(LayerBudget(p.name, out.shape, cost, per_frame))
+        rows += [LayerBudget(entry.name, entry.shape, ZERO_COST, 0) for entry in pooled]
     total = ZERO_COST
     for row in rows:
         total = total + row.cost
@@ -136,26 +95,20 @@ def report(arch: ArchSpec) -> BudgetReport:
 def streamed_multiplies(arch: ArchSpec, n_frames: int) -> int:
     """Exact multiplies `forward_frames` executes on a clip of n_frames frames.
 
-    The conv stack runs once over the edge-padded stream of n_frames +
-    input_t - 1 rows. At time step d (the product of the time strides and
-    pools before it), a conv of kernel_t rows turns r rows into
-    r - d*(kernel_t - 1), and a time pool of p rows into r - d*(p - 1); each
-    conv output row costs the layer's per-frame multiplies. The dense tail
-    runs once per frame.
+    The stack runs once over the edge-padded stream of n_frames + input_t - 1
+    rows. Each stage of a layer turns r rows into r minus the rows it keeps
+    (see `Layer.stream_keeps`), and the layer's first stage does its
+    multiplies: the layer's per-frame count for each row it outputs. After
+    flatten there is one row per frame.
     """
     if n_frames < 1:
         raise ValueError(f"need at least one frame, got {n_frames}")
-    per_frame = {row.name: row.per_frame for row in report(arch).per_layer}
-    rows, step, total = n_frames + arch.input_t - 1, 1, 0
-    for name, layer in zip(_arch.layer_names(arch), arch.layers):
-        if isinstance(layer, Conv):
-            rows -= step * (layer.kernel_t - 1)
-            total += rows * per_frame[name]
-            step *= layer.stride.time
-            rows -= step * (layer.pool.time - 1)
-            step *= layer.pool.time
-        else:
-            total += n_frames * per_frame[name]
+    rows, total = n_frames + arch.input_t - 1, 0
+    for p in arch.placed:
+        first, *rest = p.keeps
+        rows -= first
+        total += rows * p.layer.frame_multiplies(p.in_shape)
+        rows -= sum(rest)
     return total
 
 

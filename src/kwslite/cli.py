@@ -267,7 +267,7 @@ def cmd_fit(args) -> int:
         return _arch.get_arch(args.arch, args.labels, maps)
 
     best = _budget.fit_to_budget(template, args.cap)
-    maps = next(l.maps for l in best.layers if isinstance(l, _arch.Conv))
+    maps = best.layers[0].maps  # both fittable architectures open with a conv
     rep = _budget.report(best)
     settings = {"arch": args.arch, "cap": args.cap, "labels": args.labels}
     doc = {

@@ -1,8 +1,25 @@
-"""Exception taxonomy shared across the package.
+"""Exception taxonomy shared across the package, and the count check that
+every spec constructor shares.
 
 The CLI maps these onto exit codes (see cli.py): usage problems exit 1,
 data/format problems exit 2, numeric failures exit 3.
 """
+
+import numbers
+
+
+def check_counts(owner: object, minimum: int, **values) -> None:
+    """Raise TypeError unless every value is an integer (bool is not one),
+    and ValueError if one is below `minimum`.
+
+    Spec constructors call this on their count fields, so a model header
+    holding 64.0 or true where a count belongs is refused when it is read.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{type(owner).__name__}: {name} must be an integer, got {value!r}")
+        if value < minimum:
+            raise ValueError(f"{type(owner).__name__}: {name} must be >= {minimum}, got {value}")
 
 
 class KwsError(Exception):

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import Waveform
-from .errors import InsufficientAudioError, KwsError, ShapeError
+from .errors import InsufficientAudioError, KwsError, NumericError, ShapeError, check_counts
 
 __all__ = [
     "FrameConfig",
@@ -82,8 +82,7 @@ class Context:
     right: int
 
     def __post_init__(self):
-        if self.left < 0 or self.right < 0:
-            raise ValueError(f"context sizes must be >= 0, got {self}")
+        check_counts(self, 0, left=self.left, right=self.right)
 
     @property
     def size(self) -> int:
@@ -196,7 +195,14 @@ def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -
 
 
 def log_mel_frames(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
-    """Waveform straight to (n_frames, mel_filters) float32 features."""
+    """Waveform straight to (n_frames, mel_filters) float32 features.
+
+    Raises NumericError naming the first sample that is not finite: one NaN
+    sample would otherwise turn every frame that covers it into NaN features.
+    """
+    if not np.isfinite(w.samples).all():
+        bad = int(np.flatnonzero(~np.isfinite(w.samples))[0])
+        raise NumericError(f"waveform sample {bad} is not finite ({w.samples[bad]})")
     melbank = build_mel_filterbank(cfg, w.sample_rate)
     return log_mel(frame_signal(w, cfg), melbank, cfg.log_floor)
 

@@ -24,6 +24,7 @@ from .errors import (
     BadMagicError,
     ManifestMismatchError,
     ModelFormatError,
+    NumericError,
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
@@ -47,28 +48,44 @@ def _header_bytes(arch: ArchSpec, labels: list[str]) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _check_finite(where: str, tensors: dict[str, np.ndarray]) -> None:
+    for name, w in tensors.items():
+        if not np.isfinite(w).all():
+            count = int(np.count_nonzero(~np.isfinite(w)))
+            raise NumericError(f"{where}: weight tensor {name} holds {count} non-finite values")
+
+
 def save_model(path: str | Path, arch: ArchSpec, weights: dict[str, np.ndarray], labels: list[str]) -> None:
-    """Write arch + labels + weights; same model in, same bytes out."""
+    """Write arch + labels + weights; same model in, same bytes out.
+
+    Raises NumericError, writing nothing, if a tensor holds a NaN or an
+    infinity as float32.
+    """
     validate(arch)
     check_weights(arch, weights)
     if len(labels) != arch.labels:
         raise ManifestMismatchError(
             f"{len(labels)} label names for an architecture with {arch.labels} outputs"
         )
+    with np.errstate(over="ignore"):  # a value beyond float32 becomes inf and is refused below
+        stored = {name: np.ascontiguousarray(weights[name], dtype="<f4") for name, _ in weight_manifest(arch)}
+    _check_finite(f"cannot save {path}", stored)
     header = _header_bytes(arch, labels)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(header)))
         fh.write(header)
-        for name, _ in weight_manifest(arch):
-            fh.write(np.ascontiguousarray(weights[name], dtype="<f4").tobytes())
+        for w in stored.values():
+            fh.write(w.tobytes())
 
 
 def load_model(path: str | Path) -> LoadedModel:
     """Read a model container, failing loudly and specifically.
 
     Raises BadMagicError, UnsupportedVersionError, TruncatedPayloadError, or
-    ManifestMismatchError depending on what is wrong with the file.
+    ManifestMismatchError depending on what is wrong with the file, another
+    ModelFormatError for a malformed header, and NumericError naming the
+    first tensor that holds a NaN or an infinity.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -123,4 +140,5 @@ def load_model(path: str | Path) -> LoadedModel:
         )
         offset += nbytes
     check_weights(arch, weights)
+    _check_finite(str(path), weights)
     return LoadedModel(arch, weights, labels)

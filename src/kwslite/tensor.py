@@ -9,7 +9,9 @@ the end, so their float32 results agree to within rounding.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
-a batch of windows is classified at once.
+a batch of windows is classified at once. ``im2col`` also takes any leading
+axes, so training unfolds a (batch, time, freq, channels) chunk with the
+same function that the optimized conv path uses on one map.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, check_counts
 
 __all__ = [
     "Stride",
@@ -32,7 +34,6 @@ __all__ = [
     "flatten",
     "dense",
     "linear",
-    "softmax",
 ]
 
 
@@ -44,8 +45,7 @@ class Stride:
     freq: int = 1
 
     def __post_init__(self):
-        if self.time < 1 or self.freq < 1:
-            raise ValueError(f"stride must be >= 1 in both axes, got {self}")
+        check_counts(self, 1, time=self.time, freq=self.freq)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class Pool:
     freq: int = 1
 
     def __post_init__(self):
-        if self.time < 1 or self.freq < 1:
-            raise ValueError(f"pool size must be >= 1 in both axes, got {self}")
+        check_counts(self, 1, time=self.time, freq=self.freq)
 
     @property
     def active(self) -> bool:
@@ -170,7 +169,7 @@ def conv2d_valid(
     x = _require_tensor3(x, "conv2d_valid")
     _check_conv_args(x, filters, stride)
     out_t, out_f = conv_output_shape(x.shape[0], x.shape[1], filters.kernel_t, filters.kernel_f, stride)
-    out_dtype = np.result_type(x.dtype, filters.weights.dtype)
+    out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
 
     x64 = x.astype(np.float64)
     w64 = filters.weights.astype(np.float64)
@@ -193,15 +192,17 @@ def conv2d_valid(
 def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple[np.ndarray, int, int]:
     """Unfold conv patches into rows of a (out_t*out_f, kernel_t*kernel_f*channels) matrix.
 
-    Row p corresponds to output position (p // out_f, p % out_f); within a row
-    the patch is laid out (kernel_t, kernel_f, channels), matching a
-    FilterBank's weights reshaped to (kernel_t*kernel_f*channels, maps).
+    x is (..., time, freq, channels); leading axes are kept, so a batch of
+    maps gives (..., out_t*out_f, kernel_t*kernel_f*channels). Row p
+    corresponds to output position (p // out_f, p % out_f); within a row the
+    patch is laid out (kernel_t, kernel_f, channels), matching a FilterBank's
+    weights reshaped to (kernel_t*kernel_f*channels, maps).
     """
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(0, 1))
-    windows = windows[:: stride.time, :: stride.freq]
-    out_t, out_f = windows.shape[0], windows.shape[1]
-    # sliding_window_view puts the window axes last: (out_t, out_f, c, kt, kf)
-    cols = windows.transpose(0, 1, 3, 4, 2).reshape(out_t * out_f, kernel_t * kernel_f * x.shape[2])
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(-3, -2))
+    windows = windows[..., :: stride.time, :: stride.freq, :, :, :]
+    out_t, out_f = windows.shape[-5], windows.shape[-4]
+    # sliding_window_view puts the window axes last: (..., out_t, out_f, c, kt, kf)
+    cols = windows.transpose(*range(x.ndim - 1), -2, -1, -3).reshape(*x.shape[:-3], out_t * out_f, -1)
     return cols, out_t, out_f
 
 
@@ -209,7 +210,7 @@ def conv2d_optimized(x: np.ndarray, filters: FilterBank, stride: Stride = Stride
     """Same contract as conv2d_valid, lowered to one im2col matrix product."""
     x = _require_tensor3(x, "conv2d_optimized")
     _check_conv_args(x, filters, stride)
-    out_dtype = np.result_type(x.dtype, filters.weights.dtype)
+    out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
 
     cols, out_t, out_f = im2col(x.astype(np.float64), filters.kernel_t, filters.kernel_f, stride)
     wmat = filters.weights.astype(np.float64).reshape(-1, filters.maps)
@@ -248,13 +249,6 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(x.shape[:-3] + (-1,))
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax; float64 inside, input dtype out."""
-    z64 = np.asarray(z, dtype=np.float64)
-    e = np.exp(z64 - z64.max())
-    return (e / e.sum()).astype(np.asarray(z).dtype)
-
-
 def _check_flat_input(x: np.ndarray, weights: np.ndarray, who: str) -> int:
     """Validate a vector or (windows, features) input; returns the row count."""
     if x.ndim not in (1, 2):
@@ -283,7 +277,7 @@ def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None
     rows = _check_flat_input(x, weights, "linear")
     if counter is not None:
         counter.add(rows * weights.size)
-    return _project(x, weights).astype(np.result_type(x.dtype, weights.dtype), copy=False)
+    return _project(x, weights).astype(np.promote_types(x.dtype, weights.dtype), copy=False)
 
 
 def dense(
@@ -314,7 +308,7 @@ def dense(
     if counter is not None:
         counter.add(rows * weights.size)
 
-    out_dtype = np.result_type(x.dtype, weights.dtype)
+    out_dtype = np.promote_types(x.dtype, weights.dtype)
     z = _project(x, weights) + bias.astype(np.float64, copy=False)
     if activation == "relu":
         z = np.maximum(z, 0.0)

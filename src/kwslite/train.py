@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arch as _arch
-from .arch import ArchSpec, Conv, Dense, Flatten, LowRank
+from .arch import ArchSpec
 from .errors import DivergenceError, ShapeError
-from .tensor import Pool, Stride, conv_output_shape
 
 __all__ = [
     "LabeledExample",
@@ -102,57 +101,6 @@ def cross_entropy(posterior: np.ndarray, label: int) -> float:
 CHUNK = 8
 
 
-def _im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> np.ndarray:
-    """tensor.im2col over (B, T, F, C): (B, out_t*out_f, kernel_t*kernel_f*C)."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(1, 2))
-    windows = windows[:, :: stride.time, :: stride.freq]
-    b, out_t, out_f = windows.shape[:3]
-    # sliding_window_view puts the window axes last: (B, out_t, out_f, c, kt, kf)
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, out_t * out_f, -1)
-
-
-def _col2im(grad_cols: np.ndarray, in_shape: tuple[int, ...], kernel_t: int, kernel_f: int, stride: Stride) -> np.ndarray:
-    """Adjoint of _im2col: one strided scatter-add per kernel offset.
-
-    Offsets run last to first, so every input position sums its contributions
-    in order of output position.
-    """
-    out_t, out_f = conv_output_shape(in_shape[1], in_shape[2], kernel_t, kernel_f, stride)
-    grad_x = np.zeros(in_shape, dtype=grad_cols.dtype)
-    patches = grad_cols.reshape(in_shape[0], out_t, out_f, kernel_t, kernel_f, in_shape[3])
-    t_span, f_span = (out_t - 1) * stride.time + 1, (out_f - 1) * stride.freq + 1
-    for i in reversed(range(kernel_t)):
-        for j in reversed(range(kernel_f)):
-            grad_x[:, i : i + t_span : stride.time, j : j + f_span : stride.freq] += patches[:, :, :, i, j]
-    return grad_x
-
-
-def _maxpool_argmax(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Max-pool over the last three axes (time, freq, channels) of x."""
-    *lead, t, f, c = x.shape
-    t2, f2 = t // pool.time, f // pool.freq
-    blocks = x[..., : t2 * pool.time, : f2 * pool.freq, :].reshape(*lead, t2, pool.time, f2, pool.freq, c)
-    windows = np.moveaxis(blocks, (-4, -2), (-2, -1)).reshape(*lead, t2, f2, c, pool.time * pool.freq)
-    # argmax takes the first maximum, i.e. ties break toward the earliest
-    # (time, freq) position inside the window
-    arg = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return pooled, arg, (t2, f2)
-
-
-def _maxpool_scatter(grad_pooled: np.ndarray, arg: np.ndarray, pre_shape: tuple[int, ...], pool: Pool) -> np.ndarray:
-    """Route each pooled gradient to its argmax position; any leading axes."""
-    t2, f2 = grad_pooled.shape[-3:-1]
-    grad_pre = np.zeros(pre_shape, dtype=grad_pooled.dtype)
-    # one strided write per position inside the pool window
-    for k in range(pool.time * pool.freq):
-        dt, df = divmod(k, pool.freq)
-        grad_pre[..., dt : t2 * pool.time : pool.time, df : f2 * pool.freq : pool.freq, :] = np.where(
-            arg == k, grad_pooled, 0.0
-        )
-    return grad_pre
-
-
 def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
     """Forward pass over windows x of shape (B, input_t, input_f).
 
@@ -162,46 +110,10 @@ def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
     x = x[..., None]
     caches: list[dict] = []
     routing: list[np.ndarray] = []
-    for name, layer in zip(_arch.layer_names(arch), arch.layers):
-        cache = {"name": name, "in_shape": x.shape}
-        caches.append(cache)
-        if isinstance(layer, Conv):
-            out_t, out_f = conv_output_shape(x.shape[1], x.shape[2], layer.kernel_t, layer.kernel_f, layer.stride)
-            wmat = weights[f"{name}.weights"].reshape(-1, layer.maps)
-            pre = np.matmul(_im2col(x, layer.kernel_t, layer.kernel_f, layer.stride), wmat)
-            pre += weights[f"{name}.bias"]
-            pre = pre.reshape(len(x), out_t, out_f, layer.maps)
-            cache["x"] = x
-            x = pre
-            if layer.pool.active:
-                x, arg, _ = _maxpool_argmax(pre, layer.pool)
-                cache.update(pool_arg=arg, pre_shape=pre.shape)
-                routing.append(arg)
-        elif isinstance(layer, Flatten):
-            x = x.reshape(len(x), -1)
-        else:
-            cache["x"] = x
-            z = np.matmul(weights[f"{name}.weights"], x[..., None])[..., 0]
-            if isinstance(layer, LowRank):
-                x = z
-            elif isinstance(layer, Dense):
-                z = z + weights[f"{name}.bias"]
-                mask = z > 0
-                routing.append(mask)
-                cache["mask"] = mask
-                x = np.where(mask, z, 0.0)
-            else:  # SoftmaxOut
-                z = (z + weights[f"{name}.bias"]).astype(np.float64)
-                e = np.exp(z - z.max(axis=1, keepdims=True))
-                x = e / e.sum(axis=1, keepdims=True)
+    for p in arch.placed:
+        caches.append({})
+        x = p.layer.train_forward(p.name, weights, x, caches[-1], routing)
     return x, caches, routing
-
-
-def _accumulate(total: np.ndarray, per_example) -> None:
-    """Add per-example gradients into `total` in example order."""
-    for part in per_example:
-        total += part
-        del part  # free it before the next example's product is formed
 
 
 def _backward(
@@ -218,40 +130,11 @@ def _backward(
     """
     delta = posteriors.copy()
     delta[np.arange(len(delta)), labels] -= 1.0  # d loss / d logits for softmax + cross-entropy
-    first = next(i for i, layer in enumerate(arch.layers) if not isinstance(layer, Flatten))
-    for index in reversed(range(first, len(arch.layers))):
-        layer, cache = arch.layers[index], caches[index]
-        name = cache["name"]
-        if isinstance(layer, Flatten):
-            delta = delta.reshape(cache["in_shape"])
-            continue
-        if isinstance(layer, Conv):
-            if layer.pool.active:
-                delta = _maxpool_scatter(delta, cache["pool_arg"], cache["pre_shape"], layer.pool)
-            dmat = delta.reshape(len(delta), -1, layer.maps)
-            # im2col is redone in float64 one example at a time: no chunk of
-            # patch matrices is held from forward to backward
-            x64 = cache["x"].astype(np.float64)
-            kt, kf, stride = layer.kernel_t, layer.kernel_f, layer.stride
-            _accumulate(
-                grads[f"{name}.weights"].reshape(-1, layer.maps),
-                (_im2col(x64[i : i + 1], kt, kf, stride)[0].T @ dmat[i] for i in range(len(dmat))),
-            )
-            _accumulate(grads[f"{name}.bias"], dmat.sum(axis=1))
-            if index == first:
-                break
-            wmat = weights[f"{name}.weights"].astype(np.float64).reshape(-1, layer.maps)
-            delta = _col2im(np.matmul(dmat, wmat.T), x64.shape, kt, kf, stride)
-        else:
-            if isinstance(layer, Dense):
-                delta = delta * cache["mask"]
-            _accumulate(grads[f"{name}.weights"], map(np.outer, delta, cache["x"].astype(np.float64)))
-            if not isinstance(layer, LowRank):
-                _accumulate(grads[f"{name}.bias"], delta)
-            if index == first:
-                break
-            w = weights[f"{name}.weights"].astype(np.float64)
-            delta = np.matmul(w.T, delta[..., None])[..., 0]
+    placed = arch.placed
+    first = next(i for i, p in enumerate(placed) if p.manifest)
+    for index in reversed(range(first, len(placed))):
+        p = placed[index]
+        delta = p.layer.train_backward(p.name, weights, caches[index], delta, grads, index > first)
 
 
 def _check_examples(arch: ArchSpec, examples: list[LabeledExample]) -> None:

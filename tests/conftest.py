@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -14,8 +17,10 @@ from kwslite import (
     Stride,
     validate,
 )
+from kwslite.arch import weight_manifest
 from kwslite.audio import write_wav
 from kwslite.errors import ShapeError
+from kwslite.modelio import load_model
 
 # property tests draw the same examples on every run, with no per-example
 # time limit (timings on a loaded machine vary too much for one)
@@ -77,3 +82,45 @@ def hostile_wavs(path_dir):
     for path, raw in zip(paths, (fmt_size, riff_size)):
         path.write_bytes(bytes(raw))
     return paths
+
+
+def rewrite_header(src, dst, edit):
+    """Copy a model file to dst with edit(doc) applied to its JSON header."""
+    data = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    doc = json.loads(data[12 : 12 + header_len])
+    edit(doc)
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(data[:8] + struct.pack("<I", len(header)) + header + data[12 + header_len :])
+    return dst
+
+
+def _set_field(kind, key, value_of):
+    def edit(doc):
+        layer = next(entry for entry in doc["arch"]["layers"] if entry["kind"] == kind)
+        layer[key] = value_of(layer[key])
+
+    return edit
+
+
+# model-header edits that once escaped load_model as a TypeError or loaded silently
+CRAFTED_HEADERS = {
+    "maps-float": _set_field("conv", "maps", float),
+    "kernel_t-float": _set_field("conv", "kernel_t", float),
+    "rank-true": _set_field("lowrank", "rank", lambda value: True),
+    "stride-short": _set_field("conv", "stride", lambda value: value[:1]),
+}
+
+
+def with_nan_weight(src, dst, tensor):
+    """Copy a model file to dst with the first value of `tensor` set to NaN."""
+    data = bytearray(src.read_bytes())
+    (header_len,) = struct.unpack_from("<I", data, 8)
+    offset = 12 + header_len
+    for name, shape in weight_manifest(load_model(src).arch):
+        if name == tensor:
+            break
+        offset += 4 * int(np.prod(shape))
+    struct.pack_into("<f", data, offset, float("nan"))
+    dst.write_bytes(bytes(data))
+    return dst

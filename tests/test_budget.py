@@ -74,10 +74,11 @@ def test_totals_equal_sum_of_parts():
 
 def test_params_equal_manifest_element_count():
     # independent route: the manifest enumerates every weight tensor
-    for name in ARCHITECTURES:
-        arch = get_arch(name, 4)
+    rng = np.random.default_rng(31)
+    archs = [get_arch(name, 4) for name in ARCHITECTURES] + [random_arch(rng, max_convs=3) for _ in range(20)]
+    for arch in archs:
         manifest_total = sum(int(np.prod(shape)) for _, shape in weight_manifest(arch))
-        assert report(arch).total.params == manifest_total, name
+        assert report(arch).total.params == manifest_total, arch
 
 
 def test_compare_ratios():

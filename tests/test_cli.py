@@ -1,19 +1,21 @@
 """Command-line interface: exit codes, output shapes, structured mode."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kwslite.arch
 from kwslite import cli
-from kwslite.audio import SAMPLE_RATE, write_wav
+from kwslite.audio import SAMPLE_RATE, read_wav, write_wav
 from kwslite.cli import main
-from kwslite.errors import AgreementError
+from kwslite.errors import AgreementError, NumericError
 from kwslite.frontend import read_feature_dump
-from kwslite.modelio import load_model, save_model
+from kwslite.modelio import load_model
+from kwslite.posterior import posteriors_from_waveform
 
-from conftest import hostile_wavs
+from conftest import CRAFTED_HEADERS, hostile_wavs, rewrite_header, with_nan_weight
 
 
 def make_wav(path, seconds=1.0, freq=1000.0):
@@ -280,14 +282,27 @@ def test_detect_garbage_model_is_data_error(tmp_path, capsys, tone_wav):
 
 
 def test_detect_nan_weight_is_numeric_failure(tmp_path, capsys, tiny_model, tone_wav):
-    model = load_model(tiny_model)
-    model.weights["dense1.weights"][0, 0] = np.nan
-    broken = tmp_path / "nan.kwsm"
-    save_model(broken, model.arch, model.weights, model.labels)
+    broken = with_nan_weight(Path(tiny_model), tmp_path / "nan.kwsm", "dense1.weights")
     code, out, err = run(capsys, "detect", tone_wav, "--model", str(broken), "--format", "structured")
     assert code == 3
     assert out == ""
-    assert "frame 0 is not finite" in err
+    assert "dense1.weights" in err and "non-finite" in err and "Traceback" not in err
+
+
+def test_nan_weight_in_memory_fails_at_the_posterior_check(tiny_model, tone_wav):
+    model = load_model(tiny_model)
+    model.weights["dense1.weights"][0, 0] = np.nan
+    with pytest.raises(NumericError, match="frame 0 is not finite"):
+        posteriors_from_waveform(model.arch, model.weights, read_wav(tone_wav))
+
+
+@pytest.mark.parametrize("edit", sorted(CRAFTED_HEADERS))
+def test_detect_malformed_header_numbers_are_data_errors(tmp_path, capsys, tiny_model, tone_wav, edit):
+    broken = rewrite_header(Path(tiny_model), tmp_path / "bad.kwsm", CRAFTED_HEADERS[edit])
+    code, out, err = run(capsys, "detect", tone_wav, "--model", str(broken))
+    assert code == 2, err
+    assert out == ""
+    assert "malformed model header" in err and "Traceback" not in err
 
 
 def test_bench_disagreement_is_numeric_failure(capsys, monkeypatch, tiny_model):

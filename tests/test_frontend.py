@@ -22,7 +22,7 @@ from kwslite import (
     write_feature_dump,
     write_wav,
 )
-from kwslite.errors import AudioFormatError, InsufficientAudioError, KwsError
+from kwslite.errors import AudioFormatError, InsufficientAudioError, KwsError, NumericError
 from kwslite.frontend import frame_count
 
 from conftest import hostile_wavs
@@ -304,6 +304,16 @@ def test_wav_header_fuzz_gives_format_error_or_valid_waveform(tmp_path_factory, 
     assert wav.samples.dtype == np.float32 and wav.samples.ndim == 1
     assert len(wav.samples) <= len(_WAV_SAMPLES)
     assert np.all(np.abs(wav.samples) <= 1.0)
+
+
+def test_non_finite_sample_is_numeric_error():
+    samples = (0.1 * np.sin(np.arange(16_000) / 7.0)).astype(np.float32)
+    samples[500] = np.nan
+    with pytest.raises(NumericError, match="sample 500 "):
+        log_mel_frames(Waveform(samples))
+    samples[500], samples[9000] = 0.0, np.inf
+    with pytest.raises(NumericError, match="sample 9000 "):
+        log_mel_frames(Waveform(samples))
 
 
 # --- feature dump -----------------------------------------------------------

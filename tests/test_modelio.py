@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from kwslite import (
@@ -16,6 +16,7 @@ from kwslite import (
     Conv,
     Dense,
     Flatten,
+    LowRank,
     Pool,
     SoftmaxOut,
     Stride,
@@ -24,16 +25,19 @@ from kwslite import (
     load_model,
     save_model,
 )
-from kwslite.arch import check_weights
+from kwslite.arch import arch_to_dict, check_weights
 from kwslite.errors import (
     BadMagicError,
     KwsError,
     ManifestMismatchError,
     ModelFormatError,
+    NumericError,
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
 from kwslite.modelio import MAGIC
+
+from conftest import CRAFTED_HEADERS, rewrite_header, with_nan_weight
 
 LABELS = ["_filler", "kw1", "kw2", "kw3"]
 
@@ -193,3 +197,73 @@ def test_load_model_header_fuzz_gives_kws_error_or_valid_model(tmp_path_factory,
     check_weights(model.arch, model.weights)
     assert len(model.labels) == model.arch.labels
     assert all(w.dtype == np.float32 for w in model.weights.values())
+
+
+# every layer kind, so each kind's header fields are exercised
+SMALL = ArchSpec(
+    "small",
+    Context(2, 1),
+    (Conv(2, 3, 2, Stride(1, 2), Pool(1, 2)), Flatten(), LowRank(3), Dense(3), SoftmaxOut(2)),
+)
+
+
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    path = tmp_path_factory.mktemp("small") / "small.kwsm"
+    save_model(path, SMALL, init_weights(SMALL, 0), ["_filler", "kw"])
+    return path
+
+
+@pytest.mark.parametrize("edit", sorted(CRAFTED_HEADERS))
+def test_malformed_header_numbers_raise_model_format_error(tmp_path, small_model, edit):
+    broken = rewrite_header(small_model, tmp_path / "bad.kwsm", CRAFTED_HEADERS[edit])
+    with pytest.raises(ModelFormatError, match="malformed model header"):
+        load_model(broken)
+
+
+def _arch_field_paths(doc):
+    paths = [("name",), ("context",), ("input_f",), ("layers",)]
+    for i, layer in enumerate(doc["layers"]):
+        paths += [("layers", i, key) for key in layer]
+    return paths
+
+
+_SMALL_PATHS = _arch_field_paths(arch_to_dict(SMALL))
+
+
+@given(
+    path=st.sampled_from(_SMALL_PATHS),
+    value=st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.booleans(),
+        st.text(max_size=4),
+        st.lists(st.integers(0, 64), max_size=1),
+    ),
+)
+def test_arch_field_of_another_type_gives_kws_error(tmp_path_factory, small_model, path, value):
+    def edit(doc):
+        owner = doc["arch"]
+        for key in path[:-1]:
+            owner = owner[key]
+        assume(not (isinstance(value, str) and isinstance(owner[path[-1]], str)))
+        owner[path[-1]] = value
+
+    broken = rewrite_header(small_model, tmp_path_factory.mktemp("swap") / "bad.kwsm", edit)
+    with pytest.raises(KwsError):
+        load_model(broken)
+
+
+def test_save_refuses_non_finite_weights(tmp_path):
+    for bad in (np.nan, np.inf, 1e39):  # 1e39 overflows float32
+        weights = {k: v.astype(np.float64) for k, v in init_weights(SMALL, 0).items()}
+        weights["lowrank1.weights"][1, 2] = bad
+        path = tmp_path / "nan.kwsm"
+        with pytest.raises(NumericError, match="lowrank1.weights"):
+            save_model(path, SMALL, weights, ["_filler", "kw"])
+        assert not path.exists()
+
+
+def test_load_refuses_non_finite_weights(tmp_path, small_model):
+    broken = with_nan_weight(small_model, tmp_path / "nan.kwsm", "dense1.bias")
+    with pytest.raises(NumericError, match="dense1.bias"):
+        load_model(broken)

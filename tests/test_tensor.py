@@ -15,7 +15,6 @@ from kwslite import (
     flatten,
     linear,
     maxpool,
-    softmax,
 )
 from kwslite.errors import ShapeError
 from kwslite.tensor import conv_output_shape
@@ -217,17 +216,27 @@ def test_flatten_batch_of_windows(rng):
         flatten(np.zeros((2, 2), dtype=np.float32))
 
 
+def softmax(z):
+    """The softmax branch of dense: identity weights, zero bias; one vector or a batch."""
+    n = z.shape[-1]
+    return dense(z, np.eye(n, dtype=np.float32), np.zeros(n, dtype=np.float32), "softmax")
+
+
 def test_softmax_properties(rng):
     for _ in range(50):
-        z = (10.0 * rng.standard_normal(int(rng.integers(2, 9)))).astype(np.float32)
-        p = softmax(z)
-        assert abs(float(p.sum()) - 1.0) < 1e-6
-        assert np.all(p > 0.0) and np.all(p < 1.0 + 1e-7)
-        # shift invariance
-        npt.assert_allclose(softmax(z + 3.7), p, atol=1e-6)
+        n = int(rng.integers(2, 9))
+        for shape in ((n,), (3, n)):  # one vector and a batch
+            z = (10.0 * rng.standard_normal(shape)).astype(np.float32)
+            p = softmax(z)
+            npt.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
+            assert np.all(p > 0.0) and np.all(p < 1.0 + 1e-7)
+            # shift invariance
+            npt.assert_allclose(softmax(z + 3.7), p, atol=1e-6)
 
 
 def test_softmax_extreme_logits_finite():
-    p = softmax(np.array([1000.0, -1000.0, 0.0], dtype=np.float32))
-    assert np.all(np.isfinite(p))
-    assert abs(float(p.sum()) - 1.0) < 1e-6
+    z = np.array([1000.0, -1000.0, 0.0], dtype=np.float32)
+    for logits in (z, np.stack([z, z[::-1]])):  # one vector and a batch
+        p = softmax(logits)
+        assert np.all(np.isfinite(p))
+        npt.assert_allclose(p.sum(axis=-1), 1.0, atol=1e-6)
