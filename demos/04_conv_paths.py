@@ -49,9 +49,10 @@ for path in ("naive", "optimized"):
         samples.append(time.perf_counter() - start)
     print(f"{path:<10} mean {1e3 * np.mean(samples):7.3f} ms over 10 runs")
 
-# a MacCounter can also be threaded through a single layer by hand
+# both conv paths meter what they execute: a MacCounter passed to the
+# production path counts the same multiplies as the naive one
 counter = MacCounter()
-forward(arch, weights, window, conv_path="naive", counter=counter)
+forward(arch, weights, window, counter=counter)
 print(f"one cnn-one forward pass costs {counter.count:,} multiplies")
 
 # detect classifies every frame's context window. Overlapping windows share
@@ -69,12 +70,12 @@ print(f"10 s clip: per-window loop {loop_s:.3f} s, shared stream {stream_s:.3f} 
 print(f"max |per-window - shared| = {np.max(np.abs(per_window - shared)):.3e}, "
       f"allclose(rtol=1e-5): {np.allclose(shared, per_window, rtol=1e-5, atol=1e-12)}")
 
-# the streamed count is exact too: metering a short naive stream gives the
+# the streamed count is exact too: metering a short stream gives the
 # closed form, and each further frame costs the budget's per-frame figure
 # (cnn-one's kernel spans its whole window, so cnn-trad shows the saving)
 trad = get_arch("cnn-trad", 4)
 counter = MacCounter()
-forward_frames(trad, init_weights(trad, 0), frames[:5], conv_path="naive", counter=counter)
+forward_frames(trad, init_weights(trad, 0), frames[:5], counter=counter)
 print(f"cnn-trad 5-frame stream: counted {counter.count:,} multiplies, "
       f"closed form {streamed_multiplies(trad, 5):,}")
 print(f"cnn-trad: {report(trad).per_frame:,} multiplies per streamed frame, "

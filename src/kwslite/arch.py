@@ -172,12 +172,6 @@ def check_weights(arch: ArchSpec, weights: dict[str, np.ndarray]) -> None:
 BLOCK_WINDOWS = 32
 
 
-def _check_call(arch: ArchSpec, weights: dict[str, np.ndarray], conv_path: str) -> None:
-    if conv_path not in ("optimized", "naive"):
-        raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
-    check_weights(arch, weights)
-
-
 def forward(
     arch: ArchSpec,
     weights: dict[str, np.ndarray],
@@ -188,10 +182,12 @@ def forward(
     """Posterior over labels for one (input_t, input_f) feature window.
 
     conv_path selects "optimized" (im2col matmul) or "naive" (reference
-    loops); the naive path honours `counter`, metering one increment per
-    scalar multiply it executes.
+    loops). Either path meters on `counter` every scalar multiply it
+    executes, which is report(arch).total.multiplies.
     """
-    _check_call(arch, weights, conv_path)
+    if conv_path not in ("optimized", "naive"):
+        raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
+    check_weights(arch, weights)
     window = np.asarray(window)
     if window.shape != (arch.input_t, arch.input_f):
         raise ShapeError(
@@ -201,7 +197,7 @@ def forward(
         )
     x = window.reshape(arch.input_t, arch.input_f, 1)
     for p in arch.placed:
-        x = p.layer.forward(p.name, weights, x, conv_path, counter)
+        x = p.layer.forward(p.name, weights, x, counter, conv_path)
     return x
 
 
@@ -209,7 +205,6 @@ def forward_frames(
     arch: ArchSpec,
     weights: dict[str, np.ndarray],
     frames: np.ndarray,
-    conv_path: str = "optimized",
     counter: MacCounter | None = None,
 ) -> np.ndarray:
     """Posteriors (n_frames, labels) for the context window of every frame.
@@ -223,11 +218,11 @@ def forward_frames(
     (see ArchSpec.placed). The layers after flatten run on float64 copies of
     their weights, cast once per call, and every layer's output is rounded as
     in forward().
-    Agrees with forward() on each stacked window to float32 rounding. The
-    naive conv path honours `counter`; the layers after flatten meter one
-    window per frame.
+    Agrees with forward() on each stacked window to float32 rounding.
+    `counter` meters the multiplies the stream executes, which is
+    budget.streamed_multiplies(arch, n_frames).
     """
-    _check_call(arch, weights, conv_path)
+    check_weights(arch, weights)
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(
@@ -238,7 +233,7 @@ def forward_frames(
         raise InsufficientAudioError("cannot classify zero frames")
     # the conv weights are still cast inside the kernels: float64 copies held
     # for the whole call (1.4 MB for a 64-map conv2) would raise its peak memory
-    stages = [stage for p in arch.placed for stage in p.layer.stages(p, weights, conv_path, counter)]
+    stages = [stage for p in arch.placed for stage in p.layer.stages(p, weights, counter)]
     carries: list[np.ndarray | None] = [None] * len(stages)
     out = None
     fed = 0  # padded-stream rows streamed so far

@@ -363,9 +363,10 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-# Frames in bench's agreement stream: edge replication at both ends and, for a
-# time stride or pool of 2, a phase group holding two windows; few enough that
-# the naive per-window reference stays quick.
+# Frames in bench's agreement stream: edge replication at both ends, and
+# windows on both interleaved calls of a conv at time step 2 (after a time
+# stride or pool of 2); few enough that the naive per-window reference stays
+# quick.
 AGREEMENT_FRAMES = 3
 
 

@@ -238,7 +238,7 @@ def write_feature_dump(path: str | Path, windows: np.ndarray) -> None:
 
 
 def read_feature_dump(path: str | Path) -> np.ndarray:
-    """Inverse of write_feature_dump; validates the header and payload length."""
+    """Inverse of write_feature_dump; validates the header, payload length and finiteness."""
     with open(path, "rb") as fh:
         header = fh.readline()
         payload = fh.read()
@@ -253,4 +253,12 @@ def read_feature_dump(path: str | Path) -> np.ndarray:
         raise KwsError(
             f"{path}: feature payload has {len(payload)} bytes, expected {expected}"
         )
-    return np.frombuffer(payload, dtype="<f4").reshape(count, t, f).copy()
+    windows = np.frombuffer(payload, dtype="<f4").reshape(count, t, f).copy()
+    bad = np.argwhere(~np.isfinite(windows))
+    if len(bad):
+        w, frame, feature = bad[0]
+        raise NumericError(
+            f"{path}: feature {feature} of frame {frame} in window {w} is not finite "
+            f"({windows[w, frame, feature]})"
+        )
+    return windows

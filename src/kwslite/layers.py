@@ -7,15 +7,17 @@ header and prefixes its layer name (conv1, dense2); `trace` gives its output
 shapes or raises ShapeError; `manifest` lists its weight tensors; `cost` and
 `frame_multiplies` count it per window and per streamed frame;
 `stream_keeps` and `stages` place it in the carried stream of
-`forward_frames`; `forward` is its inference step; `train_forward` and
-`train_backward` are its batched training passes; `to_dict` and
-`Layer.from_dict` are its model-header form. Adding a kind means one class
-here and its entry in `_KINDS` (a new output kind also needs the stack
-rule in `ArchSpec.placed`).
+`forward_frames`; `forward` is its inference step, on the conv path the
+caller names; `train_forward` and `train_backward` are its batched training
+passes, and a layer that routes (a pool's argmax, a relu's mask) keeps that
+routing under its cache's "route" key; `to_dict` and `Layer.from_dict` are
+its model-header form. Adding a kind means one class here and its entry in
+`_KINDS` (a new output kind also needs the stack rule in `ArchSpec.placed`).
 
 Inference calls the float64-accumulating kernels through the `tensor`
-module, so tracers that wrap them see every call; training runs float32
-products over a leading example axis and accumulates float64 gradients.
+module, so tracers that wrap them see every call, and a MacCounter passed
+in meters every multiply they execute. Training runs float32 products over
+a leading example axis and accumulates float64 gradients.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tensor import FilterBank, MacCounter, Pool, Stride
 
 Shape = tuple[int, ...]
 Weights = dict[str, np.ndarray]
+Counter = MacCounter | None  # a multiply meter the kernels add to, if any
 
 # One step of the carried stream: (rows it keeps for the next chunk, what it
 # does to its rows). A stage given r rows returns r - keep rows.
@@ -118,14 +121,6 @@ def _accumulate(total: np.ndarray, per_example) -> None:
     for part in per_example:
         total += part
         del part  # free it before the next example's product is formed
-
-
-def _conv(
-    x: np.ndarray, bank: FilterBank, stride: Stride, conv_path: str, counter: MacCounter | None
-) -> np.ndarray:
-    if conv_path == "naive":
-        return tensor.conv2d_valid(x, bank, stride, counter=counter)
-    return tensor.conv2d_optimized(x, bank, stride)
 
 
 def _col2im(
@@ -272,9 +267,7 @@ class Conv(Layer):
             step *= self.pool.time
         return keeps, step
 
-    def stages(
-        self, placed: Placed, weights: Weights, conv_path: str, counter: MacCounter | None
-    ) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
         """The conv over rows u, u+step, ..., run as `step` interleaved calls of
         the unchanged kernel on rows[p::step]; then a time pool, a max over
         rows u, u+d, ..., u+(pool.time-1)*d at the step d after the stride."""
@@ -284,12 +277,12 @@ class Conv(Layer):
 
         def conv(x: np.ndarray) -> np.ndarray:
             if step == 1:
-                y = _conv(x, bank, freq_only, conv_path, counter)
+                y = tensor.conv2d_optimized(x, bank, freq_only, counter=counter)
             else:
                 n = len(x) - keep
                 y = None
                 for p in range(min(step, n)):
-                    part = _conv(x[p::step], bank, freq_only, conv_path, counter)
+                    part = tensor.conv2d_optimized(x[p::step], bank, freq_only, counter=counter)
                     if y is None:
                         y = np.empty((n,) + part.shape[1:], part.dtype)
                     y[p::step] = part
@@ -309,15 +302,14 @@ class Conv(Layer):
         return [(keep, conv), (pool_keep, time_pool)]
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, conv_path: str, counter: MacCounter | None
+        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         bank = FilterBank(weights[f"{name}.weights"], weights[f"{name}.bias"])
-        x = _conv(x, bank, self.stride, conv_path, counter)
+        conv = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
+        x = conv(x, bank, self.stride, counter=counter)
         return tensor.maxpool(x, self.pool) if self.pool.active else x
 
-    def train_forward(
-        self, name: str, weights: Weights, x: np.ndarray, cache: dict, routing: list
-    ) -> np.ndarray:
+    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""
         out_t, out_f = self._out(x.shape[1:])
         cols = tensor.im2col(x, self.kernel_t, self.kernel_f, self.stride)[0]
@@ -329,15 +321,14 @@ class Conv(Layer):
         if not self.pool.active:
             return pre
         pooled, arg, _ = _maxpool_argmax(pre, self.pool)
-        cache.update(pool_arg=arg, pre_shape=pre.shape)
-        routing.append(arg)
+        cache.update(route=arg, pre_shape=pre.shape)
         return pooled
 
     def train_backward(
         self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
     ) -> np.ndarray | None:
         if self.pool.active:
-            delta = _maxpool_scatter(delta, cache["pool_arg"], cache["pre_shape"], self.pool)
+            delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"], self.pool)
         dmat = delta.reshape(len(delta), -1, self.maps)
         # im2col is redone in float64 one example at a time: no chunk of
         # patch matrices is held from forward to backward
@@ -368,9 +359,7 @@ class Flatten(Layer):
         # stack reads, are kept too, so each stream row becomes one window
         return (window_rows - 1,), 1
 
-    def stages(
-        self, placed: Placed, weights: Weights, conv_path: str, counter: MacCounter | None
-    ) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
         """Window j reads rows j, j+step, ... of the stream, one per row of its map."""
         keep = placed.keeps[0]
         offsets = placed.step * np.arange(placed.in_shape[0])
@@ -381,13 +370,11 @@ class Flatten(Layer):
         return [(keep, gather)]
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, conv_path: str, counter: MacCounter | None
+        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         return tensor.flatten(x)
 
-    def train_forward(
-        self, name: str, weights: Weights, x: np.ndarray, cache: dict, routing: list
-    ) -> np.ndarray:
+    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["in_shape"] = x.shape
         return x.reshape(len(x), -1)
 
@@ -416,28 +403,24 @@ class _Flat(Layer):
     def cost(self, shape: Shape) -> LayerCost:
         return LayerCost(shape[0] * self.width, shape[0] * self.width)
 
-    def stages(
-        self, placed: Placed, weights: Weights, conv_path: str, counter: MacCounter | None
-    ) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
         """The kernel on float64 copies of the weights, cast once per stream;
         each output is rounded to the dtype the weights themselves would give."""
         cast = {key: np.asarray(weights[key], dtype=np.float64) for key, _ in placed.manifest}
         dtype = weights[f"{placed.name}.weights"].dtype
 
         def run(x: np.ndarray) -> np.ndarray:
-            y = self.forward(placed.name, cast, x, conv_path, counter)
+            y = self.forward(placed.name, cast, x, counter)
             return y.astype(np.promote_types(x.dtype, dtype), copy=False)
 
         return [(0, run)]
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, conv_path: str, counter: MacCounter | None
+        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         return tensor.linear(x, weights[f"{name}.weights"], counter=counter)
 
-    def train_forward(
-        self, name: str, weights: Weights, x: np.ndarray, cache: dict, routing: list
-    ) -> np.ndarray:
+    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["x"] = x
         return np.matmul(weights[f"{name}.weights"], x[..., None])[..., 0]
 
@@ -475,17 +458,15 @@ class _Affine(_Flat):
         return super().cost(shape) + LayerCost(self.width, 0)
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, conv_path: str, counter: MacCounter | None
+        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         return tensor.dense(
             x, weights[f"{name}.weights"], weights[f"{name}.bias"], self.activation, counter=counter
         )
 
-    def train_forward(
-        self, name: str, weights: Weights, x: np.ndarray, cache: dict, routing: list
-    ) -> np.ndarray:
-        z = super().train_forward(name, weights, x, cache, routing) + weights[f"{name}.bias"]
-        return self._activate(z, cache, routing)
+    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
+        z = super().train_forward(name, weights, x, cache) + weights[f"{name}.bias"]
+        return self._activate(z, cache)
 
     def train_backward(
         self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
@@ -509,14 +490,12 @@ class Dense(_Affine):
 
     width = property(lambda self: self.units)
 
-    def _activate(self, z: np.ndarray, cache: dict, routing: list) -> np.ndarray:
-        mask = z > 0
-        routing.append(mask)
-        cache["mask"] = mask
-        return np.where(mask, z, 0.0)
+    def _activate(self, z: np.ndarray, cache: dict) -> np.ndarray:
+        cache["route"] = z > 0
+        return np.where(cache["route"], z, 0.0)
 
     def _activation_grad(self, delta: np.ndarray, cache: dict) -> np.ndarray:
-        return delta * cache["mask"]
+        return delta * cache["route"]
 
 
 @dataclass(frozen=True)
@@ -536,7 +515,7 @@ class SoftmaxOut(_Affine):
     def layer_name(self, index: int) -> str:
         return "softmax"  # a valid stack has exactly one
 
-    def _activate(self, z: np.ndarray, cache: dict, routing: list) -> np.ndarray:
+    def _activate(self, z: np.ndarray, cache: dict) -> np.ndarray:
         z = z.astype(np.float64)
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)

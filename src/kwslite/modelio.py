@@ -100,8 +100,15 @@ def load_model(path: str | Path) -> LoadedModel:
     try:
         doc = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         arch = arch_from_dict(doc["arch"])
-        labels = [str(name) for name in doc["labels"]]
-        stored_manifest = [(str(n), tuple(int(d) for d in s)) for n, s in doc["manifest"]]
+        labels = doc["labels"]
+        if not isinstance(labels, list) or not all(isinstance(name, str) for name in labels):
+            raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        stored_manifest = []
+        for name, shape in doc["manifest"]:
+            # JSON integers only: neither 64.9 nor true may pass as a dimension
+            if not isinstance(shape, list) or not all(type(d) is int for d in shape):
+                raise ValueError(f"tensor {name!r} has non-integer dimensions {shape!r}")
+            stored_manifest.append((name, tuple(shape)))
     except ModelFormatError:
         raise
     except Exception as exc:

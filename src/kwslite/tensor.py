@@ -1,11 +1,12 @@
 """Dense forward kernels over (time, freq, channels) feature tensors.
 
 Two convolution paths are provided on purpose. ``conv2d_valid`` is the
-reference: explicit loops, one inner product per output element, and an
-optional multiply counter so callers can meter exactly what it executes.
+reference: explicit loops, one inner product per output element.
 ``conv2d_optimized`` lowers the same computation to an im2col matrix
 product. Both accumulate in float64 and cast back to the input dtype at
-the end, so their float32 results agree to within rounding.
+the end, so their float32 results agree to within rounding. Every kernel
+takes an optional MacCounter and adds the multiplies it executes, so a
+caller can meter either conv path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
@@ -107,7 +108,7 @@ class FilterBank:
 
 
 class MacCounter:
-    """Tallies scalar multiplies actually executed by the reference kernels."""
+    """Tallies scalar multiplies actually executed by the kernels it is passed to."""
 
     __slots__ = ("count",)
 
@@ -206,13 +207,20 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple
     return cols, out_t, out_f
 
 
-def conv2d_optimized(x: np.ndarray, filters: FilterBank, stride: Stride = Stride()) -> np.ndarray:
-    """Same contract as conv2d_valid, lowered to one im2col matrix product."""
+def conv2d_optimized(
+    x: np.ndarray,
+    filters: FilterBank,
+    stride: Stride = Stride(),
+    counter: MacCounter | None = None,
+) -> np.ndarray:
+    """Same contract as conv2d_valid, counter included, lowered to one im2col matrix product."""
     x = _require_tensor3(x, "conv2d_optimized")
     _check_conv_args(x, filters, stride)
     out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
 
     cols, out_t, out_f = im2col(x.astype(np.float64), filters.kernel_t, filters.kernel_f, stride)
+    if counter is not None:
+        counter.add(cols.size * filters.maps)
     wmat = filters.weights.astype(np.float64).reshape(-1, filters.maps)
     out = cols @ wmat
     out += filters.bias.astype(np.float64)  # in place: no second (rows, maps) array

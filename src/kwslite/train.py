@@ -92,10 +92,10 @@ def cross_entropy(posterior: np.ndarray, label: int) -> float:
 
 # ---------------------------------------------------------------------------
 # Forward / backward over a leading example axis, in chunks of CHUNK examples
-# to bound memory. The caches keep each layer's input and the routing decisions
-# (pool argmaxes, relu masks); the routing list doubles as the kink signature
-# used by grad_check. Every per-example product has per-example shapes that do
-# not depend on the chunk size, and per-example gradients are added in example
+# to bound memory. The caches keep each layer's input and, under "route", its
+# routing decision (pool argmax, relu mask), the kink signature used by
+# grad_check. Every per-example product has per-example shapes that do not
+# depend on the chunk size, and per-example gradients are added in example
 # order, so a gradient does not depend on how the batch is split.
 
 CHUNK = 8
@@ -104,16 +104,14 @@ CHUNK = 8
 def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
     """Forward pass over windows x of shape (B, input_t, input_f).
 
-    Returns (posteriors (B, labels) float64, caches, routing): one cache per
-    layer, and the pool argmax and relu mask arrays in layer order.
+    Returns (posteriors (B, labels) float64, caches): one cache per layer.
     """
     x = x[..., None]
     caches: list[dict] = []
-    routing: list[np.ndarray] = []
     for p in arch.placed:
         caches.append({})
-        x = p.layer.train_forward(p.name, weights, x, caches[-1], routing)
-    return x, caches, routing
+        x = p.layer.train_forward(p.name, weights, x, caches[-1])
+    return x, caches
 
 
 def _backward(
@@ -166,7 +164,7 @@ def loss_and_grads(
     for start in range(0, len(batch), CHUNK):
         chunk = batch[start : start + CHUNK]
         labels = [ex.label for ex in chunk]
-        posteriors, caches, _ = _forward(arch, weights, np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk]))
+        posteriors, caches = _forward(arch, weights, np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk]))
         if not np.all(np.isfinite(posteriors)):
             # overflowed weights; report a NaN loss so train() can flag divergence
             total_loss = float("nan")
@@ -180,8 +178,9 @@ def loss_and_grads(
     return grads, total_loss / b, correct
 
 
-def _routing_equal(a: list[np.ndarray], b: list[np.ndarray]) -> bool:
-    return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+def _routing(caches: list[dict]) -> list[bytes]:
+    """The pool argmaxes and relu masks of a forward pass, in layer order."""
+    return [cache["route"].tobytes() for cache in caches if "route" in cache]
 
 
 def grad_check(
@@ -217,13 +216,14 @@ def grad_check(
     w64 = {name: np.asarray(w, dtype=np.float64) for name, w in weights.items()}
     windows = np.asarray(example.window, dtype=np.float64)[None]
 
-    posteriors, caches, base_routing = _forward(arch, w64, windows)
+    posteriors, caches = _forward(arch, w64, windows)
+    base_routing = _routing(caches)
     grads = {name: np.zeros(w.shape, dtype=np.float64) for name, w in w64.items()}
     _backward(arch, w64, caches, posteriors, [example.label], grads)
 
     def loss_at(perturbed):
-        p, _, routing = _forward(arch, perturbed, windows)
-        return cross_entropy(p[0], example.label), routing
+        p, caches = _forward(arch, perturbed, windows)
+        return cross_entropy(p[0], example.label), _routing(caches)
 
     rng = np.random.default_rng([seed, 0x5EED])
     worst = 0.0
@@ -242,7 +242,7 @@ def grad_check(
             flat[coord] = original - epsilon
             loss_lo, routing_lo = loss_at(w64)
             flat[coord] = original
-            if not (_routing_equal(routing_hi, base_routing) and _routing_equal(routing_lo, base_routing)):
+            if not routing_hi == base_routing == routing_lo:
                 continue  # kink inside the probe interval; quotient is meaningless
             checked += 1
             numeric = (loss_hi - loss_lo) / (2 * epsilon)

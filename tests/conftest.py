@@ -103,12 +103,32 @@ def _set_field(kind, key, value_of):
     return edit
 
 
+def _set_first_dim(index, value_of):
+    def edit(doc):
+        shape = doc["manifest"][0][1]  # conv1.weights: (kernel_t, kernel_f, 1, maps)
+        shape[index] = value_of(shape[index])
+
+    return edit
+
+
+def _set_label(index, value):
+    def edit(doc):
+        doc["labels"][index] = value
+
+    return edit
+
+
 # model-header edits that once escaped load_model as a TypeError or loaded silently
 CRAFTED_HEADERS = {
     "maps-float": _set_field("conv", "maps", float),
     "kernel_t-float": _set_field("conv", "kernel_t", float),
     "rank-true": _set_field("lowrank", "rank", lambda value: True),
     "stride-short": _set_field("conv", "stride", lambda value: value[:1]),
+    "dim-fraction": _set_first_dim(-1, lambda value: value + 0.9),
+    "dim-true": _set_first_dim(2, lambda value: True),
+    "label-number": _set_label(0, 3.5),
+    "label-list": _set_label(0, ["x"]),
+    "label-null": _set_label(-1, None),
 }
 
 

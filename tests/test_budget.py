@@ -21,6 +21,7 @@ from kwslite import (
     compare,
     count_layer,
     fit_to_budget,
+    forward,
     forward_frames,
     format_report,
     get_arch,
@@ -132,9 +133,23 @@ def test_instrumented_equals_analytic_random(rng):
     for _ in range(25):
         arch = random_arch(rng)
         weights = init_weights(arch, 2)
-        probs, macs = instrumented_forward(arch, weights, random_window(rng, arch))
+        window = random_window(rng, arch)
+        probs, macs = instrumented_forward(arch, weights, window)
         assert macs == report(arch).total.multiplies
         assert abs(float(probs.sum()) - 1.0) < 1e-6
+        counter = MacCounter()
+        forward(arch, weights, window, counter=counter)
+        assert counter.count == macs
+
+
+def test_metered_optimized_forward_equals_report(rng):
+    # the production conv path meters what it runs: cnn-trad once counted
+    # only its dense tail here (47,616 of 8,133,120 multiplies)
+    stacks = [get_arch(name, 4) for name in ARCHITECTURES] + [random_arch(rng, max_convs=3) for _ in range(12)]
+    for trial, arch in enumerate(stacks):
+        counter = MacCounter()
+        forward(arch, init_weights(arch, trial), random_window(rng, arch), counter=counter)
+        assert counter.count == report(arch).total.multiplies, arch
 
 
 def test_format_report_mentions_layers():
@@ -184,6 +199,6 @@ def test_streamed_closed_form_equals_metered_forward_frames(rng, monkeypatch):
         for n in (1, 6, 11):
             counter = MacCounter()
             frames = rng.standard_normal((n, 40)).astype(np.float32)
-            forward_frames(arch, weights, frames, conv_path="naive", counter=counter)
+            forward_frames(arch, weights, frames, counter=counter)
             assert counter.count == streamed_multiplies(arch, n), (arch, n)
         checked += 1

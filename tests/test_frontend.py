@@ -328,6 +328,16 @@ def test_feature_dump_roundtrip(tmp_path, rng):
     npt.assert_array_equal(read_feature_dump(path), windows)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_dump_rejects_non_finite_values(tmp_path, rng, bad):
+    windows = rng.standard_normal((3, 4, 5)).astype(np.float32)
+    windows[1, 2, 3] = windows[2, 0, 0] = bad
+    path = tmp_path / "feats.bin"
+    write_feature_dump(path, windows)
+    with pytest.raises(NumericError, match=r"feature 3 of frame 2 in window 1 is not finite"):
+        read_feature_dump(path)
+
+
 @pytest.mark.parametrize("header", [b"-1 -1 4\n", b"0 5 3\n", b"2 0 1\n", b"2 2 0\n", b"2 -2 -1\n"])
 def test_feature_dump_rejects_non_positive_header(tmp_path, header):
     path = tmp_path / "feats.bin"

@@ -78,10 +78,11 @@ def test_conv_paths_agree_random(rng):
 def test_conv_counter_meters_actual_multiplies(rng):
     x = rng.standard_normal((9, 11, 2)).astype(np.float32)
     bank = _rand_bank(rng, 3, 4, 2, 5)
-    counter = MacCounter()
-    out = conv2d_valid(x, bank, Stride(2, 1), counter=counter)
-    out_t, out_f, n = out.shape
-    assert counter.count == out_t * out_f * 3 * 4 * 2 * n
+    for conv in (conv2d_valid, conv2d_optimized):
+        counter = MacCounter()
+        out = conv(x, bank, Stride(2, 1), counter=counter)
+        out_t, out_f, n = out.shape
+        assert counter.count == out_t * out_f * 3 * 4 * 2 * n, conv.__name__
 
 
 def test_conv_errors_name_axis(rng):
