@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import arch as _arch
-from .arch import ArchSpec, validate
+from .arch import ArchSpec
 from .errors import InfeasibleBudgetError
 from .layers import ZERO_COST, LayerCost
 from .tensor import MacCounter
@@ -131,8 +131,8 @@ def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
     `template` maps a map count n >= 1 to a full ArchSpec. Parameter totals
     must be nondecreasing in n (they are, for every stock template: each
     weight tensor grows with n). Exponential search brackets the cap, binary
-    search pins the answer, and the winning spec is re-validated and
-    re-counted before being returned.
+    search pins the answer, and the winning spec is re-counted (which
+    validates it) before being returned.
     """
     if cap < 1:
         raise InfeasibleBudgetError(f"parameter cap must be >= 1, got {cap}")
@@ -157,7 +157,6 @@ def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
         else:
             hi = mid
     best = template(lo)
-    validate(best)
     if report(best).total.params > cap:
         raise InfeasibleBudgetError(f"internal error: fit result exceeds cap {cap}")
     return best
@@ -187,7 +186,8 @@ def format_report(rep: BudgetReport) -> str:
     for row in rep.per_layer:
         shape = "x".join(str(d) for d in row.out_shape)
         lines.append(
-            f"{row.name:<14} {shape:<16} {row.cost.params:>12,} {row.cost.multiplies:>14,} {row.per_frame:>12,}"
+            f"{row.name:<14} {shape:<16} {row.cost.params:>12,} "
+            f"{row.cost.multiplies:>14,} {row.per_frame:>12,}"
         )
     lines.append("-" * len(header))
     lines.append(

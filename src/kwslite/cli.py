@@ -21,16 +21,7 @@ from . import budget as _budget
 from . import arch as _arch
 from .audio import read_wav
 from .data import center_window_examples, load_dataset_dir, make_synthetic_dataset, SyntheticSpec
-from .errors import (
-    AgreementError,
-    AudioFormatError,
-    InfeasibleBudgetError,
-    InsufficientAudioError,
-    KwsError,
-    ModelFormatError,
-    NumericError,
-    ShapeError,
-)
+from .errors import AgreementError, KwsError, NumericError
 from .frontend import Context, FrameConfig, log_mel_frames, stack_context, write_feature_dump
 from .modelio import load_model, save_model
 from .posterior import DetectorConfig, detect, posteriors_from_waveform
@@ -435,25 +426,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"kwslite: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"kwslite: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, NotADirectoryError) as exc:
+    except (UsageError, ValueError, NotADirectoryError) as exc:
         print(f"kwslite: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:
         print(f"kwslite: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (AudioFormatError, InsufficientAudioError, ModelFormatError, ShapeError,
-            InfeasibleBudgetError, FileNotFoundError, IsADirectoryError, KwsError) as exc:
+    except (KwsError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"kwslite: error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, read_wav
-from .errors import KwsError
+from .errors import KwsError, check_counts
 from .frontend import Context, FrameConfig, log_mel_frames, stack_context
 from .train import LabeledExample
 
@@ -45,10 +45,7 @@ class SyntheticSpec:
     duration: float = 1.0
 
     def __post_init__(self):
-        if self.keywords < 1:
-            raise ValueError(f"need at least one keyword class, got {self.keywords}")
-        if self.examples_per_class < 1:
-            raise ValueError(f"need at least one example per class, got {self.examples_per_class}")
+        check_counts(self, 1, keywords=self.keywords, examples_per_class=self.examples_per_class)
         if not (0.0 <= self.noise_level < 1.0):
             raise ValueError(f"noise level must be in [0, 1), got {self.noise_level}")
         if self.duration <= 0:
@@ -79,7 +76,9 @@ def keyword_tone_pair(keyword_index: int) -> tuple[float, float]:
     return low, high
 
 
-def _tone_burst(rng: np.random.Generator, tones: tuple[float, float], n: int, noise_level: float) -> np.ndarray:
+def _tone_burst(
+    rng: np.random.Generator, tones: tuple[float, float], n: int, noise_level: float
+) -> np.ndarray:
     t = np.arange(n, dtype=np.float64) / SAMPLE_RATE
     # 100 ms on / 100 ms off gating, like a keyword being repeated
     gate = ((t // 0.1).astype(np.int64) % 2) == 0

@@ -4,7 +4,8 @@ A layer is a frozen description (kernel sizes, widths) whose class holds
 every decision that depends on its kind, so the walks over a stack in
 `arch`, `budget` and `train` are plain loops. `kind` names it in a model
 header and prefixes its layer name (conv1, dense2); `trace` gives its output
-shapes or raises ShapeError; `manifest` lists its weight tensors; `cost` and
+shapes or raises ShapeError, a conv taking both from `tensor`'s geometry
+rules; `manifest` lists its weight tensors; `cost` and
 `frame_multiplies` count it per window and per streamed frame;
 `stream_keeps` and `stages` place it in the carried stream of
 `forward_frames`; `forward` is its inference step, on the conv path the
@@ -144,7 +145,7 @@ def _col2im(
 def _maxpool_argmax(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
     """Max-pool over the last three axes (time, freq, channels) of x."""
     *lead, t, f, c = x.shape
-    t2, f2 = t // pool.time, f // pool.freq
+    t2, f2 = tensor.pool_output_shape(t, f, pool)
     blocks = x[..., : t2 * pool.time, : f2 * pool.freq, :].reshape(*lead, t2, pool.time, f2, pool.freq, c)
     windows = np.moveaxis(blocks, (-4, -2), (-2, -1)).reshape(*lead, t2, f2, c, pool.time * pool.freq)
     # argmax takes the first maximum, i.e. ties break toward the earliest
@@ -205,39 +206,15 @@ class Conv(Layer):
                 f"got flattened shape {shape}",
                 layer=name,
             )
-        t, f, _ = shape
-        if self.kernel_t > t:
-            raise ShapeError(
-                f"{name}: kernel spans {self.kernel_t} frames but input has {t}",
-                axis="time",
-                layer=name,
-            )
-        if self.kernel_f > f:
-            raise ShapeError(
-                f"{name}: kernel spans {self.kernel_f} bins but input has {f}",
-                axis="freq",
-                layer=name,
-            )
-        out_t, out_f = self._out(shape)
+        try:
+            out_t, out_f = self._out(shape)
+            pooled = tensor.pool_output_shape(out_t, out_f, self.pool)
+        except ShapeError as exc:
+            raise ShapeError(f"{name}: {exc}", axis=exc.axis, layer=name) from None
         entries = (TraceEntry(name, (out_t, out_f, self.maps)),)
         if not self.pool.active:
             return entries
-        if self.pool.time > out_t:
-            raise ShapeError(
-                f"{name}: pool window spans {self.pool.time} frames "
-                f"but the map has {out_t}",
-                axis="time",
-                layer=name,
-            )
-        if self.pool.freq > out_f:
-            raise ShapeError(
-                f"{name}: pool window spans {self.pool.freq} bins "
-                f"but the map has {out_f}",
-                axis="freq",
-                layer=name,
-            )
-        pooled = (out_t // self.pool.time, out_f // self.pool.freq, self.maps)
-        return entries + (TraceEntry(f"{name}.pool", pooled),)
+        return entries + (TraceEntry(f"{name}.pool", (*pooled, self.maps)),)
 
     def manifest(self, name: str, shape: Shape) -> tuple[tuple[str, Shape], ...]:
         return (

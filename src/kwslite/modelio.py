@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import ArchSpec, arch_from_dict, arch_to_dict, check_weights, validate, weight_manifest
+from .arch import ArchSpec, arch_from_dict, arch_to_dict, check_weights, weight_manifest
 from .errors import (
     BadMagicError,
     ManifestMismatchError,
@@ -61,8 +61,7 @@ def save_model(path: str | Path, arch: ArchSpec, weights: dict[str, np.ndarray],
     Raises NumericError, writing nothing, if a tensor holds a NaN or an
     infinity as float32.
     """
-    validate(arch)
-    check_weights(arch, weights)
+    check_weights(arch, weights)  # validates the stack on its way
     if len(labels) != arch.labels:
         raise ManifestMismatchError(
             f"{len(labels)} label names for an architecture with {arch.labels} outputs"
@@ -114,8 +113,7 @@ def load_model(path: str | Path) -> LoadedModel:
     except Exception as exc:
         raise ModelFormatError(f"{path}: malformed model header ({exc})") from exc
 
-    validate(arch)
-    expected_manifest = weight_manifest(arch)
+    expected_manifest = weight_manifest(arch)  # validates the stack; ShapeError if it is invalid
     if stored_manifest != expected_manifest:
         raise ManifestMismatchError(
             f"{path}: stored tensor manifest does not match the architecture"
@@ -146,6 +144,5 @@ def load_model(path: str | Path) -> LoadedModel:
             .copy()
         )
         offset += nbytes
-    check_weights(arch, weights)
     _check_finite(str(path), weights)
     return LoadedModel(arch, weights, labels)

@@ -22,7 +22,7 @@ import numpy as np
 from . import arch as _arch
 from .arch import ArchSpec
 from .audio import Waveform
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, check_counts
 from .frontend import FrameConfig, log_mel_frames
 
 __all__ = [
@@ -48,10 +48,8 @@ class DetectorConfig:
     def __post_init__(self):
         if not (0.0 < self.threshold <= 1.0):
             raise ValueError(f"threshold must be in (0, 1], got {self.threshold}")
-        if self.w_smooth < 1 or self.w_max < 1:
-            raise ValueError(f"window sizes must be >= 1, got {self}")
-        if self.refractory < 0:
-            raise ValueError(f"refractory must be >= 0, got {self.refractory}")
+        check_counts(self, 1, w_smooth=self.w_smooth, w_max=self.w_max)
+        check_counts(self, 0, refractory=self.refractory)
 
 
 @dataclass(frozen=True)
@@ -67,6 +65,11 @@ def _check_posteriors(probs: np.ndarray) -> np.ndarray:
         raise ShapeError(f"posterior stream must be (frames, labels), got {probs.shape}")
     if probs.shape[1] < 2:
         raise ShapeError("posterior stream needs at least two label columns", axis="labels")
+    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
+    if bad.size:
+        raise NumericError(
+            f"posterior of frame {bad[0]} is not finite ({bad.size} of {probs.shape[0]} frames affected)"
+        )
     return probs
 
 
@@ -87,26 +90,31 @@ def confidence(smoothed: np.ndarray, j: int, w_max: int, filler_index: int = 0) 
     smoothed = _check_posteriors(smoothed)
     if not 0 <= j < smoothed.shape[0]:
         raise ValueError(f"frame {j} out of range for {smoothed.shape[0]} frames")
+    return _confidence(smoothed, j, w_max, filler_index)
+
+
+def _confidence(smoothed: np.ndarray, j: int, w_max: int, filler_index: int) -> np.ndarray:
     conf = np.max(smoothed[max(0, j - w_max + 1) : j + 1], axis=0).copy()
     conf[filler_index] = 0.0
     return conf
 
 
-def detect(probs: np.ndarray, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0) -> list[DetectionEvent]:
+def detect(
+    probs: np.ndarray, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0
+) -> list[DetectionEvent]:
     """Scan a posterior stream and return events sorted by frame.
 
     An event fires at frame j when the best keyword confidence reaches the
     threshold and the previous event is more than `refractory` frames old;
     consecutive events are therefore separated by more than the refractory.
     """
-    probs = _check_posteriors(probs)
-    smoothed = smooth(probs, cfg.w_smooth)
+    smoothed = smooth(probs, cfg.w_smooth)  # checks the stream; a finite one smooths to finite rows
     events: list[DetectionEvent] = []
     last_fired: int | None = None
     for j in range(smoothed.shape[0]):
         if last_fired is not None and j - last_fired <= cfg.refractory:
             continue
-        conf = confidence(smoothed, j, cfg.w_max, filler_index)
+        conf = _confidence(smoothed, j, cfg.w_max, filler_index)
         best = int(np.argmax(conf))
         if conf[best] >= cfg.threshold:
             events.append(DetectionEvent(j, best, float(conf[best])))
@@ -124,7 +132,7 @@ class StreamingDetector:
     float64 (w, labels) layout as smooth(), with no per-frame stacking, and
     the threshold test runs in the pushed row's dtype, the dtype of smooth()'s
     output that detect() tests. push() returns the event fired at this frame,
-    if any.
+    if any; a row that is not finite raises NumericError and changes nothing.
     """
 
     def __init__(self, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0):
@@ -139,6 +147,8 @@ class StreamingDetector:
         frame_probs = np.asarray(frame_probs)
         if frame_probs.ndim != 1:
             raise ShapeError(f"push expects one posterior row, got shape {frame_probs.shape}")
+        if not np.isfinite(frame_probs).all():
+            raise NumericError(f"posterior of frame {self._frame + 1} is not finite")
         if self._raw is None:
             self._raw = np.empty((2 * self.cfg.w_smooth, frame_probs.shape[0]))
             self._smoothed = np.empty((2 * self.cfg.w_max, frame_probs.shape[0]))
@@ -189,10 +199,7 @@ def posteriors_from_waveform(
     report no events.
     """
     probs = _arch.forward_frames(arch, weights, log_mel_frames(waveform, cfg))
-    bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
-    if bad.size:
-        raise NumericError(
-            f"{arch.name}: posterior of frame {bad[0]} is not finite "
-            f"({bad.size} of {probs.shape[0]} frames affected)"
-        )
-    return probs
+    try:
+        return _check_posteriors(probs)
+    except NumericError as exc:
+        raise NumericError(f"{arch.name}: {exc}") from None

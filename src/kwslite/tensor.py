@@ -13,6 +13,11 @@ flattened activations are 1-D vectors, or (windows, features) matrices when
 a batch of windows is classified at once. ``im2col`` also takes any leading
 axes, so training unfolds a (batch, time, freq, channels) chunk with the
 same function that the optimized conv path uses on one map.
+
+Conv and pool geometry is stated once, here: ``conv_output_shape`` and
+``pool_output_shape`` raise ShapeError naming the axis on which a kernel or
+pool window does not fit, else return the output size. The kernels, the
+layer traces in ``layers`` and training all take their shapes from them.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ __all__ = [
     "FilterBank",
     "MacCounter",
     "conv_output_shape",
+    "pool_output_shape",
     "conv2d_valid",
     "conv2d_optimized",
     "maxpool",
@@ -126,27 +132,39 @@ def _require_tensor3(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
+def _check_fits(what: str, in_t: int, in_f: int, span_t: int, span_f: int) -> None:
+    if span_t > in_t:
+        raise ShapeError(f"{what} spans {span_t} frames but the input has {in_t}", axis="time")
+    if span_f > in_f:
+        raise ShapeError(f"{what} spans {span_f} bins but the input has {in_f}", axis="freq")
+
+
 def conv_output_shape(in_t: int, in_f: int, kernel_t: int, kernel_f: int, stride: Stride) -> tuple[int, int]:
-    """Valid-convolution output size: floor((in - kernel) / step) + 1 per axis."""
+    """Valid-convolution output size: floor((in - kernel) / step) + 1 per axis.
+
+    Raises ShapeError naming the axis on which the kernel does not fit.
+    """
+    _check_fits("kernel", in_t, in_f, kernel_t, kernel_f)
     return (in_t - kernel_t) // stride.time + 1, (in_f - kernel_f) // stride.freq + 1
 
 
-def _check_conv_args(x: np.ndarray, filters: FilterBank, stride: Stride) -> None:
+def pool_output_shape(in_t: int, in_f: int, pool: Pool) -> tuple[int, int]:
+    """Non-overlapping max-pool output size: floor(in / window) per axis.
+
+    Raises ShapeError naming the axis on which the window does not fit.
+    """
+    _check_fits("pool window", in_t, in_f, pool.time, pool.freq)
+    return in_t // pool.time, in_f // pool.freq
+
+
+def _check_conv_args(x: np.ndarray, filters: FilterBank, stride: Stride) -> tuple[int, int]:
+    """Check the channels, then the kernel's fit; returns the output size."""
     if x.shape[2] != filters.in_channels:
         raise ShapeError(
             f"input has {x.shape[2]} channels but filters expect {filters.in_channels}",
             axis="channels",
         )
-    if filters.kernel_t > x.shape[0]:
-        raise ShapeError(
-            f"kernel spans {filters.kernel_t} frames but input has only {x.shape[0]}",
-            axis="time",
-        )
-    if filters.kernel_f > x.shape[1]:
-        raise ShapeError(
-            f"kernel spans {filters.kernel_f} bins but input has only {x.shape[1]}",
-            axis="freq",
-        )
+    return conv_output_shape(x.shape[0], x.shape[1], filters.kernel_t, filters.kernel_f, stride)
 
 
 def conv2d_valid(
@@ -168,8 +186,7 @@ def conv2d_valid(
         (out_t, out_f, maps) tensor in the promoted input/weight dtype.
     """
     x = _require_tensor3(x, "conv2d_valid")
-    _check_conv_args(x, filters, stride)
-    out_t, out_f = conv_output_shape(x.shape[0], x.shape[1], filters.kernel_t, filters.kernel_f, stride)
+    out_t, out_f = _check_conv_args(x, filters, stride)
     out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
 
     x64 = x.astype(np.float64)
@@ -230,16 +247,7 @@ def conv2d_optimized(
 def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:
     """Non-overlapping max-pool; trailing remainder positions are dropped."""
     x = _require_tensor3(x, "maxpool")
-    if pool.time > x.shape[0]:
-        raise ShapeError(
-            f"pool window spans {pool.time} frames but input has only {x.shape[0]}", axis="time"
-        )
-    if pool.freq > x.shape[1]:
-        raise ShapeError(
-            f"pool window spans {pool.freq} bins but input has only {x.shape[1]}", axis="freq"
-        )
-    t2 = x.shape[0] // pool.time
-    f2 = x.shape[1] // pool.freq
+    t2, f2 = pool_output_shape(x.shape[0], x.shape[1], pool)
     cropped = x[: t2 * pool.time, : f2 * pool.freq, :]
     return cropped.reshape(t2, pool.time, f2, pool.freq, x.shape[2]).max(axis=(1, 3))
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import arch as _arch
 from .arch import ArchSpec
-from .errors import DivergenceError, ShapeError
+from .errors import DivergenceError, ShapeError, check_counts
 
 __all__ = [
     "LabeledExample",
@@ -53,10 +53,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        check_counts(self, 1, epochs=self.epochs, batch_size=self.batch_size)
         if self.init_scale < 0:
             raise ValueError(f"init scale must be >= 0, got {self.init_scale}")
 
@@ -164,7 +161,9 @@ def loss_and_grads(
     for start in range(0, len(batch), CHUNK):
         chunk = batch[start : start + CHUNK]
         labels = [ex.label for ex in chunk]
-        posteriors, caches = _forward(arch, weights, np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk]))
+        posteriors, caches = _forward(
+            arch, weights, np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk])
+        )
         if not np.all(np.isfinite(posteriors)):
             # overflowed weights; report a NaN loss so train() can flag divergence
             total_loss = float("nan")
@@ -293,7 +292,9 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
     return TrainResult(weights, history)
 
 
-def evaluate(arch: ArchSpec, weights: dict[str, np.ndarray], examples: list[LabeledExample]) -> tuple[float, float]:
+def evaluate(
+    arch: ArchSpec, weights: dict[str, np.ndarray], examples: list[LabeledExample]
+) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of a fixed model over examples."""
     if not examples:
         raise ValueError("no examples to evaluate")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, strategies as st
 
 import kwslite.arch
 from kwslite import (
@@ -33,7 +34,7 @@ from kwslite import (
 from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, layer_names
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.frontend import stack_context
-from kwslite.tensor import FilterBank, conv2d_optimized
+from kwslite.tensor import FilterBank, conv2d_optimized, conv_output_shape, maxpool, pool_output_shape
 
 from conftest import random_arch, random_window
 
@@ -101,6 +102,53 @@ def test_validate_rejects_oversized_kernel():
         validate(arch)
     assert info.value.layer == "conv1"
     assert info.value.axis == "time"
+    # the freq kernel, both pool axes and a later conv, on a 5x40 window
+    for convs, layer, axis in [
+        ((Conv(3, 41, 4),), "conv1", "freq"),
+        ((Conv(5, 3, 4, Stride(), Pool(2, 1)),), "conv1", "time"),  # a 1x38 map
+        ((Conv(3, 38, 4, Stride(), Pool(1, 4)),), "conv1", "freq"),  # a 3x3 map
+        ((Conv(3, 3, 4), Conv(4, 3, 4)), "conv2", "time"),
+    ]:
+        with pytest.raises(ShapeError) as info:
+            validate(ArchSpec("bad", Context(2, 2), (*convs, Flatten(), SoftmaxOut(3))))
+        assert (info.value.layer, info.value.axis) == (layer, axis)
+        assert str(info.value).startswith(f"{layer}: ")
+
+
+def _shape_or_axis(compute):
+    """What compute() returns, or the axis of the ShapeError it raises."""
+    try:
+        return compute()
+    except ShapeError as exc:
+        return ("raises", exc.axis)
+
+
+sizes = st.integers(1, 12)
+
+
+@given(t=sizes, f=sizes, kt=sizes, kf=sizes, st_t=sizes, st_f=sizes, pt=sizes, pf=sizes)
+def test_geometry_rules_agree_with_kernels_and_validate(t, f, kt, kf, st_t, st_f, pt, pf):
+    stride, pool = Stride(st_t, st_f), Pool(pt, pf)
+    bank = FilterBank(np.zeros((kt, kf, 1, 2), dtype=np.float32))
+    x = np.zeros((t, f, 1), dtype=np.float32)
+    # the output-size rules give the kernels' shapes, and raise where they raise
+    assert _shape_or_axis(lambda: conv2d_optimized(x, bank, stride).shape[:2]) == _shape_or_axis(
+        lambda: conv_output_shape(t, f, kt, kf, stride)
+    )
+    assert _shape_or_axis(lambda: maxpool(x, pool).shape[:2]) == _shape_or_axis(
+        lambda: pool_output_shape(t, f, pool)
+    )
+    # a one-conv stack on a t x 40 window fails validate exactly when the
+    # kernels fail on that window, on the same axis, naming the conv
+    window = np.zeros((t, 40, 1), dtype=np.float32)
+    kernels = _shape_or_axis(lambda: maxpool(conv2d_optimized(window, bank, stride), pool).shape)
+    arch = ArchSpec("p", Context(t - 1, 0), (Conv(kt, kf, 2, stride, pool), Flatten(), SoftmaxOut(2)))
+    try:
+        traced = validate(arch)[-3].shape  # the conv's last entry, the map flatten reads
+    except ShapeError as exc:
+        assert exc.layer == "conv1"
+        traced = ("raises", exc.axis)
+    assert traced == kernels
 
 
 def test_validate_rejects_misplaced_softmax():

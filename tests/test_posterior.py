@@ -15,7 +15,7 @@ from kwslite import (
     detect,
     smooth,
 )
-from kwslite.errors import ShapeError
+from kwslite.errors import NumericError, ShapeError
 
 
 def random_stream(rng, n=120, labels=4):
@@ -168,6 +168,35 @@ def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(w_smooth=0)
     DetectorConfig(threshold=1.0)  # closed upper end is allowed
+
+
+def keyword_after(n=20, onset=5):
+    # filler until `onset`, then one keyword: DetectorConfig(0.5, 3, 5, 2)
+    # fires at frames 6, 9, 12, 15 and 18
+    probs = np.tile(np.array([0.8, 0.1, 0.1], dtype=np.float32), (n, 1))
+    probs[onset:] = [0.1, 0.8, 0.1]
+    return probs
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("frame", [0, 4])
+def test_non_finite_posterior_raises_on_both_paths(value, frame):
+    cfg = DetectorConfig(0.5, 3, 5, 2)
+    clean = keyword_after()
+    assert [e.frame_index for e in detect(clean, cfg)] == [6, 9, 12, 15, 18]
+    bad = clean.copy()
+    bad[frame, 1] = value
+    for check in (lambda: detect(bad, cfg), lambda: smooth(bad, 3), lambda: confidence(bad, 19, 5)):
+        with pytest.raises(NumericError, match=f"frame {frame} is not finite"):
+            check()
+    # push refuses the row before touching its state: the clean row pushed
+    # in its place continues the stream as if the bad one never came
+    detector = StreamingDetector(cfg)
+    events = stream_events(detector, clean[:frame])
+    with pytest.raises(NumericError, match=f"frame {frame} is not finite"):
+        detector.push(bad[frame])
+    events += stream_events(detector, clean[frame:])
+    assert events == detect(clean, cfg)
 
 
 # --- streaming --------------------------------------------------------------

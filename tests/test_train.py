@@ -11,6 +11,7 @@ from kwslite import (
     ArchSpec,
     Context,
     Dense,
+    DetectorConfig,
     Flatten,
     LabeledExample,
     SoftmaxOut,
@@ -385,3 +386,22 @@ def test_load_dataset_dir_requires_filler(tmp_path):
     write_wav(d / "a.wav", np.zeros(16000))
     with pytest.raises(KwsError):
         load_dataset_dir(tmp_path)
+
+
+@pytest.mark.parametrize("config, field, minimum", [
+    (DetectorConfig, "w_smooth", 1),
+    (DetectorConfig, "w_max", 1),
+    (DetectorConfig, "refractory", 0),
+    (TrainConfig, "epochs", 1),
+    (TrainConfig, "batch_size", 1),
+    (SyntheticSpec, "keywords", 1),
+    (SyntheticSpec, "examples_per_class", 1),
+])
+def test_config_count_fields_take_only_integers(config, field, minimum):
+    # a float or bool count is refused at construction, not deep inside a run
+    for value in (2.0, 2.5, True, "2"):
+        with pytest.raises(TypeError, match=f"{config.__name__}: {field} must be an integer"):
+            config(**{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be >= {minimum}"):
+        config(**{field: minimum - 1})
+    assert getattr(config(**{field: np.int64(minimum)}), field) == minimum
