@@ -14,12 +14,15 @@ def check_counts(owner: object, minimum: int, **values) -> None:
 
     Spec constructors call this on their count fields, so a model header
     holding 64.0 or true where a count belongs is refused when it is read.
+    Messages name the owner: a spec by its class, a function by the name
+    it passes as a string.
     """
+    where = owner if isinstance(owner, str) else type(owner).__name__
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{type(owner).__name__}: {name} must be an integer, got {value!r}")
+            raise TypeError(f"{where}: {name} must be an integer, got {value!r}")
         if value < minimum:
-            raise ValueError(f"{type(owner).__name__}: {name} must be >= {minimum}, got {value}")
+            raise ValueError(f"{where}: {name} must be >= {minimum}, got {value}")
 
 
 class KwsError(Exception):

@@ -102,6 +102,13 @@ def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     Returns a float64 array (n_frames, window_length). Trailing samples that
     do not fill a window are dropped; a signal shorter than one window raises
     InsufficientAudioError.
+
+    Pre-emphasis x[k] - a·x[k-1] runs once over the whole signal, and the
+    frames are a zero-copy view of it with a stride of `hop`, windowed
+    straight into the output. A frame's first sample has no predecessor
+    inside the frame, so column 0 is the raw sample times window[0]. These
+    are the float64 operations of emphasizing each frame on its own, so every
+    frame is bit-identical to gathering and emphasizing it separately.
     """
     x = np.asarray(w.samples, dtype=np.float64)
     n = frame_count(len(x), cfg)
@@ -109,12 +116,18 @@ def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
         raise InsufficientAudioError(
             f"insufficient audio: {len(x)} samples < one {cfg.window_length}-sample window"
         )
-    idx = np.arange(cfg.window_length)[None, :] + cfg.hop * np.arange(n)[:, None]
-    frames = x[idx]
-    # pre-emphasis inside each frame; the first sample has no predecessor
-    emphasized = frames.copy()
-    emphasized[:, 1:] -= cfg.preemphasis * frames[:, :-1]
-    return emphasized * _hamming(cfg.window_length)
+    # x[k] - a·x[k-1] computed in place, with no signal-length temporary
+    emphasized = np.empty(len(x))
+    emphasized[0] = x[0]
+    np.multiply(x[:-1], cfg.preemphasis, out=emphasized[1:])
+    np.subtract(x[1:], emphasized[1:], out=emphasized[1:])
+    # np.ndarray over the buffer costs less per call than as_strided or sliding_window_view
+    step = emphasized.itemsize
+    frames = np.ndarray((n, cfg.window_length), np.float64, emphasized, strides=(cfg.hop * step, step))
+    window = _hamming(cfg.window_length)
+    out = frames * window
+    out[:, 0] = x[: n * cfg.hop : cfg.hop] * window[0]
+    return out
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -1,20 +1,31 @@
 """Posterior smoothing, windowed confidence, and event detection.
 
 Frame posteriors from the classifier are noisy; detection therefore works on
-two trailing windows. smooth() averages each label over the last w_smooth
-frames; confidence() takes the max of the smoothed keyword posteriors over
-the last w_max frames (the filler class never counts as a keyword). detect()
-fires an event whenever some keyword's confidence crosses the threshold and
-no event fired within the last `refractory` frames.
+two trailing windows, the posterior handling of Chen, Parada and Heigold
+(ICASSP 2014). smooth() averages each label over the last w_smooth frames;
+confidence() takes the max of the smoothed keyword posteriors over the last
+w_max frames (the filler class never counts as a keyword). detect() fires an
+event whenever some keyword's confidence crosses the threshold and no event
+fired within the last `refractory` frames.
 
-Windows are deliberately computed by direct slicing (the streams are short),
-so a brute-force recomputation is bit-identical, and StreamingDetector can
-reproduce batch results exactly from ring buffers that hand out the same
-trailing windows.
+smooth() and detect() compute both windows for the whole stream at once, and
+their results are bit-identical to averaging and maxing each frame's block
+on its own (the per-frame loops the tests keep as the reference):
+- np.mean over a C-ordered float64 (k, labels) block adds the k rows one at
+  a time, oldest first, then divides by k. smooth() makes the same float64
+  additions in the same order: a running sum (np.add.accumulate) for the
+  first frames, whose blocks are cut short by the start of the stream, and
+  w_smooth shifted slice adds for the rest.
+- max is exact in any order, so detect() builds the trailing max by
+  doubling: the max over the 2k rows ending at j is the max of the k-row
+  maxima ending at j and at j - k.
+StreamingDetector reproduces the batch results exactly from ring buffers
+that hand out the same trailing windows.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,28 +84,39 @@ def _check_posteriors(probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def _check_filler(filler_index: int, labels: int) -> None:
+    integer = isinstance(filler_index, numbers.Integral) and not isinstance(filler_index, bool)
+    if not (integer and 0 <= filler_index < labels):
+        raise ShapeError(
+            f"filler_index must be a label column in [0, {labels}), got {filler_index!r}", axis="labels"
+        )
+
+
 def smooth(probs: np.ndarray, w_smooth: int) -> np.ndarray:
     """Trailing moving average per label; early frames use what exists."""
     probs = _check_posteriors(probs)
-    if w_smooth < 1:
-        raise ValueError(f"w_smooth must be >= 1, got {w_smooth}")
-    out = np.empty_like(probs)
-    for j in range(probs.shape[0]):
-        block = probs[max(0, j - w_smooth + 1) : j + 1].astype(np.float64)
-        out[j] = np.mean(block, axis=0).astype(probs.dtype)
-    return out
+    check_counts("smooth", 1, w_smooth=w_smooth)
+    x = np.asarray(probs, dtype=np.float64)
+    n, w = x.shape[0], min(w_smooth, x.shape[0])
+    sums = np.empty_like(x)
+    np.add.accumulate(x[: w - 1], axis=0, out=sums[: w - 1])
+    full = sums[w - 1 :]  # row j sums rows j - w + 1 .. j, oldest first
+    full[...] = x[: n - w + 1]
+    for k in range(1, w):
+        full += x[k : n - w + 1 + k]
+    sums /= np.minimum(np.arange(1, n + 1), w)[:, None]
+    return sums.astype(probs.dtype, copy=False)
 
 
 def confidence(smoothed: np.ndarray, j: int, w_max: int, filler_index: int = 0) -> np.ndarray:
     """Per-label trailing max of smoothed posteriors; filler forced to zero."""
     smoothed = _check_posteriors(smoothed)
+    check_counts("confidence", 0, j=j)
+    check_counts("confidence", 1, w_max=w_max)
+    _check_filler(filler_index, smoothed.shape[1])
     if not 0 <= j < smoothed.shape[0]:
         raise ValueError(f"frame {j} out of range for {smoothed.shape[0]} frames")
-    return _confidence(smoothed, j, w_max, filler_index)
-
-
-def _confidence(smoothed: np.ndarray, j: int, w_max: int, filler_index: int) -> np.ndarray:
-    conf = np.max(smoothed[max(0, j - w_max + 1) : j + 1], axis=0).copy()
+    conf = np.max(smoothed[max(0, j - w_max + 1) : j + 1], axis=0)
     conf[filler_index] = 0.0
     return conf
 
@@ -108,16 +130,23 @@ def detect(
     threshold and the previous event is more than `refractory` frames old;
     consecutive events are therefore separated by more than the refractory.
     """
-    smoothed = smooth(probs, cfg.w_smooth)  # checks the stream; a finite one smooths to finite rows
+    conf = smooth(probs, cfg.w_smooth)  # checks the stream; a finite one smooths to finite rows
+    _check_filler(filler_index, conf.shape[1])
+    # after each pass, row j holds the max over the `span` rows ending at j
+    # (rows 0..j while j < span), until span covers w_max
+    span, w_max = 1, min(cfg.w_max, conf.shape[0])
+    while span < w_max:
+        step = min(span, w_max - span)
+        conf[step:] = np.maximum(conf[step:], conf[:-step])
+        span += step
+    conf[:, filler_index] = 0.0
+    best = np.argmax(conf, axis=1)
+    top = conf.max(axis=1)
     events: list[DetectionEvent] = []
     last_fired: int | None = None
-    for j in range(smoothed.shape[0]):
-        if last_fired is not None and j - last_fired <= cfg.refractory:
-            continue
-        conf = _confidence(smoothed, j, cfg.w_max, filler_index)
-        best = int(np.argmax(conf))
-        if conf[best] >= cfg.threshold:
-            events.append(DetectionEvent(j, best, float(conf[best])))
+    for j in np.flatnonzero(top >= cfg.threshold).tolist():
+        if last_fired is None or j - last_fired > cfg.refractory:
+            events.append(DetectionEvent(j, int(best[j]), float(top[j])))
             last_fired = j
     return events
 
@@ -128,11 +157,13 @@ class StreamingDetector:
     Keeps the last w_smooth raw rows and the last w_max smoothed rows in two
     preallocated float64 rings of 2*w rows. Every row is written at slot i
     and at slot i + w, so the trailing window is always the contiguous slice
-    ring[i + 1 : i + 1 + w], oldest row first: the mean runs on the same
-    float64 (w, labels) layout as smooth(), with no per-frame stacking, and
-    the threshold test runs in the pushed row's dtype, the dtype of smooth()'s
-    output that detect() tests. push() returns the event fired at this frame,
-    if any; a row that is not finite raises NumericError and changes nothing.
+    ring[i + 1 : i + 1 + w], oldest row first: np.mean over it makes the
+    float64 additions smooth() makes, in the same order, with no per-frame
+    stacking, and the threshold test runs in the pushed row's dtype, the
+    dtype of smooth()'s output that detect() tests. push() returns the event
+    fired at this frame, if any; a row that is not finite raises NumericError
+    and changes nothing. A filler_index that is not one of the first row's
+    label columns raises ShapeError at the first push.
     """
 
     def __init__(self, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0):
@@ -150,6 +181,7 @@ class StreamingDetector:
         if not np.isfinite(frame_probs).all():
             raise NumericError(f"posterior of frame {self._frame + 1} is not finite")
         if self._raw is None:
+            _check_filler(self.filler_index, frame_probs.shape[0])
             self._raw = np.empty((2 * self.cfg.w_smooth, frame_probs.shape[0]))
             self._smoothed = np.empty((2 * self.cfg.w_max, frame_probs.shape[0]))
         elif frame_probs.shape[0] != self._raw.shape[1]:
@@ -157,7 +189,7 @@ class StreamingDetector:
                 f"push got {frame_probs.shape[0]} labels after rows of {self._raw.shape[1]}", axis="labels"
             )
         self._frame += 1
-        # identical op and operand layout to smooth(): mean over a (w, labels) float64 block
+        # np.mean over a C-ordered float64 (w, labels) block adds its rows oldest first, as smooth() does
         block = _append(self._raw, self._frame, frame_probs)
         smoothed = np.mean(block, axis=0).astype(frame_probs.dtype)
         window = _append(self._smoothed, self._frame, smoothed)

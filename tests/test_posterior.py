@@ -4,7 +4,7 @@ oracle, and streaming equivalence."""
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwslite import (
@@ -24,18 +24,22 @@ def random_stream(rng, n=120, labels=4):
     return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
+def naive_smooth(probs, w_smooth):
+    """Independent smoothing: average every frame's block on its own."""
+    probs = np.asarray(probs)
+    out = np.empty_like(probs)
+    for j in range(probs.shape[0]):
+        block = probs[max(0, j - w_smooth + 1) : j + 1].astype(np.float64)
+        out[j] = np.mean(block, axis=0).astype(probs.dtype)
+    return out
+
+
 def naive_detect(probs, cfg, filler_index=0):
     """Independent scan: recompute every window from scratch."""
-    probs = np.asarray(probs)
-    n = probs.shape[0]
-    smoothed = np.stack([
-        np.mean(probs[max(0, j - cfg.w_smooth + 1) : j + 1].astype(np.float64), axis=0)
-        .astype(probs.dtype)
-        for j in range(n)
-    ])
+    smoothed = naive_smooth(probs, cfg.w_smooth)
     events = []
     last = None
-    for j in range(n):
+    for j in range(smoothed.shape[0]):
         if last is not None and j - last <= cfg.refractory:
             continue
         conf = np.max(smoothed[max(0, j - cfg.w_max + 1) : j + 1], axis=0).copy()
@@ -160,6 +164,44 @@ def test_detect_matches_naive_oracle_exactly(rng):
         assert detect(probs, cfg) == naive_detect(probs, cfg)
 
 
+# every power of two up to 2048 and its neighbours: the doubling passes of the
+# trailing max end exactly at, just short of and just past a power of two
+POWER_WINDOWS = sorted({p + d for p in (2**k for k in range(12)) for d in (-1, 0, 1)} - {0})
+
+
+@st.composite
+def posterior_streams(draw):
+    n = draw(st.integers(1, 1200))
+    labels = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # quarters: exact zeros, maxima tied across labels and frames, and
+        # confidences landing exactly on the 0.25, 0.5 and 1.0 thresholds
+        probs = rng.integers(0, 5, (n, labels)) / 4
+    else:
+        raw = rng.random((n, labels))
+        probs = raw / raw.sum(axis=1, keepdims=True)
+    return probs.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_smooth_and_detect_equal_per_frame_loops_bit_for_bit(data):
+    probs = data.draw(posterior_streams())
+    n, labels = probs.shape
+    windows = st.one_of(st.integers(1, n + 3), st.sampled_from(POWER_WINDOWS))
+    cfg = DetectorConfig(
+        threshold=data.draw(st.sampled_from([0.25, 0.3, 0.5, 0.7, 1.0])),
+        w_smooth=data.draw(windows),
+        w_max=data.draw(windows),
+        refractory=data.draw(st.integers(0, n)),
+    )
+    filler_index = data.draw(st.integers(0, labels - 1))
+    smoothed, expected = smooth(probs, cfg.w_smooth), naive_smooth(probs, cfg.w_smooth)
+    assert smoothed.dtype == expected.dtype and smoothed.tobytes() == expected.tobytes()
+    assert detect(probs, cfg, filler_index) == naive_detect(probs, cfg, filler_index)
+
+
 def test_detector_config_validation():
     with pytest.raises(ValueError):
         DetectorConfig(threshold=0.0)
@@ -197,6 +239,34 @@ def test_non_finite_posterior_raises_on_both_paths(value, frame):
         detector.push(bad[frame])
     events += stream_events(detector, clean[frame:])
     assert events == detect(clean, cfg)
+
+
+BAD_ARGUMENTS = {
+    "smooth window 2.5": (lambda p: smooth(p, 2.5), TypeError),
+    "smooth window True": (lambda p: smooth(p, True), TypeError),
+    "smooth window 0": (lambda p: smooth(p, 0), ValueError),
+    "confidence frame 2.5": (lambda p: confidence(p, 2.5, 3), TypeError),
+    "confidence frame True": (lambda p: confidence(p, True, 3), TypeError),
+    "confidence window 2.5": (lambda p: confidence(p, 4, 2.5), TypeError),
+    "confidence window True": (lambda p: confidence(p, 4, True), TypeError),
+    "confidence window 0": (lambda p: confidence(p, 4, 0), ValueError),
+    "confidence filler 3": (lambda p: confidence(p, 4, 3, filler_index=3), ShapeError),
+    "confidence filler -1": (lambda p: confidence(p, 4, 3, filler_index=-1), ShapeError),
+    "detect filler 7": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=7), ShapeError),
+    "detect filler -1": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=-1), ShapeError),
+    "detect filler True": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=True), ShapeError),
+    "push filler 3": (lambda p: StreamingDetector(filler_index=3).push(p[0]), ShapeError),
+    "push filler -1": (lambda p: StreamingDetector(filler_index=-1).push(p[0]), ShapeError),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ARGUMENTS)
+def test_bad_window_or_filler_is_refused(case):
+    call, error = BAD_ARGUMENTS[case]
+    with pytest.raises(error) as info:
+        call(keyword_after())  # 3 labels
+    if error is ShapeError:
+        assert info.value.axis == "labels"
 
 
 # --- streaming --------------------------------------------------------------
@@ -252,6 +322,18 @@ def test_streaming_confidences_equal_detect_bit_for_bit(dtype):
     batch = detect(probs, cfg)
     assert len(batch) == len(probs)
     assert stream_events(StreamingDetector(cfg), probs) == batch
+
+
+def test_column_major_stream_smooths_like_row_major():
+    # np.mean over a column-major float64 block sums pairwise, not row by
+    # row; smooth() and StreamingDetector add the rows oldest first whatever
+    # the caller's layout, so their confidences agree bit for bit
+    raw = np.random.default_rng(3).random((300, 3))
+    probs = raw / raw.sum(axis=1, keepdims=True)
+    column_major = np.asfortranarray(probs)
+    assert smooth(column_major, 30).tobytes() == smooth(probs, 30).tobytes()
+    cfg = DetectorConfig(threshold=0.01, w_smooth=30, w_max=1, refractory=0)
+    assert stream_events(StreamingDetector(cfg), column_major) == detect(column_major, cfg)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
