@@ -1,10 +1,14 @@
 """Streaming one 10 ms hop at a time, checked against the batch pipeline.
 
-For every stock architecture, a seeded 3 s clip is fed hop by hop: the hop's
-400-sample frame goes through log_mel_frames, a context ring (edge frames
-replicated, the right-context tail flushed at the end) gives one window,
-forward classifies it and StreamingDetector.push smooths and detects. The
-demo prints the median time per hop of each stage, then checks that every
+For every stock architecture, a model is written with save_model and read
+back with load_model, as a deployed device would, and a seeded 3 s clip is
+fed hop by hop: the hop's 400-sample frame goes through log_mel_frames, a
+context ring (edge frames replicated, the right-context tail flushed at the
+end) gives one window, forward classifies it with the loaded weights and
+StreamingDetector.push smooths and detects. Each window is also classified
+with the plain dict of weights the model was saved from. The demo prints the
+median time per hop of each stage, forward on the loaded and on the plain
+weights, then checks that both give the same posteriors bit for bit, every
 streamed frame equals batch log_mel_frames bit for bit, every window equals
 stack_context, and the streamed events equal batch detect on the same
 posteriors. It exits with status 1 on any mismatch.
@@ -13,8 +17,10 @@ Run with: python3 demos/05_stream_hop.py  (a few seconds)
 """
 
 import sys
+import tempfile
 import time
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +34,9 @@ from kwslite import (
     forward,
     get_arch,
     init_weights,
+    load_model,
     log_mel_frames,
+    save_model,
     stack_context,
 )
 
@@ -48,23 +56,37 @@ samples = samples.astype(np.float32)
 batch_frames = log_mel_frames(Waveform(samples), cfg)
 n = len(batch_frames)
 
+
+def timed(fn, *args):
+    """fn(*args) and the microseconds it took."""
+    start = time.perf_counter()
+    result = fn(*args)
+    return result, 1e6 * (time.perf_counter() - start)
+
+
 failures = []
-print(f"{n} hops of {1e3 * cfg.hop / SR:.0f} ms; median ms per hop")
-print(f"{'arch':<13}{'frontend':>9}{'forward':>9}{'push':>9}{'total':>9}  events")
+model_dir = tempfile.TemporaryDirectory()
+print(f"{n} hops of {1e3 * cfg.hop / SR:.0f} ms; median us per hop (total: the loaded weights)")
+print(f"{'arch':<13}{'frontend':>9}{'forward':>9}{'(plain)':>9}{'push':>9}{'total':>9}  events")
 for name in ARCHITECTURES:
     arch = get_arch(name, 4)
-    weights = init_weights(arch, 0, init_scale=0.3)
+    plain = init_weights(arch, 0, init_scale=0.3)
+    path = Path(model_dir.name) / f"{name}.kwsm"
+    save_model(path, arch, plain, ["_filler", "kw1", "kw2", "kw3"])
+    weights = load_model(path).weights  # read-only; float64 copies are made on the first forward
     left, right = arch.context.left, arch.context.right
     ring = deque(maxlen=arch.input_t)
     detector = StreamingDetector(detector_cfg)
     frames, windows, rows, events = [], [], [], []
-    stage_ms = {"frontend": [], "forward": [], "push": []}
+    stage_us = {"frontend": [], "forward": [], "(plain)": [], "push": []}
+    plain_differs = False
     # the last `right` hops bring no audio: they flush the right-context tail
     for hop in range(n + right):
         if hop < n:
-            start = time.perf_counter()
-            frame = log_mel_frames(Waveform(samples[hop * cfg.hop : hop * cfg.hop + cfg.window_length]), cfg)[0]
-            stage_ms["frontend"].append(1e3 * (time.perf_counter() - start))
+            hop_wave = Waveform(samples[hop * cfg.hop : hop * cfg.hop + cfg.window_length])
+            frame_rows, us = timed(log_mel_frames, hop_wave, cfg)
+            frame = frame_rows[0]
+            stage_us["frontend"].append(us)
             frames.append(frame)
             if hop == 0:
                 ring.extend([frame] * left)
@@ -74,19 +96,23 @@ for name in ARCHITECTURES:
         if len(ring) < arch.input_t:
             continue
         window = np.stack(ring)
-        start = time.perf_counter()
-        row = forward(arch, weights, window)
-        stage_ms["forward"].append(1e3 * (time.perf_counter() - start))
-        start = time.perf_counter()
-        event = detector.push(row)
-        stage_ms["push"].append(1e3 * (time.perf_counter() - start))
+        row, us = timed(forward, arch, weights, window)
+        stage_us["forward"].append(us)
+        plain_row, us = timed(forward, arch, plain, window)
+        stage_us["(plain)"].append(us)
+        plain_differs |= plain_row.dtype != row.dtype or plain_row.tobytes() != row.tobytes()
+        event, us = timed(detector.push, row)
+        stage_us["push"].append(us)
         windows.append(window)
         rows.append(row)
         if event is not None:
             events.append(event)
 
-    medians = {stage: float(np.median(ms)) for stage, ms in stage_ms.items()}
-    print(f"{name:<13}" + "".join(f"{m:9.3f}" for m in medians.values()) + f"{sum(medians.values()):9.3f}  {len(events)}")
+    medians = {stage: float(np.median(us)) for stage, us in stage_us.items()}
+    total = medians["frontend"] + medians["forward"] + medians["push"]
+    print(f"{name:<13}" + "".join(f"{m:9.0f}" for m in medians.values()) + f"{total:9.0f}  {len(events)}")
+    if plain_differs:
+        failures.append(f"{name}: the loaded weights give other posteriors than the plain dict")
     if not np.array_equal(np.stack(frames), batch_frames):
         failures.append(f"{name}: streamed frames differ from batch log_mel_frames")
     if not np.array_equal(np.stack(windows), stack_context(batch_frames, arch.context)):
@@ -94,7 +120,9 @@ for name in ARCHITECTURES:
     if events != detect(np.stack(rows), detector_cfg):
         failures.append(f"{name}: streamed events differ from batch detect")
 
+model_dir.cleanup()
 if failures:
     print("\n".join(failures))
     sys.exit(1)
-print("every streamed frame, window and event equals the batch result")
+print("the loaded weights give the plain dict's posteriors bit for bit, and every streamed frame,")
+print("window and event equals the batch result")

@@ -7,20 +7,24 @@ intermediate shapes; forward() walks it with actual weights over one window,
 and forward_frames() over the overlapping windows of a whole frame stream.
 Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
-serialization deterministic.
+serialization deterministic. Weights are any mapping from those names to
+arrays; a FrozenWeights, which load_model returns, cannot change, so the
+float64 copies inference computes with are made once and kept.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError, check_counts
 from .frontend import Context
-from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, SoftmaxOut, TraceEntry
+from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, Prepared, SoftmaxOut, TraceEntry
 from .tensor import MacCounter, Pool, Stride
 
 __all__ = [
@@ -30,6 +34,7 @@ __all__ = [
     "Dense",
     "SoftmaxOut",
     "ArchSpec",
+    "FrozenWeights",
     "TraceEntry",
     "validate",
     "layer_names",
@@ -144,7 +149,72 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
     }
 
 
-def check_weights(arch: ArchSpec, weights: dict[str, np.ndarray]) -> None:
+class FrozenWeights(Mapping[str, np.ndarray]):
+    """Weight tensors that cannot change: read-only float32 views of one
+    immutable bytes buffer, laid out as in a model file's payload.
+
+    numpy refuses to make a view of `bytes` writeable again, and item
+    assignment raises TypeError, so the float64 copies that forward() and
+    forward_frames() compute with are made on first use and kept. The copies
+    of one FrozenWeights at a time are kept in the process: making another's
+    drops them, and they are freed with their weights. A streamed model is
+    classified hop after hop, so it keeps its copies between hops, while the
+    extra memory stays that of one model's float64 weights.
+    """
+
+    __slots__ = ("_tensors", "_prepared", "__weakref__")
+    _lock = threading.Lock()
+    _holder: "weakref.ref[FrozenWeights] | None" = None  # the one whose copies are kept
+
+    def __init__(self, buffer: bytes, manifest: Iterable[tuple[str, tuple[int, ...]]], offset: int = 0):
+        """Views of the little-endian float32 tensors that follow one another
+        in `buffer` from `offset`, in manifest order."""
+        if not isinstance(buffer, bytes):
+            raise TypeError(f"FrozenWeights needs an immutable bytes buffer, got {type(buffer).__name__}")
+        tensors = {}
+        for name, shape in manifest:
+            count = int(np.prod(shape))
+            tensors[name] = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset).reshape(shape)
+            offset += 4 * count
+        self._tensors = tensors
+        self._prepared: Prepared | None = None
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._tensors[name]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._tensors)
+
+    def __len__(self) -> int:
+        return len(self._tensors)
+
+    def prepared(self) -> Prepared:
+        """The float64 copies, made on first use; drops those another
+        FrozenWeights holds."""
+        prepared = self._prepared
+        if prepared is None:
+            with FrozenWeights._lock:
+                prepared = self._prepared
+                if prepared is None:
+                    last = FrozenWeights._holder() if FrozenWeights._holder else None
+                    if last is not None:
+                        last._prepared = None
+                    copies = {name: w.astype(np.float64) for name, w in self._tensors.items()}
+                    prepared = self._prepared = Prepared(self._tensors, copies)
+                    FrozenWeights._holder = weakref.ref(self)
+        return prepared
+
+
+def _prepared(weights: Mapping[str, np.ndarray]) -> Prepared:
+    """The float64 weights inference runs on: the copies a FrozenWeights
+    keeps, else each tensor cast where a layer or stream stage reads it,
+    once per call."""
+    if isinstance(weights, FrozenWeights):
+        return weights.prepared()
+    return Prepared(weights)
+
+
+def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
     """Raise ManifestMismatchError listing missing/extra/mis-shaped tensors."""
     problems = []
     for name, shape in arch._manifest.items():
@@ -174,7 +244,7 @@ BLOCK_WINDOWS = 32
 
 def forward(
     arch: ArchSpec,
-    weights: dict[str, np.ndarray],
+    weights: Mapping[str, np.ndarray],
     window: np.ndarray,
     conv_path: str = "optimized",
     counter: MacCounter | None = None,
@@ -183,7 +253,9 @@ def forward(
 
     conv_path selects "optimized" (im2col matmul) or "naive" (reference
     loops). Either path meters on `counter` every scalar multiply it
-    executes, which is report(arch).total.multiplies.
+    executes, which is report(arch).total.multiplies. Every layer computes on
+    float64 weights and rounds its output to promote_types(its input, its
+    stored weights), the dtype its kernel gives on the stored tensors.
     """
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
@@ -195,15 +267,16 @@ def forward(
             f"{(arch.input_t, arch.input_f)} input of {arch.name}",
             axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
         )
+    prepared = _prepared(weights)
     x = window.reshape(arch.input_t, arch.input_f, 1)
     for p in arch.placed:
-        x = p.layer.forward(p.name, weights, x, counter, conv_path)
+        x = p.layer.forward(p.name, prepared, x, counter, conv_path)
     return x
 
 
 def forward_frames(
     arch: ArchSpec,
-    weights: dict[str, np.ndarray],
+    weights: Mapping[str, np.ndarray],
     frames: np.ndarray,
     counter: MacCounter | None = None,
 ) -> np.ndarray:
@@ -215,9 +288,8 @@ def forward_frames(
     and each stage carries its last rows into the next chunk, so every conv
     position of the clip is computed exactly once: window j reads rows j,
     j+step, ... of a stage's output, where `step` is the stage's time step
-    (see ArchSpec.placed). The layers after flatten run on float64 copies of
-    their weights, cast once per call, and every layer's output is rounded as
-    in forward().
+    (see ArchSpec.placed). Every layer runs on the float64 weights forward()
+    uses, and its output is rounded as in forward().
     Agrees with forward() on each stacked window to float32 rounding.
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
@@ -231,9 +303,8 @@ def forward_frames(
     n = frames.shape[0]
     if n == 0:
         raise InsufficientAudioError("cannot classify zero frames")
-    # the conv weights are still cast inside the kernels: float64 copies held
-    # for the whole call (1.4 MB for a 64-map conv2) would raise its peak memory
-    stages = [stage for p in arch.placed for stage in p.layer.stages(p, weights, counter)]
+    prepared = _prepared(weights)
+    stages = [stage for p in arch.placed for stage in p.layer.stages(p, prepared, counter)]
     carries: list[np.ndarray | None] = [None] * len(stages)
     out = None
     fed = 0  # padded-stream rows streamed so far

@@ -15,6 +15,7 @@ clip of n frames, which a metered `forward_frames` run reproduces.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -163,7 +164,7 @@ def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
 
 
 def instrumented_forward(
-    arch: ArchSpec, weights: dict[str, np.ndarray], window: np.ndarray
+    arch: ArchSpec, weights: Mapping[str, np.ndarray], window: np.ndarray
 ) -> tuple[np.ndarray, int]:
     """Run the reference path with a multiply meter; returns (posterior, count).
 

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -361,7 +362,7 @@ def cmd_detect(args) -> int:
 AGREEMENT_FRAMES = 3
 
 
-def _check_agreement(arch: _arch.ArchSpec, weights: dict, frames: np.ndarray) -> float:
+def _check_agreement(arch: _arch.ArchSpec, weights: Mapping[str, np.ndarray], frames: np.ndarray) -> float:
     """Compare the production paths against the naive per-window oracle.
 
     Every forward_frames row of `frames`, and the optimized forward of the

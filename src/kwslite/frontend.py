@@ -235,7 +235,7 @@ def stack_context(frames: np.ndarray, context: Context) -> np.ndarray:
         raise InsufficientAudioError("cannot stack context around zero frames")
     offsets = np.arange(-context.left, context.right + 1)
     idx = np.clip(np.arange(n)[:, None] + offsets[None, :], 0, n - 1)
-    return frames[idx].astype(np.float32)
+    return frames.astype(np.float32, copy=False)[idx]  # cast before the gather: one copy of the windows
 
 
 def write_feature_dump(path: str | Path, windows: np.ndarray) -> None:

@@ -17,14 +17,18 @@ its model-header form. Adding a kind means one class here and its entry in
 
 Inference calls the float64-accumulating kernels through the `tensor`
 module, so tracers that wrap them see every call, and a MacCounter passed
-in meters every multiply they execute. Training runs float32 products over
-a leading example axis and accumulates float64 gradients.
+in meters every multiply they execute. It reads its weights from a
+`Prepared` set, in float64 for the kernels to use as they are, and rounds
+each layer's output to the dtype the kernels give on the stored tensors, so
+outputs do not depend on when the copies were made. Training runs float32
+products over a leading example axis and accumulates float64 gradients.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,6 +61,29 @@ class LayerCost:
 
 
 ZERO_COST = LayerCost(0, 0)
+
+
+class Prepared(NamedTuple):
+    """A weight set as inference reads it: each tensor as stored, whose dtype
+    sets the dtype of a layer's output, and as a float64 array, on which the
+    kernels compute without casting."""
+
+    stored: Mapping[str, np.ndarray]
+    copies: Mapping[str, np.ndarray] | None = None  # float64 copies of the tensors, if made
+
+    def float64(self, key: str) -> np.ndarray:
+        """The tensor's float64 copy, else the tensor cast on this read. A
+        one-window forward reads each tensor once, just before its kernel,
+        and frees the cast with the layer's other temporaries."""
+        if self.copies is not None:
+            return self.copies[key]
+        return np.asarray(self.stored[key], dtype=np.float64)
+
+    def out_dtype(self, name: str, x: np.ndarray) -> np.dtype:
+        """The dtype the kernels give layer `name` on input x and its stored
+        weights, promote_types(input, stored weights), to which its float64
+        output is rounded."""
+        return np.promote_types(x.dtype, np.asarray(self.stored[f"{name}.weights"]).dtype)
 
 
 class Placed(NamedTuple):
@@ -244,25 +271,27 @@ class Conv(Layer):
             step *= self.pool.time
         return keeps, step
 
-    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
         """The conv over rows u, u+step, ..., run as `step` interleaved calls of
-        the unchanged kernel on rows[p::step]; then a time pool, a max over
-        rows u, u+d, ..., u+(pool.time-1)*d at the step d after the stride."""
-        bank = FilterBank(weights[f"{placed.name}.weights"], weights[f"{placed.name}.bias"])
+        the unchanged kernel on rows[p::step], rounded as in forward(); then a
+        time pool, a max over rows u, u+d, ..., u+(pool.time-1)*d at the step d
+        after the stride."""
+        bank = self._bank(placed.name, weights)
         step, keep = placed.step, placed.keeps[0]
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
         def conv(x: np.ndarray) -> np.ndarray:
+            dtype = weights.out_dtype(placed.name, x)
             if step == 1:
-                y = tensor.conv2d_optimized(x, bank, freq_only, counter=counter)
+                y = tensor.conv2d_optimized(x, bank, freq_only, counter=counter).astype(dtype, copy=False)
             else:
                 n = len(x) - keep
                 y = None
                 for p in range(min(step, n)):
                     part = tensor.conv2d_optimized(x[p::step], bank, freq_only, counter=counter)
                     if y is None:
-                        y = np.empty((n,) + part.shape[1:], part.dtype)
-                    y[p::step] = part
+                        y = np.empty((n,) + part.shape[1:], dtype)
+                    y[p::step] = part  # rounds to dtype
             return tensor.maxpool(y, freq_pool) if freq_pool.active else y
 
         if self.pool.time == 1:
@@ -278,13 +307,16 @@ class Conv(Layer):
 
         return [(keep, conv), (pool_keep, time_pool)]
 
+    def _bank(self, name: str, weights: Prepared) -> FilterBank:
+        return FilterBank(weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias"))
+
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        bank = FilterBank(weights[f"{name}.weights"], weights[f"{name}.bias"])
         conv = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
-        x = conv(x, bank, self.stride, counter=counter)
-        return tensor.maxpool(x, self.pool) if self.pool.active else x
+        y = conv(x, self._bank(name, weights), self.stride, counter=counter)
+        y = y.astype(weights.out_dtype(name, x), copy=False)
+        return tensor.maxpool(y, self.pool) if self.pool.active else y
 
     def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""
@@ -336,7 +368,7 @@ class Flatten(Layer):
         # stack reads, are kept too, so each stream row becomes one window
         return (window_rows - 1,), 1
 
-    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
         """Window j reads rows j, j+step, ... of the stream, one per row of its map."""
         keep = placed.keeps[0]
         offsets = placed.step * np.arange(placed.in_shape[0])
@@ -347,7 +379,7 @@ class Flatten(Layer):
         return [(keep, gather)]
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         return tensor.flatten(x)
 
@@ -380,22 +412,17 @@ class _Flat(Layer):
     def cost(self, shape: Shape) -> LayerCost:
         return LayerCost(shape[0] * self.width, shape[0] * self.width)
 
-    def stages(self, placed: Placed, weights: Weights, counter: Counter) -> list[Stage]:
-        """The kernel on float64 copies of the weights, cast once per stream;
-        each output is rounded to the dtype the weights themselves would give."""
-        cast = {key: np.asarray(weights[key], dtype=np.float64) for key, _ in placed.manifest}
-        dtype = weights[f"{placed.name}.weights"].dtype
-
-        def run(x: np.ndarray) -> np.ndarray:
-            y = self.forward(placed.name, cast, x, counter)
-            return y.astype(np.promote_types(x.dtype, dtype), copy=False)
-
-        return [(0, run)]
+    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
+        """forward() on every row of a chunk at once, on float64 weights read
+        once per stream, as the conv stages read theirs."""
+        held = Prepared(weights.stored, {key: weights.float64(key) for key, _ in placed.manifest})
+        return [(0, lambda x: self.forward(placed.name, held, x, counter))]
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        return tensor.linear(x, weights[f"{name}.weights"], counter=counter)
+        y = tensor.linear(x, weights.float64(f"{name}.weights"), counter=counter)
+        return y.astype(weights.out_dtype(name, x), copy=False)
 
     def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["x"] = x
@@ -435,11 +462,11 @@ class _Affine(_Flat):
         return super().cost(shape) + LayerCost(self.width, 0)
 
     def forward(
-        self, name: str, weights: Weights, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        return tensor.dense(
-            x, weights[f"{name}.weights"], weights[f"{name}.bias"], self.activation, counter=counter
-        )
+        w, b = weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias")
+        y = tensor.dense(x, w, b, self.activation, counter=counter)
+        return y.astype(weights.out_dtype(name, x), copy=False)
 
     def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         z = super().train_forward(name, weights, x, cache) + weights[f"{name}.bias"]

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import json
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .arch import ArchSpec, arch_from_dict, arch_to_dict, check_weights, weight_manifest
+from .arch import ArchSpec, FrozenWeights, arch_from_dict, arch_to_dict, check_weights, weight_manifest
 from .errors import (
     BadMagicError,
     ManifestMismatchError,
@@ -38,7 +39,7 @@ __all__ = ["MAGIC", "VERSION", "LoadedModel", "save_model", "load_model"]
 @dataclass
 class LoadedModel:
     arch: ArchSpec
-    weights: dict[str, np.ndarray]
+    weights: Mapping[str, np.ndarray]  # a FrozenWeights from load_model
     labels: list[str]
 
 
@@ -48,14 +49,16 @@ def _header_bytes(arch: ArchSpec, labels: list[str]) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _check_finite(where: str, tensors: dict[str, np.ndarray]) -> None:
+def _check_finite(where: str, tensors: Mapping[str, np.ndarray]) -> None:
     for name, w in tensors.items():
         if not np.isfinite(w).all():
             count = int(np.count_nonzero(~np.isfinite(w)))
             raise NumericError(f"{where}: weight tensor {name} holds {count} non-finite values")
 
 
-def save_model(path: str | Path, arch: ArchSpec, weights: dict[str, np.ndarray], labels: list[str]) -> None:
+def save_model(
+    path: str | Path, arch: ArchSpec, weights: Mapping[str, np.ndarray], labels: list[str]
+) -> None:
     """Write arch + labels + weights; same model in, same bytes out.
 
     Raises NumericError, writing nothing, if a tensor holds a NaN or an
@@ -81,10 +84,13 @@ def save_model(path: str | Path, arch: ArchSpec, weights: dict[str, np.ndarray],
 def load_model(path: str | Path) -> LoadedModel:
     """Read a model container, failing loudly and specifically.
 
-    Raises BadMagicError, UnsupportedVersionError, TruncatedPayloadError, or
-    ManifestMismatchError depending on what is wrong with the file, another
-    ModelFormatError for a malformed header, and NumericError naming the
-    first tensor that holds a NaN or an infinity.
+    The weights are a FrozenWeights: read-only views of the file's bytes,
+    which no caller can change (`{k: v.copy() for k, v in weights.items()}`
+    is a mutable copy). Raises BadMagicError, UnsupportedVersionError,
+    TruncatedPayloadError, or ManifestMismatchError depending on what is
+    wrong with the file, another ModelFormatError for a malformed header,
+    and NumericError naming the first tensor that holds a NaN or an
+    infinity.
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -124,25 +130,16 @@ def load_model(path: str | Path) -> LoadedModel:
         )
 
     expected_bytes = sum(4 * int(np.prod(shape)) for _, shape in expected_manifest)
-    payload = data[12 + header_len :]
-    if len(payload) < expected_bytes:
+    payload_bytes = len(data) - (12 + header_len)
+    if payload_bytes < expected_bytes:
         raise TruncatedPayloadError(
-            f"{path}: weight payload has {len(payload)} bytes, needs {expected_bytes}"
+            f"{path}: weight payload has {payload_bytes} bytes, needs {expected_bytes}"
         )
-    if len(payload) > expected_bytes:
+    if payload_bytes > expected_bytes:
         raise TruncatedPayloadError(
-            f"{path}: {len(payload) - expected_bytes} trailing bytes after the weight payload"
+            f"{path}: {payload_bytes - expected_bytes} trailing bytes after the weight payload"
         )
 
-    weights: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, shape in expected_manifest:
-        nbytes = 4 * int(np.prod(shape))
-        weights[name] = (
-            np.frombuffer(payload, dtype="<f4", count=int(np.prod(shape)), offset=offset)
-            .reshape(shape)
-            .copy()
-        )
-        offset += nbytes
+    weights = FrozenWeights(data, expected_manifest, offset=12 + header_len)
     _check_finite(str(path), weights)
     return LoadedModel(arch, weights, labels)

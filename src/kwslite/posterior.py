@@ -26,6 +26,7 @@ that hand out the same trailing windows.
 from __future__ import annotations
 
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,7 +221,7 @@ def _append(ring: np.ndarray, frame: int, row: np.ndarray) -> np.ndarray:
 
 def posteriors_from_waveform(
     arch: ArchSpec,
-    weights: dict[str, np.ndarray],
+    weights: Mapping[str, np.ndarray],
     waveform: Waveform,
     cfg: FrameConfig = FrameConfig(),
 ) -> np.ndarray:

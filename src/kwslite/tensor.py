@@ -3,10 +3,13 @@
 Two convolution paths are provided on purpose. ``conv2d_valid`` is the
 reference: explicit loops, one inner product per output element.
 ``conv2d_optimized`` lowers the same computation to an im2col matrix
-product. Both accumulate in float64 and cast back to the input dtype at
-the end, so their float32 results agree to within rounding. Every kernel
-takes an optional MacCounter and adds the multiplies it executes, so a
-caller can meter either conv path exactly.
+product. Both accumulate in float64 and cast back to the promoted
+input/weight dtype at the end, so their float32 results agree to within
+rounding. Every kernel casts its weights to float64 only when they are not
+float64 already: weights held in float64 are used without a copy, and a
+float64 result is returned without one. Every kernel takes an optional
+MacCounter and adds the multiplies it executes, so a caller can meter
+either conv path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
@@ -190,8 +193,8 @@ def conv2d_valid(
     out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
 
     x64 = x.astype(np.float64)
-    w64 = filters.weights.astype(np.float64)
-    b64 = filters.bias.astype(np.float64)
+    w64 = filters.weights.astype(np.float64, copy=False)
+    b64 = filters.bias.astype(np.float64, copy=False)
     kt, kf = filters.kernel_t, filters.kernel_f
 
     out = np.empty((out_t, out_f, filters.maps), dtype=np.float64)
@@ -204,7 +207,7 @@ def conv2d_valid(
                 out[ti, fi, k] = np.sum(patch * w64[:, :, :, k]) + b64[k]
                 if counter is not None:
                     counter.add(patch.size)
-    return out.astype(out_dtype)
+    return out.astype(out_dtype, copy=False)
 
 
 def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple[np.ndarray, int, int]:
@@ -238,10 +241,10 @@ def conv2d_optimized(
     cols, out_t, out_f = im2col(x.astype(np.float64), filters.kernel_t, filters.kernel_f, stride)
     if counter is not None:
         counter.add(cols.size * filters.maps)
-    wmat = filters.weights.astype(np.float64).reshape(-1, filters.maps)
+    wmat = filters.weights.astype(np.float64, copy=False).reshape(-1, filters.maps)
     out = cols @ wmat
-    out += filters.bias.astype(np.float64)  # in place: no second (rows, maps) array
-    return out.reshape(out_t, out_f, filters.maps).astype(out_dtype)
+    out += filters.bias.astype(np.float64, copy=False)  # in place: no second (rows, maps) array
+    return out.reshape(out_t, out_f, filters.maps).astype(out_dtype, copy=False)
 
 
 def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:

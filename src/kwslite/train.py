@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,7 +294,7 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
 
 
 def evaluate(
-    arch: ArchSpec, weights: dict[str, np.ndarray], examples: list[LabeledExample]
+    arch: ArchSpec, weights: Mapping[str, np.ndarray], examples: list[LabeledExample]
 ) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of a fixed model over examples."""
     if not examples:

@@ -291,9 +291,10 @@ def test_detect_nan_weight_is_numeric_failure(tmp_path, capsys, tiny_model, tone
 
 def test_nan_weight_in_memory_fails_at_the_posterior_check(tiny_model, tone_wav):
     model = load_model(tiny_model)
-    model.weights["dense1.weights"][0, 0] = np.nan
+    weights = {k: v.copy() for k, v in model.weights.items()}  # loaded tensors are read-only
+    weights["dense1.weights"][0, 0] = np.nan
     with pytest.raises(NumericError, match="frame 0 is not finite"):
-        posteriors_from_waveform(model.arch, model.weights, read_wav(tone_wav))
+        posteriors_from_waveform(model.arch, weights, read_wav(tone_wav))
 
 
 @pytest.mark.parametrize("edit", sorted(CRAFTED_HEADERS))

@@ -1,6 +1,8 @@
 """Frontend checks: framing, mel geometry, log energies, context stacking,
 WAV IO, and the feature dump format."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -246,6 +248,25 @@ def test_stack_edge_replication(rng):
     npt.assert_array_equal(windows[5], frames[[3, 4, 5, 5, 5]])
     # interior rows are exact copies
     npt.assert_array_equal(windows[3], frames[1:6])
+
+
+def test_stack_copies_the_windows_once(rng):
+    frames = rng.standard_normal((998, 40)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        windows = stack_context(frames, Context(39, 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * windows.nbytes, f"peak {peak} bytes for a {windows.nbytes}-byte output"
+
+
+def test_stack_casts_like_gathering_first(rng):
+    frames = rng.standard_normal((30, 5))  # float64
+    windows = stack_context(frames, Context(3, 2))
+    assert windows.dtype == np.float32
+    npt.assert_array_equal(windows, frames[np.clip(np.arange(30)[:, None] + np.arange(-3, 3), 0, 29)]
+                           .astype(np.float32))
 
 
 def test_stack_empty_errors():
