@@ -20,7 +20,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, read_wav
 from .errors import KwsError, check_counts
-from .frontend import Context, FrameConfig, log_mel_frames, stack_context
+from .frontend import Context, FrameConfig, _check_finite, frame_count, log_mel_frames
 from .train import LabeledExample
 
 FILLER_NAME = "_filler"
@@ -152,10 +152,30 @@ def center_window_examples(
     context: Context,
     cfg: FrameConfig = FrameConfig(),
 ) -> list[LabeledExample]:
-    """One training example per waveform: the context window at the centre frame."""
+    """One training example per waveform: the context window at the centre frame.
+
+    Each window is row n // 2 of `stack_context(log_mel_frames(w), context)`
+    for a clip of n frames, bit for bit, but only the frames it reads are
+    computed: frames max(0, c - left) .. min(n - 1, c + right) around the
+    centre c, gathered with stack_context's edge clamping. A frame does not
+    depend on its neighbours (frame_signal rebuilds each frame's first column
+    from the raw sample; log_mel projects each row on its own), so framing
+    that slice gives the whole clip's frames. Each example owns its
+    (context.size, mel_filters) float32 window; the only clip-sized
+    temporary is the finiteness check's one-byte-per-sample mask.
+
+    A non-finite sample anywhere in a clip raises NumericError, and a clip
+    shorter than one analysis window raises InsufficientAudioError.
+    """
+    offsets = np.arange(-context.left, context.right + 1)
     examples = []
     for samples, label in pairs:
-        frames = log_mel_frames(Waveform(samples), cfg)
-        windows = stack_context(frames, context)
-        examples.append(LabeledExample(windows[len(windows) // 2], label))
+        x = Waveform(samples).samples
+        _check_finite(x)
+        n = frame_count(len(x), cfg)
+        rows = np.clip(n // 2 + offsets, 0, max(n - 1, 0))
+        first, last = int(rows[0]), int(rows[-1])
+        # with n == 0 the slice is the whole clip, which framing refuses
+        frames = log_mel_frames(Waveform(x[first * cfg.hop : last * cfg.hop + cfg.window_length]), cfg)
+        examples.append(LabeledExample(frames[rows - first], label))
     return examples

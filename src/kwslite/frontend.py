@@ -207,15 +207,20 @@ def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -
     return np.log(np.maximum(energies, log_floor)).astype(np.float32)
 
 
+def _check_finite(samples: np.ndarray) -> None:
+    """Raise NumericError naming the first sample that is not finite."""
+    if not np.isfinite(samples).all():
+        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise NumericError(f"waveform sample {bad} is not finite ({samples[bad]})")
+
+
 def log_mel_frames(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     """Waveform straight to (n_frames, mel_filters) float32 features.
 
     Raises NumericError naming the first sample that is not finite: one NaN
     sample would otherwise turn every frame that covers it into NaN features.
     """
-    if not np.isfinite(w.samples).all():
-        bad = int(np.flatnonzero(~np.isfinite(w.samples))[0])
-        raise NumericError(f"waveform sample {bad} is not finite ({w.samples[bad]})")
+    _check_finite(w.samples)
     melbank = build_mel_filterbank(cfg, w.sample_rate)
     return log_mel(frame_signal(w, cfg), melbank, cfg.log_floor)
 

@@ -431,7 +431,9 @@ class _Flat(Layer):
     def train_backward(
         self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
     ) -> np.ndarray | None:
-        _accumulate(grads[f"{name}.weights"], map(np.outer, delta, cache["x"].astype(np.float64)))
+        total = grads[f"{name}.weights"]
+        buf = np.empty_like(total)  # every example's outer product is written here, not allocated
+        _accumulate(total, (np.outer(d, x, out=buf) for d, x in zip(delta, cache["x"].astype(np.float64))))
         if not input_grad:
             return None
         w = weights[f"{name}.weights"].astype(np.float64)
