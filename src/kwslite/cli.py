@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from collections.abc import Mapping
@@ -315,6 +316,9 @@ def cmd_train(args) -> int:
         "model": args.out,
         "history": [{"loss": s.loss, "accuracy": s.accuracy, "seconds": s.seconds, "grad_norm": s.grad_norm}
                     for s in result.history],
+        # what the epoch times were measured on
+        "environment": {"numpy": np.__version__, "python": platform.python_version(),
+                        "cpu_count": os.cpu_count()},
     }
     text = [f"final loss={final.loss:.4f} acc={final.accuracy:.3f}", f"wrote {args.out}"]
     if args.quiet:

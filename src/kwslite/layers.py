@@ -20,8 +20,12 @@ module, so tracers that wrap them see every call, and a MacCounter passed
 in meters every multiply they execute. It reads its weights from a
 `Prepared` set, in float64 for the kernels to use as they are, and rounds
 each layer's output to the dtype the kernels give on the stored tensors, so
-outputs do not depend on when the copies were made. Training runs float32
-products over a leading example axis and accumulates float64 gradients.
+outputs do not depend on when the copies were made. Training's forward and
+backward passes run over a leading example axis, and every product in them
+(im2col and col2im, the pool scatter, the outer products and input
+gradients) runs in the dtype of the weights they are given: float32 in
+`train`, float64 in `grad_check`. Per-example gradients are summed into
+float64 totals in example order.
 """
 
 from __future__ import annotations
@@ -339,19 +343,19 @@ class Conv(Layer):
         if self.pool.active:
             delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"], self.pool)
         dmat = delta.reshape(len(delta), -1, self.maps)
-        # im2col is redone in float64 one example at a time: no chunk of
-        # patch matrices is held from forward to backward
-        x64 = cache["x"].astype(np.float64)
+        # im2col is redone one example at a time from the cached input: no
+        # chunk of patch matrices is held from forward to backward
+        x = cache["x"]
         kt, kf, stride = self.kernel_t, self.kernel_f, self.stride
         _accumulate(
             grads[f"{name}.weights"].reshape(-1, self.maps),
-            (tensor.im2col(x64[i], kt, kf, stride)[0].T @ dmat[i] for i in range(len(dmat))),
+            (tensor.im2col(x[i], kt, kf, stride)[0].T @ dmat[i] for i in range(len(dmat))),
         )
         _accumulate(grads[f"{name}.bias"], dmat.sum(axis=1))
         if not input_grad:
             return None
-        wmat = weights[f"{name}.weights"].astype(np.float64).reshape(-1, self.maps)
-        return _col2im(np.matmul(dmat, wmat.T), x64.shape, kt, kf, stride)
+        wmat = weights[f"{name}.weights"].reshape(-1, self.maps)
+        return _col2im(np.matmul(dmat, wmat.T), x.shape, kt, kf, stride)
 
 
 @dataclass(frozen=True)
@@ -431,13 +435,13 @@ class _Flat(Layer):
     def train_backward(
         self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
     ) -> np.ndarray | None:
-        total = grads[f"{name}.weights"]
-        buf = np.empty_like(total)  # every example's outer product is written here, not allocated
-        _accumulate(total, (np.outer(d, x, out=buf) for d, x in zip(delta, cache["x"].astype(np.float64))))
+        total, x = grads[f"{name}.weights"], cache["x"]
+        # every example's outer product is written here, not allocated
+        buf = np.empty(total.shape, np.result_type(delta, x))
+        _accumulate(total, (np.outer(d, row, out=buf) for d, row in zip(delta, x)))
         if not input_grad:
             return None
-        w = weights[f"{name}.weights"].astype(np.float64)
-        return np.matmul(w.T, delta[..., None])[..., 0]
+        return np.matmul(weights[f"{name}.weights"].T, delta[..., None])[..., 0]
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@ finite-difference gradient oracle.
 
 Everything here is desk-scale by design: full analytic gradients through the
 im2col convolution path, plain (mini-batch) gradient descent, no momentum, no
-regularization. Given the same architecture, examples, and config, two runs
-produce bit-identical weights.
+regularization. Forward and backward products run in the weights' dtype
+(float32 weights in `train`) and gradients are summed in float64, products in
+the narrow type and sums in the wide one, as in mixed-precision training.
+Given the same architecture, examples, and config, two runs produce
+bit-identical weights.
 """
 
 from __future__ import annotations
@@ -120,12 +123,13 @@ def _backward(
     labels: list[int],
     grads: dict[str, np.ndarray],
 ) -> None:
-    """Add the float64 cross-entropy gradients of a forward pass into `grads`.
+    """Add the cross-entropy gradients of a forward pass into the float64 `grads`.
 
     The input gradient of the first weighted layer is not needed and not computed.
     """
     delta = posteriors.copy()
     delta[np.arange(len(delta)), labels] -= 1.0  # d loss / d logits for softmax + cross-entropy
+    delta = delta.astype(np.result_type(*weights.values()), copy=False)  # the backward runs in this dtype
     placed = arch.placed
     first = next(i for i, p in enumerate(placed) if p.manifest)
     for index in reversed(range(first, len(placed))):
@@ -147,10 +151,12 @@ def loss_and_grads(
 ) -> tuple[dict[str, np.ndarray], float, int]:
     """Mean loss, mean gradients, and correct-prediction count over a batch.
 
-    The forward pass runs in the weights' dtype, whatever the windows'.
-    Gradients are accumulated in float64 and returned in the dtype of the
-    corresponding weight tensor. Averaging over b identical examples yields
-    exactly the single-example gradient.
+    The forward and backward passes run in the weights' dtype, whatever the
+    windows': d loss / d logits is rounded to it once, and every backward
+    product stays in it. Per-example gradients are summed in float64, in
+    example order, and returned in the dtype of the corresponding weight
+    tensor, so they do not depend on `CHUNK`. Averaging over b identical
+    examples yields exactly the single-example gradient.
     """
     if not batch:
         raise ValueError("empty batch")

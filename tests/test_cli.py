@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output shapes, structured mode."""
 
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,8 @@ def test_train_history_reports_time_and_gradient_norm(tmp_path, capsys):
         assert set(entry) == {"loss", "accuracy", "seconds", "grad_norm"}
         assert entry["seconds"] > 0.0
         assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
+    assert doc["environment"] == {"numpy": np.__version__, "python": platform.python_version(),
+                                  "cpu_count": os.cpu_count()}
     code, text, _ = run(capsys, *args)
     assert code == 0
     epoch_lines = [line for line in text.splitlines() if line.startswith("epoch ")]

@@ -2,12 +2,16 @@
 differences, pooling gradient routing, determinism, divergence, and the
 synthetic dataset."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
 from kwslite import (
+    ARCHITECTURES,
     ArchSpec,
     Context,
     Dense,
@@ -24,6 +28,7 @@ from kwslite import (
     build_dnn_baseline,
     cross_entropy,
     evaluate,
+    get_arch,
     grad_check,
     init_weights,
     loss_and_grads,
@@ -44,6 +49,8 @@ from kwslite.train import CHUNK
 from kwslite.audio import write_wav
 
 from conftest import random_arch, random_window
+
+train_module = importlib.import_module("kwslite.train")  # the package's `train` is the function
 
 
 # --- cross entropy ----------------------------------------------------------
@@ -158,6 +165,60 @@ def test_window_dtype_does_not_change_gradients(rng):
     assert loss == loss_mixed
     for key in plain:
         npt.assert_array_equal(plain[key], mixed[key])
+
+
+def stock_batch(name, size, seed=5):
+    arch = get_arch(name, 4)
+    rng = np.random.default_rng(seed)
+    return arch, [LabeledExample(random_window(rng, arch), int(rng.integers(4))) for _ in range(size)]
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_float32_gradients_do_not_depend_on_chunk_size(monkeypatch, name):
+    arch, batch = stock_batch(name, 17)
+    weights = init_weights(arch, 3)
+    runs = []
+    for chunk in (1, 3, 8, 17):
+        monkeypatch.setattr(train_module, "CHUNK", chunk)
+        runs.append(loss_and_grads(arch, weights, batch))
+    (first, loss, _), rest = runs[0], runs[1:]
+    for grads, other_loss, _ in rest:
+        assert other_loss == loss
+        for key in first:
+            assert grads[key].dtype == np.float32
+            assert grads[key].tobytes() == first[key].tobytes(), key
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_float32_backward_tracks_the_float64_backward(name):
+    # grad_check validates the float64 backward; this ties the float32
+    # products training runs to it
+    arch, batch = stock_batch(name, 16)
+    weights = init_weights(arch, 3)
+    grads32, _, _ = loss_and_grads(arch, weights, batch)
+    grads64, _, _ = loss_and_grads(arch, {k: w.astype(np.float64) for k, w in weights.items()}, batch)
+    for key, g64 in grads64.items():
+        assert grads32[key].dtype == np.float32
+        npt.assert_allclose(grads32[key], g64, rtol=0, atol=2e-6 * np.abs(g64).max(), err_msg=key)
+
+
+# tracemalloc peaks of one warm 16-example call with float32 weights, MB:
+# the figures before the backward ran in the weights' dtype, plus 5%
+TRAIN_PEAK_MB = {"dnn": 4.2, "cnn-trad": 9.0, "cnn-one": 2.2, "cnn-tstride2": 12.1, "cnn-tpool2": 12.1}
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_loss_and_grads_peak_memory(name):
+    arch, batch = stock_batch(name, 16)
+    weights = init_weights(arch, 3)
+    loss_and_grads(arch, weights, batch)  # warm-up
+    tracemalloc.start()
+    try:
+        loss_and_grads(arch, weights, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < TRAIN_PEAK_MB[name] * 1e6, f"{name}: loss_and_grads peaked at {peak} bytes"
 
 
 def test_maxpool_routing_conserves_gradient(rng):
