@@ -6,9 +6,15 @@ fed hop by hop: the hop's 400-sample frame goes through log_mel_frames, a
 context ring (edge frames replicated, the right-context tail flushed at the
 end) gives one window, forward classifies it with the loaded weights and
 StreamingDetector.push smooths and detects. Each window is also classified
-with the plain dict of weights the model was saved from. The demo prints the
-median time per hop of each stage, forward on the loaded and on the plain
-weights, then checks that both give the same posteriors bit for bit, every
+with the plain dict of weights the model was saved from. The loaded weights
+continue the stream where a frame costs fewer multiplies than a window
+(cnn-trad, cnn-tstride2, cnn-tpool2): each hop after the first pushes only
+its new frame through the carried conv stages. The plain dict, which could
+change between calls, runs every window whole, as do dnn and cnn-one. The
+demo prints the median time per hop of each stage, forward on the loaded and
+on the plain weights, the multiplies forward metered per hop on the loaded
+weights next to a whole window's, and its achieved GMAC/s per hop. It then
+checks that both give the same posteriors bit for bit, every
 streamed frame equals batch log_mel_frames bit for bit, every window equals
 stack_context, and the streamed events equal batch detect on the same
 posteriors. It exits with status 1 on any mismatch.
@@ -36,9 +42,11 @@ from kwslite import (
     init_weights,
     load_model,
     log_mel_frames,
+    report,
     save_model,
     stack_context,
 )
+from kwslite.tensor import MacCounter
 
 SR = 16000
 cfg = FrameConfig()
@@ -66,8 +74,10 @@ def timed(fn, *args):
 
 failures = []
 model_dir = tempfile.TemporaryDirectory()
-print(f"{n} hops of {1e3 * cfg.hop / SR:.0f} ms; median us per hop (total: the loaded weights)")
-print(f"{'arch':<13}{'frontend':>9}{'forward':>9}{'(plain)':>9}{'push':>9}{'total':>9}  events")
+print(f"{n} hops of {1e3 * cfg.hop / SR:.0f} ms; median us per hop (total: the loaded weights), and the")
+print("loaded forward's median metered multiplies per hop against a whole window's, and its GMAC/s")
+print(f"{'arch':<13}{'frontend':>9}{'forward':>9}{'(plain)':>9}{'push':>9}{'total':>9}  events"
+      f"{'MACs/hop':>12}{'window':>12}{'GMAC/s':>8}")
 for name in ARCHITECTURES:
     arch = get_arch(name, 4)
     plain = init_weights(arch, 0, init_scale=0.3)
@@ -79,6 +89,7 @@ for name in ARCHITECTURES:
     detector = StreamingDetector(detector_cfg)
     frames, windows, rows, events = [], [], [], []
     stage_us = {"frontend": [], "forward": [], "(plain)": [], "push": []}
+    macs, gmacs = [], []  # per hop of the loaded forward
     plain_differs = False
     # the last `right` hops bring no audio: they flush the right-context tail
     for hop in range(n + right):
@@ -96,8 +107,11 @@ for name in ARCHITECTURES:
         if len(ring) < arch.input_t:
             continue
         window = np.stack(ring)
-        row, us = timed(forward, arch, weights, window)
+        counter = MacCounter()
+        row, us = timed(forward, arch, weights, window, "optimized", counter)
         stage_us["forward"].append(us)
+        macs.append(counter.count)
+        gmacs.append(1e-3 * counter.count / us)
         plain_row, us = timed(forward, arch, plain, window)
         stage_us["(plain)"].append(us)
         plain_differs |= plain_row.dtype != row.dtype or plain_row.tobytes() != row.tobytes()
@@ -110,7 +124,8 @@ for name in ARCHITECTURES:
 
     medians = {stage: float(np.median(us)) for stage, us in stage_us.items()}
     total = medians["frontend"] + medians["forward"] + medians["push"]
-    print(f"{name:<13}" + "".join(f"{m:9.0f}" for m in medians.values()) + f"{total:9.0f}  {len(events)}")
+    print(f"{name:<13}" + "".join(f"{m:9.0f}" for m in medians.values()) + f"{total:9.0f}  {len(events):>6}"
+          f"{np.median(macs):12,.0f}{report(arch).total.multiplies:12,}{np.median(gmacs):8.1f}")
     if plain_differs:
         failures.append(f"{name}: the loaded weights give other posteriors than the plain dict")
     if not np.array_equal(np.stack(frames), batch_frames):

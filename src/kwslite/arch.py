@@ -9,7 +9,10 @@ Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
 arrays; a FrozenWeights, which load_model returns, cannot change, so the
-float64 copies inference computes with are made once and kept.
+float64 copies inference computes with are made once and kept, and forward()
+on it continues the stream of the window it classified last: a window that
+is that one advanced by one frame costs one frame's stream rows, not a
+whole window.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError, check_counts
 from .frontend import Context
-from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, Prepared, SoftmaxOut, TraceEntry
+from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, Prepared, SoftmaxOut, Stage, TraceEntry
 from .tensor import MacCounter, Pool, Stride
 
 __all__ = [
@@ -110,6 +114,15 @@ class ArchSpec:
     def _manifest(self) -> dict[str, tuple[int, ...]]:
         return {key: shape for p in self.placed for key, shape in p.manifest}
 
+    @cached_property
+    def streams_cheaper(self) -> bool:
+        """Whether one new frame of the carried stream costs fewer multiplies
+        than a whole window, report(arch).per_frame < total.multiplies: true
+        for cnn-trad, cnn-tstride2 and cnn-tpool2; never for dnn or cnn-one,
+        whose every layer reads the whole window."""
+        per_frame = sum(p.layer.frame_multiplies(p.in_shape) for p in self.placed)
+        return per_frame < sum(p.layer.cost(p.in_shape).multiplies for p in self.placed)
+
 
 def layer_names(arch: ArchSpec) -> list[str]:
     """Stable per-layer names: kind-scoped counters, e.g. conv1, dense2."""
@@ -149,6 +162,24 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
     }
 
 
+class _Snapshot(NamedTuple):
+    """Where a FrozenWeights' stream stands: the window forward() classified
+    last, for which spec, and the stage carries after it (None until a
+    continued call primes them)."""
+
+    arch: ArchSpec
+    last: np.ndarray
+    carries: tuple[np.ndarray | None, ...] | None
+
+    def advanced_by(self, arch: ArchSpec, window: np.ndarray) -> bool:
+        """Whether `window` is `last` advanced by one finite frame, bit for bit."""
+        return (
+            arch is self.arch
+            and np.array_equal(window[:-1].view(np.uint32), self.last[1:].view(np.uint32))
+            and bool(np.isfinite(window).all())
+        )
+
+
 class FrozenWeights(Mapping[str, np.ndarray]):
     """Weight tensors that cannot change: read-only float32 views of one
     immutable bytes buffer, laid out as in a model file's payload.
@@ -160,9 +191,15 @@ class FrozenWeights(Mapping[str, np.ndarray]):
     drops them, and they are freed with their weights. A streamed model is
     classified hop after hop, so it keeps its copies between hops, while the
     extra memory stays that of one model's float64 weights.
+
+    Next to the copies it keeps one immutable snapshot of its stream: the
+    spec and window forward() classified last and the stage carries after
+    it, from which the next hop's window continues (see forward()). A call
+    reads one snapshot and publishes a new one, never changing carries in
+    place, so concurrent callers can at worst miss a continuation.
     """
 
-    __slots__ = ("_tensors", "_prepared", "__weakref__")
+    __slots__ = ("_tensors", "_prepared", "_stream", "__weakref__")
     _lock = threading.Lock()
     _holder: "weakref.ref[FrozenWeights] | None" = None  # the one whose copies are kept
 
@@ -178,6 +215,7 @@ class FrozenWeights(Mapping[str, np.ndarray]):
             offset += 4 * count
         self._tensors = tensors
         self._prepared: Prepared | None = None
+        self._stream: _Snapshot | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -231,6 +269,25 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
+def _stages(arch: ArchSpec, prepared: Prepared, counter: MacCounter | None) -> list[Stage]:
+    return [stage for p in arch.placed for stage in p.layer.stages(p, prepared, counter)]
+
+
+def _run_stages(
+    stages: list[Stage], carries: tuple[np.ndarray | None, ...], x: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
+    """Push the (rows, input_f, 1) stream rows x through every stage, each
+    after the rows its carry holds. Returns the output rows, one per window
+    the rows complete, and the carries after them; `carries` is not changed."""
+    kept = []
+    for (keep, run), carry in zip(stages, carries):
+        if carry is not None:
+            x = np.concatenate((carry, x))
+        kept.append(x[len(x) - keep :].copy() if keep else None)  # a view would hold the whole buffer
+        x = run(x)
+    return x, tuple(kept)
+
+
 # Windows classified per chunk by forward_frames. Every conv position is
 # computed once whatever the chunk size; larger chunks only save per-call
 # overhead, and hold larger im2col matrices. On a 10 s clip, 48-window chunks
@@ -256,6 +313,18 @@ def forward(
     executes, which is report(arch).total.multiplies. Every layer computes on
     float64 weights and rounds its output to promote_types(its input, its
     stored weights), the dtype its kernel gives on the stored tensors.
+
+    Loaded weights (a FrozenWeights) continue the stream where streaming is
+    cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
+    path that is the window this spec last classified on them advanced by
+    one finite frame, bit for bit, pushes only its new row through the
+    stages forward_frames runs, from the carries after the last window, and
+    meters report(arch).per_frame. The first such call primes the carries by
+    streaming the last window's rows, metering streamed_multiplies(arch, 2).
+    The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
+    for bit. Every other call runs per window and restarts the stream; a
+    plain dict of weights, which could change between calls, never
+    continues.
     """
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
@@ -268,10 +337,37 @@ def forward(
             axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
         )
     prepared = _prepared(weights)
+    frozen = arch.streams_cheaper and isinstance(weights, FrozenWeights)
+    streams = frozen and conv_path == "optimized" and window.dtype == np.float32
+    if streams:
+        snapshot = weights._stream
+        if snapshot is not None and snapshot.advanced_by(arch, window):
+            return _continue(arch, weights, prepared, snapshot, window, counter)
     x = window.reshape(arch.input_t, arch.input_f, 1)
     for p in arch.placed:
         x = p.layer.forward(p.name, prepared, x, counter, conv_path)
+    if frozen:
+        weights._stream = _Snapshot(arch, window.copy(), None) if streams else None
     return x
+
+
+def _continue(
+    arch: ArchSpec,
+    weights: FrozenWeights,
+    prepared: Prepared,
+    snapshot: _Snapshot,
+    window: np.ndarray,
+    counter: MacCounter | None,
+) -> np.ndarray:
+    """forward() of `window`, snapshot.last advanced by one frame, from the
+    carries after snapshot.last (primed here first if it has none)."""
+    stages = _stages(arch, prepared, counter)
+    carries = snapshot.carries
+    if carries is None:
+        _, carries = _run_stages(stages, (None,) * len(stages), snapshot.last[:, :, None])
+    row, carries = _run_stages(stages, carries, window[-1:, :, None])
+    weights._stream = _Snapshot(arch, window.copy(), carries)
+    return row[0]
 
 
 def forward_frames(
@@ -303,22 +399,15 @@ def forward_frames(
     n = frames.shape[0]
     if n == 0:
         raise InsufficientAudioError("cannot classify zero frames")
-    prepared = _prepared(weights)
-    stages = [stage for p in arch.placed for stage in p.layer.stages(p, prepared, counter)]
-    carries: list[np.ndarray | None] = [None] * len(stages)
+    stages = _stages(arch, _prepared(weights), counter)
+    carries: tuple[np.ndarray | None, ...] = (None,) * len(stages)
     out = None
     fed = 0  # padded-stream rows streamed so far
     for j0 in range(0, n, BLOCK_WINDOWS):
         j1 = min(j0 + BLOCK_WINDOWS, n)
         rows = np.clip(np.arange(fed, j1 + arch.input_t - 1) - arch.context.left, 0, n - 1)
         fed = j1 + arch.input_t - 1
-        x = frames[rows].astype(np.float32, copy=False)[:, :, None]
-        for i, (keep, run) in enumerate(stages):
-            if carries[i] is not None:
-                x = np.concatenate((carries[i], x))
-            if keep:
-                carries[i] = x[len(x) - keep :].copy()  # a view would hold the whole buffer
-            x = run(x)
+        x, carries = _run_stages(stages, carries, frames[rows].astype(np.float32, copy=False)[:, :, None])
         if out is None:
             out = np.empty((n, x.shape[-1]), dtype=x.dtype)
         out[j0:j1] = x

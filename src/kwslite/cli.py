@@ -147,7 +147,14 @@ def _build_parser() -> _Parser:
                    help="frames to stay quiet after an event")
     add_format(p)
 
-    p = sub.add_parser("bench", help="time the naive and optimized conv paths")
+    p = sub.add_parser(
+        "bench",
+        help="check the optimized paths against the naive one, then time both conv paths",
+        description="Checks forward_frames and forward (on a loaded model, the continued stream) "
+        "against the naive per-window path on a seeded frame stream, then times forward on its "
+        "first window, repeated: a repeated window never continues the stream, so both paths "
+        "compute the whole window.",
+    )
     p.add_argument("--model", required=True)
     p.add_argument("--iters", type=_positive_int, default=20)
     p.add_argument("--path", choices=("naive", "optimized"), default=None,
@@ -359,26 +366,29 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-# Frames in bench's agreement stream: edge replication at both ends, and
+# Frames in bench's agreement stream: edge replication at both ends,
 # windows on both interleaved calls of a conv at time step 2 (after a time
-# stride or pool of 2); few enough that the naive per-window reference stays
-# quick.
+# stride or pool of 2), and two forward calls that continue a loaded model's
+# stream, one priming it; few enough that the naive per-window reference
+# stays quick.
 AGREEMENT_FRAMES = 3
 
 
 def _check_agreement(arch: _arch.ArchSpec, weights: Mapping[str, np.ndarray], frames: np.ndarray) -> float:
     """Compare the production paths against the naive per-window oracle.
 
-    Every forward_frames row of `frames`, and the optimized forward of the
-    first stacked window, must match naive forward of the same window
-    (rtol 1e-5, atol 1e-12); raises AgreementError otherwise. Returns the
-    worst relative difference.
+    Every forward_frames row of `frames`, and the optimized forward of every
+    stacked window in order, must match naive forward of the same window
+    (rtol 1e-5, atol 1e-12); raises AgreementError otherwise. On a loaded
+    model whose stream is cheaper than its windows (cnn-trad, cnn-tstride2,
+    cnn-tpool2), the second and third forward calls continue the stream of
+    the first. Returns the worst relative difference.
     """
     windows = stack_context(frames, arch.context)
     naive = np.stack([_arch.forward(arch, weights, w, conv_path="naive") for w in windows])
-    naive = np.concatenate([naive[:1], naive])
-    fast = np.concatenate([_arch.forward(arch, weights, windows[0], conv_path="optimized")[None],
-                           _arch.forward_frames(arch, weights, frames)])
+    naive = np.concatenate([naive, naive])
+    fast = np.stack([_arch.forward(arch, weights, w, conv_path="optimized") for w in windows])
+    fast = np.concatenate([fast, _arch.forward_frames(arch, weights, frames)])
     worst = float(np.max(np.abs(naive.astype(np.float64) - fast.astype(np.float64))
                          / np.maximum(np.abs(naive).astype(np.float64), 1e-12)))
     if not np.allclose(naive, fast, rtol=1e-5, atol=1e-12):

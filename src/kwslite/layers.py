@@ -8,12 +8,13 @@ shapes or raises ShapeError, a conv taking both from `tensor`'s geometry
 rules; `manifest` lists its weight tensors; `cost` and
 `frame_multiplies` count it per window and per streamed frame;
 `stream_keeps` and `stages` place it in the carried stream of
-`forward_frames`; `forward` is its inference step, on the conv path the
-caller names; `train_forward` and `train_backward` are its batched training
-passes, and a layer that routes (a pool's argmax, a relu's mask) keeps that
-routing under its cache's "route" key; `to_dict` and `Layer.from_dict` are
-its model-header form. Adding a kind means one class here and its entry in
-`_KINDS` (a new output kind also needs the stack rule in `ArchSpec.placed`).
+`forward_frames` and of a loaded model's continued `forward`; `forward` is
+its inference step, on the conv path the caller names; `train_forward` and
+`train_backward` are its batched training passes, and a layer that routes
+(a pool's argmax, a relu's mask) keeps that routing under its cache's
+"route" key; `to_dict` and `Layer.from_dict` are its model-header form.
+Adding a kind means one class here and its entry in `_KINDS` (a new output
+kind also needs the stack rule in `ArchSpec.placed`).
 
 Inference calls the float64-accumulating kernels through the `tensor`
 module, so tracers that wrap them see every call, and a MacCounter passed

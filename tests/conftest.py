@@ -69,6 +69,22 @@ def random_arch(rng, max_convs=2):
     raise AssertionError("could not sample a valid architecture in 200 tries")
 
 
+# a stride-2 conv, then a pool-2 conv: the third conv reads every 4th row of
+# its stream, and flatten every 8th
+STEPS_ARCH = ArchSpec(
+    "steps",
+    Context(14, 6),
+    (
+        Conv(3, 5, 3, Stride(2, 1)),
+        Conv(2, 4, 4, Stride(1, 2), Pool(2, 2)),
+        Conv(2, 3, 2),
+        Flatten(),
+        Dense(6),
+        SoftmaxOut(3),
+    ),
+)
+
+
 def hostile_wavs(path_dir):
     """The two header corruptions that once escaped as raw exceptions."""
     base = path_dir / "base.wav"

@@ -36,7 +36,7 @@ from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeE
 from kwslite.frontend import stack_context
 from kwslite.tensor import FilterBank, conv2d_optimized, conv_output_shape, maxpool, pool_output_shape
 
-from conftest import random_arch, random_window
+from conftest import STEPS_ARCH, random_arch, random_window
 
 
 def trace_shapes(arch):
@@ -355,20 +355,7 @@ def test_forward_frames_does_not_depend_on_chunk_size(rng, monkeypatch):
 
 
 def test_forward_frames_compound_time_steps_end_mid_chunk(rng, monkeypatch):
-    # a stride-2 conv, then a pool-2 conv: the third conv reads every 4th row
-    # of its stream, and flatten every 8th
-    arch = ArchSpec(
-        "steps",
-        Context(14, 6),
-        (
-            Conv(3, 5, 3, Stride(2, 1)),
-            Conv(2, 4, 4, Stride(1, 2), Pool(2, 2)),
-            Conv(2, 3, 2),
-            Flatten(),
-            Dense(6),
-            SoftmaxOut(3),
-        ),
-    )
+    arch = STEPS_ARCH
     assert [e.shape for e in validate(arch)][1:5] == [(10, 36, 3), (9, 17, 4), (4, 8, 4), (3, 6, 2)]
     weights = init_weights(arch, 4, init_scale=0.5)
     for n in (BLOCK_WINDOWS + 13, 2 * BLOCK_WINDOWS - 1):

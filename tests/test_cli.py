@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import kwslite.arch
-from kwslite import cli
+from kwslite import ArchSpec, Context, Conv, Dense, Flatten, SoftmaxOut, cli, init_weights, save_model
 from kwslite.audio import SAMPLE_RATE, read_wav, write_wav
 from kwslite.cli import main
 from kwslite.errors import AgreementError, NumericError
@@ -319,6 +319,28 @@ def test_bench_disagreement_is_numeric_failure(capsys, monkeypatch, tiny_model):
     with pytest.raises(AgreementError):
         cli._check_agreement(model.arch, model.weights, frames)
     code, out, err = run(capsys, "bench", "--model", tiny_model, "--iters", "1")
+    assert code == 3
+    assert "disagree" in err and "agreement check OK" not in out
+
+
+def test_bench_checks_the_continued_stream(tmp_path, capsys, monkeypatch):
+    # cnn-one, which the other bench tests use, never continues; this stack does
+    arch = ArchSpec("tiny-conv", Context(4, 3), (Conv(3, 5, 4), Flatten(), Dense(8), SoftmaxOut(3)))
+    assert arch.streams_cheaper
+    model = tmp_path / "tiny-conv.kwsm"
+    save_model(model, arch, init_weights(arch, 0, init_scale=0.2), ["_filler", "kw1", "kw2"])
+    honest, calls, error = kwslite.arch._continue, [], [0.0]
+
+    def counted(*args):
+        calls.append(1)
+        return honest(*args) + error[0]
+
+    monkeypatch.setattr(kwslite.arch, "_continue", counted)
+    code, text, _ = run(capsys, "bench", "--model", str(model), "--iters", "3")
+    assert code == 0 and "agreement check OK" in text
+    assert len(calls) == 2  # windows 1 and 2 of the check; the timed window never continues
+    error[0] = 1e-3
+    code, out, err = run(capsys, "bench", "--model", str(model), "--iters", "3")
     assert code == 3
     assert "disagree" in err and "agreement check OK" not in out
 

@@ -1,5 +1,6 @@
 """Loaded weights: read-only tensors whose float64 copies are made once and
-kept for one model at a time, with outputs bit-identical to plain dicts."""
+kept for one model at a time, with outputs bit-identical to plain dicts, and
+whose forward continues the stream of a window advanced by one frame."""
 
 import gc
 import sys
@@ -10,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+import kwslite.arch
 from kwslite import (
     ARCHITECTURES,
     ArchSpec,
@@ -23,12 +25,16 @@ from kwslite import (
     get_arch,
     init_weights,
     load_model,
+    log_mel_frames,
     save_model,
+    stack_context,
 )
 from kwslite.arch import FrozenWeights
+from kwslite.audio import Waveform
+from kwslite.budget import report, streamed_multiplies
 from kwslite.tensor import MacCounter
 
-from conftest import random_arch, random_window
+from conftest import STEPS_ARCH, random_arch, random_window
 
 TINY = ArchSpec("tiny", Context(4, 3), (Conv(3, 5, 4), Flatten(), Dense(8), SoftmaxOut(3)))
 
@@ -169,3 +175,179 @@ def test_threads_sharing_loaded_models_get_their_own_outputs(tmp_path, rng):
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:3]
     assert sum(loaded._prepared is not None for _, loaded in models) <= 1
+
+
+# ---------------------------------------------------------------------------
+# A loaded model's forward continues the stream of its last window.
+
+
+def metered(arch, weights, window, conv_path="optimized"):
+    counter = MacCounter()
+    return forward(arch, weights, window, conv_path=conv_path, counter=counter), counter.count
+
+
+def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(1, 2)):
+    """forward on consecutive windows of a loaded model: from window 1 on the
+    rows of forward_frames at BLOCK_WINDOWS = 1 where streaming is cheaper,
+    the plain dict's elsewhere; within rtol of the plain dict and of the
+    naive path; metered as the stream or the window costs."""
+    plain, loaded = saved_and_loaded(tmp_path, arch, seed)
+    frames = rng.standard_normal((n, arch.input_f)).astype(np.float32)
+    monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", 1)
+    streamed = forward_frames(arch, plain, frames)
+    budget = report(arch)
+    for j, window in enumerate(stack_context(frames, arch.context)):
+        got, count = metered(arch, loaded, window)
+        want = forward(arch, plain, window)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12, err_msg=f"{arch} window {j}")
+        if j in naive:
+            np.testing.assert_allclose(got, forward(arch, plain, window, conv_path="naive"), rtol=1e-5, atol=1e-12)
+        if not arch.streams_cheaper:
+            assert_same_bits(got, want)
+            assert count == budget.total.multiplies
+        elif j == 0:
+            assert count == budget.total.multiplies
+        else:
+            assert_same_bits(got, streamed[j])
+            assert count == (streamed_multiplies(arch, 2) if j == 1 else budget.per_frame), (arch, j)
+
+
+def test_stock_rule_continues_only_where_a_frame_costs_less_than_a_window():
+    cheaper = {name: get_arch(name, 4).streams_cheaper for name in ARCHITECTURES}
+    assert cheaper == {"dnn": False, "cnn-trad": True, "cnn-one": False, "cnn-tstride2": True, "cnn-tpool2": True}
+    for name, arch in ((name, get_arch(name, 4)) for name in ARCHITECTURES):
+        budget = report(arch)
+        assert arch.streams_cheaper == (budget.per_frame < budget.total.multiplies), name
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_loaded_stock_model_continues_the_stream(tmp_path, monkeypatch, rng, name):
+    check_continued_stream(tmp_path, monkeypatch, get_arch(name, 4), 3, rng)
+
+
+def test_loaded_random_stacks_continue_the_stream(tmp_path, monkeypatch, rng):
+    for seed in range(8):
+        check_continued_stream(tmp_path, monkeypatch, random_arch(rng, max_convs=3), seed, rng, n=20, naive=(1, 7))
+
+
+def test_loaded_compound_steps_stack_continues_the_stream(tmp_path, monkeypatch, rng):
+    assert STEPS_ARCH.streams_cheaper
+    check_continued_stream(tmp_path, monkeypatch, STEPS_ARCH, 4, rng, n=30, naive=(1, 13, 29))
+
+
+def test_dnn_and_cnn_one_never_continue(tmp_path, rng):
+    for name in ("dnn", "cnn-one"):
+        arch = get_arch(name, 4)
+        _, loaded = saved_and_loaded(tmp_path, arch, 1)
+        frames = rng.standard_normal((4, arch.input_f)).astype(np.float32)
+        for window in stack_context(frames, arch.context):
+            assert metered(arch, loaded, window)[1] == report(arch).total.multiplies
+        assert loaded._stream is None
+
+
+def _nan_last(window):
+    window = window.copy()
+    window[-1] = np.nan
+    return window
+
+
+def _changed_row(window):
+    window = window.copy()
+    window[5] += 1.0
+    return window
+
+
+# after windows 0 and 1 (the stream primed), a call with one of these runs per window
+FALL_BACKS = {
+    "same window twice": lambda windows: (windows[1], "optimized"),
+    "shift by two frames": lambda windows: (windows[3], "optimized"),
+    "one changed row": lambda windows: (_changed_row(windows[2]), "optimized"),
+    "NaN in the new row": lambda windows: (_nan_last(windows[2]), "optimized"),
+    "float64 window": lambda windows: (windows[2].astype(np.float64), "optimized"),
+    "naive path": lambda windows: (windows[2], "naive"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FALL_BACKS))
+def test_windows_that_do_not_advance_by_one_frame_run_per_window(tmp_path, rng, case):
+    arch = get_arch("cnn-tpool2", 4)
+    plain, loaded = saved_and_loaded(tmp_path, arch, 2)
+    frames = rng.standard_normal((6, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    for window in windows[:2]:
+        forward(arch, loaded, window)
+    window, conv_path = FALL_BACKS[case](windows)
+    got, count = metered(arch, loaded, window, conv_path)
+    want, plain_count = metered(arch, plain, window, conv_path)
+    assert_same_bits(got, want)
+    assert count == plain_count == report(arch).total.multiplies
+
+
+def test_windows_holding_a_nan_never_continue(tmp_path, rng):
+    # every window holds frame 4 (a NaN frame), at the row a one-frame
+    # advance moves it to, so the rows shared with the last window match bit for bit
+    arch = get_arch("cnn-trad", 4)
+    plain, loaded = saved_and_loaded(tmp_path, arch, 2)
+    frames = rng.standard_normal((5, arch.input_f)).astype(np.float32)
+    frames[4] = np.nan
+    for window in stack_context(frames, arch.context):
+        got, count = metered(arch, loaded, window)
+        assert_same_bits(got, forward(arch, plain, window))
+        assert count == report(arch).total.multiplies
+
+
+def test_plain_dicts_never_continue(rng):
+    arch = get_arch("cnn-tpool2", 4)
+    plain = init_weights(arch, 2, init_scale=0.2)
+    frames = rng.standard_normal((3, arch.input_f)).astype(np.float32)
+    for window in stack_context(frames, arch.context):
+        assert metered(arch, plain, window)[1] == report(arch).total.multiplies
+
+
+def test_a_stream_does_not_continue_under_another_spec(tmp_path, rng):
+    # cnn-tstride2 and cnn-tpool2 share their window and their manifest, so
+    # either's weights run under the other's spec
+    tstride, tpool = get_arch("cnn-tstride2", 4), get_arch("cnn-tpool2", 4)
+    plain, loaded = saved_and_loaded(tmp_path, tstride, 5)
+    frames = rng.standard_normal((4, tstride.input_f)).astype(np.float32)
+    windows = stack_context(frames, tstride.context)
+    forward(tpool, loaded, windows[0])
+    forward(tpool, loaded, windows[1])
+    for arch, window in ((tstride, windows[2]), (tpool, windows[3])):
+        got, count = metered(arch, loaded, window)
+        assert_same_bits(got, forward(arch, plain, window))
+        assert count == report(arch).total.multiplies
+
+
+def test_two_threads_streaming_one_loaded_model_get_their_own_posteriors(tmp_path):
+    arch = get_arch("cnn-tpool2", 4)
+    _, loaded = saved_and_loaded(tmp_path, arch, 6)
+    clips = []
+    for seed in (11, 12):
+        samples = 0.1 * np.random.default_rng(seed).standard_normal(8000)
+        clips.append(stack_context(log_mel_frames(Waveform(samples.astype(np.float32))), arch.context))
+    alone = [np.stack([forward(arch, loaded, window) for window in windows]) for windows in clips]
+    got = [[], []]
+    errors = []
+
+    def worker(k):
+        try:
+            got[k].extend(forward(arch, loaded, window) for window in clips[k])
+        except Exception as exc:  # reported below: a thread's exception would be lost
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors[:3]
+    for k in range(2):
+        np.testing.assert_allclose(np.stack(got[k]), alone[k], rtol=1e-5, atol=1e-12)
