@@ -8,11 +8,11 @@ and forward_frames() over the overlapping windows of a whole frame stream.
 Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
-arrays; a FrozenWeights, which load_model returns, cannot change, so the
-float64 copies inference computes with are made once and kept, and forward()
-on it continues the stream of the window it classified last: a window that
-is that one advanced by one frame costs one frame's stream rows, not a
-whole window.
+arrays, cast to the float64 copies inference computes with once per call;
+a FrozenWeights, which load_model returns, cannot change, so its copies
+are made once and kept, and forward() on it continues the stream of the
+window it classified last: a window that is that one advanced by one frame
+costs one frame's stream rows, not a whole window.
 """
 
 from __future__ import annotations
@@ -245,11 +245,10 @@ class FrozenWeights(Mapping[str, np.ndarray]):
 
 def _prepared(weights: Mapping[str, np.ndarray]) -> Prepared:
     """The float64 weights inference runs on: the copies a FrozenWeights
-    keeps, else each tensor cast where a layer or stream stage reads it,
-    once per call."""
+    keeps, else every tensor of a plain mapping cast once per call."""
     if isinstance(weights, FrozenWeights):
         return weights.prepared()
-    return Prepared(weights)
+    return Prepared(weights, {name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})
 
 
 def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
@@ -269,12 +268,15 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _stages(arch: ArchSpec, prepared: Prepared, counter: MacCounter | None) -> list[Stage]:
-    return [stage for p in arch.placed for stage in p.layer.stages(p, prepared, counter)]
+def _stages(arch: ArchSpec, prepared: Prepared, counter: MacCounter | None) -> list[tuple[int, Stage]]:
+    """Every stage of the stream, with the rows it keeps for the next chunk."""
+    return [
+        pair for p in arch.placed for pair in zip(p.keeps, p.layer.stages(p, prepared, counter), strict=True)
+    ]
 
 
 def _run_stages(
-    stages: list[Stage], carries: tuple[np.ndarray | None, ...], x: np.ndarray
+    stages: list[tuple[int, Stage]], carries: tuple[np.ndarray | None, ...], x: np.ndarray
 ) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
     """Push the (rows, input_f, 1) stream rows x through every stage, each
     after the rows its carry holds. Returns the output rows, one per window
@@ -384,9 +386,10 @@ def forward_frames(
     and each stage carries its last rows into the next chunk, so every conv
     position of the clip is computed exactly once: window j reads rows j,
     j+step, ... of a stage's output, where `step` is the stage's time step
-    (see ArchSpec.placed). Every layer runs on the float64 weights forward()
-    uses, and its output is rounded as in forward().
-    Agrees with forward() on each stacked window to float32 rounding.
+    (see ArchSpec.placed). Each stage runs its layer's forward() step on
+    the same float64 weights and adds only row bookkeeping: the rows it
+    carries, the interleaving by time step, flatten's gather and the time
+    pool. Agrees with forward() on each stacked window to float32 rounding.
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """

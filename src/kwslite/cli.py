@@ -165,11 +165,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(args, doc: dict, text_lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "structured":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+def _emit(args, settings: dict, doc: dict, text_lines: list[str]) -> None:
+    """Print `doc` with the command and its settings as one JSON document
+    under --format structured, else the settings header and `text_lines`."""
+    if args.format == "structured":
+        print(json.dumps({"command": args.command, "config": settings, **doc}, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in (_config_header(args.command, settings), *text_lines):
             print(line)
 
 
@@ -193,18 +195,15 @@ def cmd_featurize(args) -> int:
         "mel_filters": frames.shape[1],
     }
     doc = {
-        "command": "featurize",
-        "config": settings,
         "frames": int(frames.shape[0]),
         "features": int(frames.shape[1]),
         "window_shape": [int(windows.shape[1]), int(windows.shape[2])],
     }
     lines = [
-        _config_header("featurize", settings),
         f"{frames.shape[0]} frames x {frames.shape[1]}",
         f"wrote {windows.shape[0]} windows of {windows.shape[1]}x{windows.shape[2]} to {args.out}",
     ]
-    _emit(args, doc, lines)
+    _emit(args, settings, doc, lines)
     return EXIT_OK
 
 
@@ -215,15 +214,10 @@ def cmd_describe(args) -> int:
                 "context": f"{arch.context.left},{arch.context.right}"}
     if args.maps is not None:
         settings["maps"] = args.maps
-    doc = {
-        "command": "describe",
-        "config": settings,
-        "trace": [{"layer": e.name, "shape": list(e.shape)} for e in trace],
-    }
+    doc = {"trace": [{"layer": e.name, "shape": list(e.shape)} for e in trace]}
     width = max(len(e.name) for e in trace)
-    lines = [_config_header("describe", settings)]
-    lines += [f"{e.name:<{width}}  {'x'.join(str(d) for d in e.shape)}" for e in trace]
-    _emit(args, doc, lines)
+    lines = [f"{e.name:<{width}}  {'x'.join(str(d) for d in e.shape)}" for e in trace]
+    _emit(args, settings, doc, lines)
     return EXIT_OK
 
 
@@ -236,8 +230,6 @@ def cmd_budget(args) -> int:
     if args.compare:
         settings["compare"] = args.compare
     doc = {
-        "command": "budget",
-        "config": settings,
         "layers": [
             {"layer": row.name, "output": list(row.out_shape),
              "params": row.cost.params, "multiplies": row.cost.multiplies,
@@ -247,7 +239,7 @@ def cmd_budget(args) -> int:
         "total": {"params": rep.total.params, "multiplies": rep.total.multiplies},
         "per_frame": {"multiplies": rep.per_frame},
     }
-    lines = [_config_header("budget", settings), _budget.format_report(rep)]
+    lines = [_budget.format_report(rep)]
     if args.compare:
         other = _arch.get_arch(args.compare, args.labels)
         cmp_result = _budget.compare(arch, other)
@@ -258,7 +250,7 @@ def cmd_budget(args) -> int:
         }
         lines.append(f"multiply ratio {arch.name}/{other.name}: {cmp_result.multiply_ratio:.2f}")
         lines.append(f"param ratio {arch.name}/{other.name}: {cmp_result.param_ratio:.2f}")
-    _emit(args, doc, lines)
+    _emit(args, settings, doc, lines)
     return EXIT_OK
 
 
@@ -270,18 +262,9 @@ def cmd_fit(args) -> int:
     maps = best.layers[0].maps  # both fittable architectures open with a conv
     rep = _budget.report(best)
     settings = {"arch": args.arch, "cap": args.cap, "labels": args.labels}
-    doc = {
-        "command": "fit",
-        "config": settings,
-        "maps": maps,
-        "params": rep.total.params,
-        "multiplies": rep.total.multiplies,
-    }
-    lines = [
-        _config_header("fit", settings),
-        f"maps={maps} params={rep.total.params:,} multiplies={rep.total.multiplies:,} (cap {args.cap:,})",
-    ]
-    _emit(args, doc, lines)
+    doc = {"maps": maps, "params": rep.total.params, "multiplies": rep.total.multiplies}
+    line = f"maps={maps} params={rep.total.params:,} multiplies={rep.total.multiplies:,} (cap {args.cap:,})"
+    _emit(args, settings, doc, [line])
     return EXIT_OK
 
 
@@ -304,11 +287,11 @@ def cmd_train(args) -> int:
         "epochs": cfg.epochs, "lr": cfg.learning_rate, "batch_size": cfg.batch_size,
         "out": args.out,
     }
-    lines = [_config_header("train", settings)]
-    if args.format == "text" and not args.quiet:
-        print(lines.pop(0))
+    verbose = args.format == "text" and not args.quiet
+    if verbose:
+        print(_config_header(args.command, settings))  # before training, so a long run names itself
     result = train(arch, examples, cfg)
-    if args.format == "text" and not args.quiet:
+    if verbose:
         for i, stats in enumerate(result.history, 1):
             if i == 1 or i == len(result.history) or i % 20 == 0:
                 print(f"epoch {i}/{cfg.epochs} loss={stats.loss:.4f} acc={stats.accuracy:.3f} "
@@ -316,8 +299,6 @@ def cmd_train(args) -> int:
     save_model(args.out, arch, result.weights, dataset.labels)
     final = result.history[-1]
     doc = {
-        "command": "train",
-        "config": settings,
         "final_loss": final.loss,
         "final_accuracy": final.accuracy,
         "model": args.out,
@@ -327,10 +308,11 @@ def cmd_train(args) -> int:
         "environment": {"numpy": np.__version__, "python": platform.python_version(),
                         "cpu_count": os.cpu_count()},
     }
-    text = [f"final loss={final.loss:.4f} acc={final.accuracy:.3f}", f"wrote {args.out}"]
-    if args.quiet:
-        text.insert(0, lines[0] if lines else _config_header("train", settings))
-    _emit(args, doc, text)
+    lines = [f"final loss={final.loss:.4f} acc={final.accuracy:.3f}", f"wrote {args.out}"]
+    if verbose:
+        print("\n".join(lines))  # the header is already out
+    else:
+        _emit(args, settings, doc, lines)
     return EXIT_OK
 
 
@@ -347,8 +329,6 @@ def cmd_detect(args) -> int:
         "smooth": cfg.w_smooth, "window": cfg.w_max, "refractory": cfg.refractory,
     }
     doc = {
-        "command": "detect",
-        "config": settings,
         "frames": int(probs.shape[0]),
         "events": [
             {"frame": e.frame_index, "time": round(e.frame_index * FRAME_SECONDS, 3),
@@ -356,13 +336,11 @@ def cmd_detect(args) -> int:
             for e in events
         ],
     }
-    lines = [_config_header("detect", settings)]
-    for e in events:
-        lines.append(
-            f"{e.frame_index}\t{e.frame_index * FRAME_SECONDS:.3f}\t"
-            f"{model.labels[e.keyword]}\t{e.confidence:.4f}"
-        )
-    _emit(args, doc, lines)
+    lines = [
+        f"{e.frame_index}\t{e.frame_index * FRAME_SECONDS:.3f}\t{model.labels[e.keyword]}\t{e.confidence:.4f}"
+        for e in events
+    ]
+    _emit(args, settings, doc, lines)
     return EXIT_OK
 
 
@@ -420,12 +398,11 @@ def cmd_bench(args) -> int:
 
     settings = {"model": args.model, "iters": args.iters, "seed": seed,
                 "path": args.path or "both"}
-    doc = {"command": "bench", "config": settings, "agreement": "OK",
-           "worst_relative_difference": worst, "timings": timings}
-    lines = [_config_header("bench", settings), f"agreement check OK (worst rel diff {worst:.3e})"]
+    doc = {"agreement": "OK", "worst_relative_difference": worst, "timings": timings}
+    lines = [f"agreement check OK (worst rel diff {worst:.3e})"]
     for path, stats in timings.items():
         lines.append(f"{path:<10} mean {stats['mean_ms']:8.3f} ms   p50 {stats['p50_ms']:8.3f} ms")
-    _emit(args, doc, lines)
+    _emit(args, settings, doc, lines)
     return EXIT_OK
 
 

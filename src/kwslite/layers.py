@@ -6,26 +6,29 @@ every decision that depends on its kind, so the walks over a stack in
 header and prefixes its layer name (conv1, dense2); `trace` gives its output
 shapes or raises ShapeError, a conv taking both from `tensor`'s geometry
 rules; `manifest` lists its weight tensors; `cost` and
-`frame_multiplies` count it per window and per streamed frame;
-`stream_keeps` and `stages` place it in the carried stream of
-`forward_frames` and of a loaded model's continued `forward`; `forward` is
-its inference step, on the conv path the caller names; `train_forward` and
-`train_backward` are its batched training passes, and a layer that routes
-(a pool's argmax, a relu's mask) keeps that routing under its cache's
-"route" key; `to_dict` and `Layer.from_dict` are its model-header form.
+`frame_multiplies` count it per window and per streamed frame; `forward`
+is its inference step, on the conv path the caller names; `stream_keeps`
+and `stages` place that step in the carried stream of `forward_frames` and
+of a loaded model's continued `forward`, where a stage runs the kind's own
+`forward` path and adds only row bookkeeping (the rows it carries, the
+interleaving by time step, flatten's gather, the time pool);
+`train_forward` and `train_backward` are its batched training passes, and
+a layer that routes (a pool's argmax, a relu's mask) keeps that routing
+under its cache's "route" key; `to_dict` and `Layer.from_dict` are its
+model-header form.
 Adding a kind means one class here and its entry in `_KINDS` (a new output
 kind also needs the stack rule in `ArchSpec.placed`).
 
 Inference calls the float64-accumulating kernels through the `tensor`
 module, so tracers that wrap them see every call, and a MacCounter passed
 in meters every multiply they execute. It reads its weights from a
-`Prepared` set, in float64 for the kernels to use as they are, and rounds
-each layer's output to the dtype the kernels give on the stored tensors, so
-outputs do not depend on when the copies were made. Training's forward and
-backward passes run over a leading example axis, and every product in them
-(im2col and col2im, the pool scatter, the outer products and input
-gradients) runs in the dtype of the weights they are given: float32 in
-`train`, float64 in `grad_check`. Per-example gradients are summed into
+`Prepared` set, the whole model in float64 for the kernels to use as they
+are, and rounds each layer's output to the dtype the kernels give on the
+stored tensors, so outputs do not depend on when the copies were made.
+Training's forward and backward passes run over a leading example axis,
+and every product in them (im2col and col2im, the pool scatter, the outer
+products and input gradients) runs in the dtype of the weights they are
+given: float32 in `train`, float64 in `grad_check`. Per-example gradients are summed into
 float64 totals in example order.
 """
 
@@ -45,9 +48,9 @@ Shape = tuple[int, ...]
 Weights = dict[str, np.ndarray]
 Counter = MacCounter | None  # a multiply meter the kernels add to, if any
 
-# One step of the carried stream: (rows it keeps for the next chunk, what it
-# does to its rows). A stage given r rows returns r - keep rows.
-Stage = tuple[int, Callable[[np.ndarray], np.ndarray]]
+# One step of the carried stream: what it does to its rows. A stage given r
+# rows returns r - keep rows, where keep is its entry in Placed.keeps.
+Stage = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -70,19 +73,15 @@ ZERO_COST = LayerCost(0, 0)
 
 class Prepared(NamedTuple):
     """A weight set as inference reads it: each tensor as stored, whose dtype
-    sets the dtype of a layer's output, and as a float64 array, on which the
-    kernels compute without casting."""
+    sets the dtype of a layer's output, and the float64 copy of every tensor,
+    on which the kernels compute without casting. A FrozenWeights keeps its
+    copies; a plain mapping's are cast once per call."""
 
     stored: Mapping[str, np.ndarray]
-    copies: Mapping[str, np.ndarray] | None = None  # float64 copies of the tensors, if made
+    copies: Mapping[str, np.ndarray]
 
     def float64(self, key: str) -> np.ndarray:
-        """The tensor's float64 copy, else the tensor cast on this read. A
-        one-window forward reads each tensor once, just before its kernel,
-        and frees the cast with the layer's other temporaries."""
-        if self.copies is not None:
-            return self.copies[key]
-        return np.asarray(self.stored[key], dtype=np.float64)
+        return self.copies[key]
 
     def out_dtype(self, name: str, x: np.ndarray) -> np.dtype:
         """The dtype the kernels give layer `name` on input x and its stored
@@ -126,6 +125,10 @@ class Layer:
         time step `step` with a window spanning `window_rows` rows of the
         stream, and the time step after the layer."""
         return (0,), step
+
+    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
+        """forward() on every row of a chunk at once."""
+        return [lambda x: self.forward(placed.name, weights, x, counter)]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -277,30 +280,30 @@ class Conv(Layer):
         return keeps, step
 
     def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
-        """The conv over rows u, u+step, ..., run as `step` interleaved calls of
-        the unchanged kernel on rows[p::step], rounded as in forward(); then a
-        time pool, a max over rows u, u+d, ..., u+(pool.time-1)*d at the step d
-        after the stride."""
-        bank = self._bank(placed.name, weights)
-        step, keep = placed.step, placed.keeps[0]
+        """forward()'s step at time stride 1 over rows u, u+step, ...: `step`
+        interleaved calls on rows[p::step], each pooled in frequency, which
+        pools within a row; then a time pool, a max over rows u, u+d, ...,
+        u+(pool.time-1)*d at the step d after the stride."""
+        name, step, keep = placed.name, placed.step, placed.keeps[0]
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
+        def phase(rows: np.ndarray) -> np.ndarray:
+            return self._step(tensor.conv2d_optimized, name, weights, rows, freq_only, freq_pool, counter)
+
         def conv(x: np.ndarray) -> np.ndarray:
-            dtype = weights.out_dtype(placed.name, x)
             if step == 1:
-                y = tensor.conv2d_optimized(x, bank, freq_only, counter=counter).astype(dtype, copy=False)
-            else:
-                n = len(x) - keep
-                y = None
-                for p in range(min(step, n)):
-                    part = tensor.conv2d_optimized(x[p::step], bank, freq_only, counter=counter)
-                    if y is None:
-                        y = np.empty((n,) + part.shape[1:], dtype)
-                    y[p::step] = part  # rounds to dtype
-            return tensor.maxpool(y, freq_pool) if freq_pool.active else y
+                return phase(x)
+            n = len(x) - keep
+            y = None
+            for p in range(min(step, n)):
+                part = phase(x[p::step])
+                if y is None:
+                    y = np.empty((n,) + part.shape[1:], part.dtype)
+                y[p::step] = part
+            return y
 
         if self.pool.time == 1:
-            return [(keep, conv)]
+            return [conv]
         d, pool_keep = step * self.stride.time, placed.keeps[1]
 
         def time_pool(x: np.ndarray) -> np.ndarray:
@@ -310,18 +313,23 @@ class Conv(Layer):
                 y = np.maximum(y, x[k * d : k * d + n])
             return y
 
-        return [(keep, conv), (pool_keep, time_pool)]
+        return [conv, time_pool]
 
-    def _bank(self, name: str, weights: Prepared) -> FilterBank:
-        return FilterBank(weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias"))
+    def _step(
+        self, kernel: Callable, name: str, weights: Prepared, x: np.ndarray, stride: Stride, pool: Pool,
+        counter: Counter,
+    ) -> np.ndarray:
+        """`kernel` at `stride`, its output rounded to the layer's output
+        dtype, then max-pooled by `pool`: forward() and the stream stage."""
+        bank = FilterBank(weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias"))
+        y = kernel(x, bank, stride, counter=counter).astype(weights.out_dtype(name, x), copy=False)
+        return tensor.maxpool(y, pool) if pool.active else y
 
     def forward(
         self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        conv = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
-        y = conv(x, self._bank(name, weights), self.stride, counter=counter)
-        y = y.astype(weights.out_dtype(name, x), copy=False)
-        return tensor.maxpool(y, self.pool) if self.pool.active else y
+        kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
+        return self._step(kernel, name, weights, x, self.stride, self.pool, counter)
 
     def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
         """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""
@@ -379,9 +387,9 @@ class Flatten(Layer):
         offsets = placed.step * np.arange(placed.in_shape[0])
 
         def gather(x: np.ndarray) -> np.ndarray:
-            return tensor.flatten(x[np.arange(len(x) - keep)[:, None] + offsets])
+            return self.forward(placed.name, weights, x[np.arange(len(x) - keep)[:, None] + offsets], counter)
 
-        return [(keep, gather)]
+        return [gather]
 
     def forward(
         self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
@@ -416,12 +424,6 @@ class _Flat(Layer):
 
     def cost(self, shape: Shape) -> LayerCost:
         return LayerCost(shape[0] * self.width, shape[0] * self.width)
-
-    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
-        """forward() on every row of a chunk at once, on float64 weights read
-        once per stream, as the conv stages read theirs."""
-        held = Prepared(weights.stored, {key: weights.float64(key) for key, _ in placed.manifest})
-        return [(0, lambda x: self.forward(placed.name, held, x, counter))]
 
     def forward(
         self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"

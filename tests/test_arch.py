@@ -375,6 +375,34 @@ def test_forward_frames_casts_like_stack_context(rng):
     npt.assert_array_equal(got, forward_frames(arch, weights, frames.astype(np.float32)))
 
 
+def test_float64_weights_give_float64_posteriors(rng):
+    arch = get_arch("cnn-tpool2", 4)
+    weights = {k: w.astype(np.float64) for k, w in init_weights(arch, 6, init_scale=0.2).items()}
+    frames = rng.standard_normal((3, 40)).astype(np.float32)
+    window = stack_context(frames, arch.context)[0]
+    naive = forward(arch, weights, window, conv_path="naive")
+    optimized = forward(arch, weights, window)
+    streamed = forward_frames(arch, weights, frames)
+    assert naive.dtype == optimized.dtype == streamed.dtype == np.float64
+    npt.assert_allclose(optimized, naive, rtol=1e-12, atol=0)
+    npt.assert_allclose(streamed[0], optimized, rtol=1e-12, atol=0)
+
+
+def test_float32_conv_weights_round_conv_outputs_to_float32(rng):
+    # each layer's output takes promote_types(its input, its stored weights):
+    # float32 conv weights round the conv maps, float64 dense weights do not
+    arch = get_arch("cnn-trad", 4)
+    all64 = {k: w.astype(np.float64) for k, w in init_weights(arch, 7, init_scale=0.2).items()}
+    mixed = {k: w.astype(np.float32) if k.startswith("conv") else w for k, w in all64.items()}
+    frames = rng.standard_normal((3, 40)).astype(np.float32)
+    window = stack_context(frames, arch.context)[0]
+    for run in (lambda w: forward(arch, w, window), lambda w: forward_frames(arch, w, frames)):
+        got, want = run(mixed), run(all64)
+        assert got.dtype == want.dtype == np.float64
+        assert not np.array_equal(got, want)
+        npt.assert_allclose(got, want, rtol=1e-5, atol=1e-12)
+
+
 def test_forward_frames_rejects_bad_streams():
     arch = build_dnn_baseline(4)
     weights = init_weights(arch, 0)
@@ -398,8 +426,11 @@ def traced_peak(fn):
 def test_forward_frames_memory_does_not_grow_with_clip_length(rng):
     # Each im2col call leaves a few small tuples on the interpreter's free
     # lists until those lists are full; fill them first so the peaks compare
-    # forward_frames' own working sets. The slack covers allocator jitter of
-    # a few hundred bytes, far below one extra copy of the output (80 kB).
+    # forward_frames' own working sets. A warm-up on the long clip also makes
+    # numpy's one-time growth of its as_strided tables before either peak, so
+    # the tests run before this one do not decide where it lands. The slack
+    # covers allocator jitter of a few hundred bytes, far below one extra copy
+    # of the output (80 kB).
     tiny = FilterBank(np.ones((1, 1, 1, 1), dtype=np.float32))
     for _ in range(3000):
         conv2d_optimized(np.ones((2, 2, 1), dtype=np.float32), tiny)
@@ -409,7 +440,7 @@ def test_forward_frames_memory_does_not_grow_with_clip_length(rng):
     for name in ("cnn-trad", "cnn-tpool2"):
         arch = get_arch(name, 4)
         weights = init_weights(arch, 0)
-        forward_frames(arch, weights, short[:100])
+        forward_frames(arch, weights, long)
         peak_short = traced_peak(lambda: forward_frames(arch, weights, short))
         peak_long = traced_peak(lambda: forward_frames(arch, weights, long))
         extra_rows = (len(long) - len(short)) * arch.labels * np.dtype(np.float32).itemsize
