@@ -8,11 +8,13 @@ and forward_frames() over the overlapping windows of a whole frame stream.
 Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
-arrays, cast to the float64 copies inference computes with once per call;
-a FrozenWeights, which load_model returns, cannot change, so its copies
-are made once and kept, and forward() on it continues the stream of the
-window it classified last: a window that is that one advanced by one frame
-costs one frame's stream rows, not a whole window.
+arrays, checked against the spec's manifest and cast to the float64 copies
+inference computes with once per call. A FrozenWeights, which load_model
+returns, cannot change, so it is checked once per spec, and its copies and
+stream stages are built once and kept (its plan); forward() on it
+continues the stream of the window it classified last: a window that is
+that one advanced by one frame costs one frame's stream rows, not a whole
+window.
 """
 
 from __future__ import annotations
@@ -180,28 +182,43 @@ class _Snapshot(NamedTuple):
         )
 
 
+class _Plan(NamedTuple):
+    """What inference on a FrozenWeights needs for one spec, built once: the
+    spec, whose manifest the weights were checked against, the float64
+    copies, and the stream stages on them, each with the rows it keeps. The
+    stages take the MacCounter at call time, so one plan serves every call."""
+
+    arch: ArchSpec
+    prepared: Prepared
+    stages: tuple[tuple[int, Stage], ...]
+
+
 class FrozenWeights(Mapping[str, np.ndarray]):
     """Weight tensors that cannot change: read-only float32 views of one
     immutable bytes buffer, laid out as in a model file's payload.
 
     numpy refuses to make a view of `bytes` writeable again, and item
-    assignment raises TypeError, so the float64 copies that forward() and
-    forward_frames() compute with are made on first use and kept. The copies
-    of one FrozenWeights at a time are kept in the process: making another's
-    drops them, and they are freed with their weights. A streamed model is
-    classified hop after hop, so it keeps its copies between hops, while the
+    assignment raises TypeError, so whatever forward() and forward_frames()
+    derive from the tensors holds for as long as they do. Each FrozenWeights
+    keeps a plan for the spec it last ran under (see plan()): the result of
+    the manifest check, the float64 copies the kernels compute with and the
+    stream stages, so a hop pays for its kernels, not for rebuilding them.
+    The plan of one FrozenWeights at a time is kept in the process: making
+    another's drops it, and it is freed with its weights. A streamed model is
+    classified hop after hop, so it keeps its plan between hops, while the
     extra memory stays that of one model's float64 weights.
 
-    Next to the copies it keeps one immutable snapshot of its stream: the
+    Next to the plan it keeps one immutable snapshot of its stream: the
     spec and window forward() classified last and the stage carries after
     it, from which the next hop's window continues (see forward()). A call
-    reads one snapshot and publishes a new one, never changing carries in
-    place, so concurrent callers can at worst miss a continuation.
+    reads one plan and one snapshot and publishes new ones whole, never
+    changing either in place, so concurrent callers can at worst miss a
+    continuation or rebuild a plan.
     """
 
-    __slots__ = ("_tensors", "_prepared", "_stream", "__weakref__")
+    __slots__ = ("_tensors", "_plan", "_stream", "__weakref__")
     _lock = threading.Lock()
-    _holder: "weakref.ref[FrozenWeights] | None" = None  # the one whose copies are kept
+    _holder: "weakref.ref[FrozenWeights] | None" = None  # the one whose plan is kept
 
     def __init__(self, buffer: bytes, manifest: Iterable[tuple[str, tuple[int, ...]]], offset: int = 0):
         """Views of the little-endian float32 tensors that follow one another
@@ -214,7 +231,7 @@ class FrozenWeights(Mapping[str, np.ndarray]):
             tensors[name] = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
         self._tensors = tensors
-        self._prepared: Prepared | None = None
+        self._plan: _Plan | None = None
         self._stream: _Snapshot | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
@@ -226,28 +243,38 @@ class FrozenWeights(Mapping[str, np.ndarray]):
     def __len__(self) -> int:
         return len(self._tensors)
 
-    def prepared(self) -> Prepared:
-        """The float64 copies, made on first use; drops those another
-        FrozenWeights holds."""
-        prepared = self._prepared
-        if prepared is None:
-            with FrozenWeights._lock:
-                prepared = self._prepared
-                if prepared is None:
+    def plan(self, arch: ArchSpec) -> _Plan:
+        """The plan for `arch`, built on the first call under that spec object.
+
+        The tensors are checked against the manifest of each new spec, and a
+        failed check raises and keeps nothing, so it fails again on every
+        call. A plan for another spec keeps its float64 copies; the first
+        plan makes them, dropping the plan another FrozenWeights holds.
+        """
+        plan = self._plan
+        if plan is not None and plan.arch is arch:
+            return plan
+        check_weights(arch, self)
+        with FrozenWeights._lock:
+            plan = self._plan
+            if plan is None or plan.arch is not arch:
+                if plan is not None:
+                    prepared = plan.prepared
+                else:
                     last = FrozenWeights._holder() if FrozenWeights._holder else None
                     if last is not None:
-                        last._prepared = None
+                        last._plan = None
                     copies = {name: w.astype(np.float64) for name, w in self._tensors.items()}
-                    prepared = self._prepared = Prepared(self._tensors, copies)
+                    prepared = Prepared(self._tensors, copies)
                     FrozenWeights._holder = weakref.ref(self)
-        return prepared
+                plan = self._plan = _Plan(arch, prepared, _stages(arch, prepared))
+        return plan
 
 
-def _prepared(weights: Mapping[str, np.ndarray]) -> Prepared:
-    """The float64 weights inference runs on: the copies a FrozenWeights
-    keeps, else every tensor of a plain mapping cast once per call."""
-    if isinstance(weights, FrozenWeights):
-        return weights.prepared()
+def _cast(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> Prepared:
+    """A plain mapping's tensors, checked against the manifest and each cast
+    to float64, once per call: the mapping may change between calls."""
+    check_weights(arch, weights)
     return Prepared(weights, {name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})
 
 
@@ -268,25 +295,27 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _stages(arch: ArchSpec, prepared: Prepared, counter: MacCounter | None) -> list[tuple[int, Stage]]:
+def _stages(arch: ArchSpec, prepared: Prepared) -> tuple[tuple[int, Stage], ...]:
     """Every stage of the stream, with the rows it keeps for the next chunk."""
-    return [
-        pair for p in arch.placed for pair in zip(p.keeps, p.layer.stages(p, prepared, counter), strict=True)
-    ]
+    return tuple(pair for p in arch.placed for pair in zip(p.keeps, p.layer.stages(p, prepared), strict=True))
 
 
 def _run_stages(
-    stages: list[tuple[int, Stage]], carries: tuple[np.ndarray | None, ...], x: np.ndarray
+    stages: tuple[tuple[int, Stage], ...],
+    carries: tuple[np.ndarray | None, ...],
+    x: np.ndarray,
+    counter: MacCounter | None,
 ) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
     """Push the (rows, input_f, 1) stream rows x through every stage, each
-    after the rows its carry holds. Returns the output rows, one per window
-    the rows complete, and the carries after them; `carries` is not changed."""
+    after the rows its carry holds, metering on `counter`. Returns the output
+    rows, one per window the rows complete, and the carries after them;
+    `carries` is not changed."""
     kept = []
     for (keep, run), carry in zip(stages, carries):
         if carry is not None:
             x = np.concatenate((carry, x))
         kept.append(x[len(x) - keep :].copy() if keep else None)  # a view would hold the whole buffer
-        x = run(x)
+        x = run(x, counter)
     return x, tuple(kept)
 
 
@@ -326,11 +355,13 @@ def forward(
     The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
     for bit. Every other call runs per window and restarts the stream; a
     plain dict of weights, which could change between calls, never
-    continues.
+    continues, and is checked against the manifest on every call, where a
+    FrozenWeights is checked once per spec (see FrozenWeights.plan).
     """
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
-    check_weights(arch, weights)
+    plan = weights.plan(arch) if isinstance(weights, FrozenWeights) else None
+    prepared = _cast(arch, weights) if plan is None else plan.prepared
     window = np.asarray(window)
     if window.shape != (arch.input_t, arch.input_f):
         raise ShapeError(
@@ -338,13 +369,12 @@ def forward(
             f"{(arch.input_t, arch.input_f)} input of {arch.name}",
             axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
         )
-    prepared = _prepared(weights)
-    frozen = arch.streams_cheaper and isinstance(weights, FrozenWeights)
+    frozen = plan is not None and arch.streams_cheaper
     streams = frozen and conv_path == "optimized" and window.dtype == np.float32
     if streams:
         snapshot = weights._stream
         if snapshot is not None and snapshot.advanced_by(arch, window):
-            return _continue(arch, weights, prepared, snapshot, window, counter)
+            return _continue(weights, plan, snapshot, window, counter)
     x = window.reshape(arch.input_t, arch.input_f, 1)
     for p in arch.placed:
         x = p.layer.forward(p.name, prepared, x, counter, conv_path)
@@ -354,21 +384,16 @@ def forward(
 
 
 def _continue(
-    arch: ArchSpec,
-    weights: FrozenWeights,
-    prepared: Prepared,
-    snapshot: _Snapshot,
-    window: np.ndarray,
-    counter: MacCounter | None,
+    weights: FrozenWeights, plan: _Plan, snapshot: _Snapshot, window: np.ndarray, counter: MacCounter | None
 ) -> np.ndarray:
     """forward() of `window`, snapshot.last advanced by one frame, from the
     carries after snapshot.last (primed here first if it has none)."""
-    stages = _stages(arch, prepared, counter)
+    stages = plan.stages
     carries = snapshot.carries
     if carries is None:
-        _, carries = _run_stages(stages, (None,) * len(stages), snapshot.last[:, :, None])
-    row, carries = _run_stages(stages, carries, window[-1:, :, None])
-    weights._stream = _Snapshot(arch, window.copy(), carries)
+        _, carries = _run_stages(stages, (None,) * len(stages), snapshot.last[:, :, None], counter)
+    row, carries = _run_stages(stages, carries, window[-1:, :, None], counter)
+    weights._stream = _Snapshot(plan.arch, window.copy(), carries)
     return row[0]
 
 
@@ -393,7 +418,10 @@ def forward_frames(
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """
-    check_weights(arch, weights)
+    if isinstance(weights, FrozenWeights):
+        stages = weights.plan(arch).stages
+    else:
+        stages = _stages(arch, _cast(arch, weights))
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(
@@ -402,7 +430,6 @@ def forward_frames(
     n = frames.shape[0]
     if n == 0:
         raise InsufficientAudioError("cannot classify zero frames")
-    stages = _stages(arch, _prepared(weights), counter)
     carries: tuple[np.ndarray | None, ...] = (None,) * len(stages)
     out = None
     fed = 0  # padded-stream rows streamed so far
@@ -410,7 +437,8 @@ def forward_frames(
         j1 = min(j0 + BLOCK_WINDOWS, n)
         rows = np.clip(np.arange(fed, j1 + arch.input_t - 1) - arch.context.left, 0, n - 1)
         fed = j1 + arch.input_t - 1
-        x, carries = _run_stages(stages, carries, frames[rows].astype(np.float32, copy=False)[:, :, None])
+        chunk = frames[rows].astype(np.float32, copy=False)[:, :, None]
+        x, carries = _run_stages(stages, carries, chunk, counter)
         if out is None:
             out = np.empty((n, x.shape[-1]), dtype=x.dtype)
         out[j0:j1] = x

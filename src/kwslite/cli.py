@@ -304,9 +304,7 @@ def cmd_train(args) -> int:
         "model": args.out,
         "history": [{"loss": s.loss, "accuracy": s.accuracy, "seconds": s.seconds, "grad_norm": s.grad_norm}
                     for s in result.history],
-        # what the epoch times were measured on
-        "environment": {"numpy": np.__version__, "python": platform.python_version(),
-                        "cpu_count": os.cpu_count()},
+        "environment": _environment(),
     }
     lines = [f"final loss={final.loss:.4f} acc={final.accuracy:.3f}", f"wrote {args.out}"]
     if verbose:
@@ -314,6 +312,11 @@ def cmd_train(args) -> int:
     else:
         _emit(args, settings, doc, lines)
     return EXIT_OK
+
+
+def _environment() -> dict:
+    """What a run was measured on, for its --format structured output."""
+    return {"numpy": np.__version__, "python": platform.python_version(), "cpu_count": os.cpu_count()}
 
 
 def cmd_detect(args) -> int:
@@ -335,6 +338,7 @@ def cmd_detect(args) -> int:
              "keyword": model.labels[e.keyword], "confidence": e.confidence}
             for e in events
         ],
+        "environment": _environment(),
     }
     lines = [
         f"{e.frame_index}\t{e.frame_index * FRAME_SECONDS:.3f}\t{model.labels[e.keyword]}\t{e.confidence:.4f}"

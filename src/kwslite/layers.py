@@ -48,9 +48,10 @@ Shape = tuple[int, ...]
 Weights = dict[str, np.ndarray]
 Counter = MacCounter | None  # a multiply meter the kernels add to, if any
 
-# One step of the carried stream: what it does to its rows. A stage given r
-# rows returns r - keep rows, where keep is its entry in Placed.keeps.
-Stage = Callable[[np.ndarray], np.ndarray]
+# One step of the carried stream: what it does to its rows, metering its
+# kernels on the counter it is called with. A stage given r rows returns
+# r - keep rows, where keep is its entry in Placed.keeps.
+Stage = Callable[[np.ndarray, Counter], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,9 @@ class Layer:
         stream, and the time step after the layer."""
         return (0,), step
 
-    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
         """forward() on every row of a chunk at once."""
-        return [lambda x: self.forward(placed.name, weights, x, counter)]
+        return [lambda x, counter: self.forward(placed.name, weights, x, counter)]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -279,7 +280,7 @@ class Conv(Layer):
             step *= self.pool.time
         return keeps, step
 
-    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
         """forward()'s step at time stride 1 over rows u, u+step, ...: `step`
         interleaved calls on rows[p::step], each pooled in frequency, which
         pools within a row; then a time pool, a max over rows u, u+d, ...,
@@ -287,16 +288,16 @@ class Conv(Layer):
         name, step, keep = placed.name, placed.step, placed.keeps[0]
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
-        def phase(rows: np.ndarray) -> np.ndarray:
+        def phase(rows: np.ndarray, counter: Counter) -> np.ndarray:
             return self._step(tensor.conv2d_optimized, name, weights, rows, freq_only, freq_pool, counter)
 
-        def conv(x: np.ndarray) -> np.ndarray:
+        def conv(x: np.ndarray, counter: Counter) -> np.ndarray:
             if step == 1:
-                return phase(x)
+                return phase(x, counter)
             n = len(x) - keep
             y = None
             for p in range(min(step, n)):
-                part = phase(x[p::step])
+                part = phase(x[p::step], counter)
                 if y is None:
                     y = np.empty((n,) + part.shape[1:], part.dtype)
                 y[p::step] = part
@@ -306,7 +307,7 @@ class Conv(Layer):
             return [conv]
         d, pool_keep = step * self.stride.time, placed.keeps[1]
 
-        def time_pool(x: np.ndarray) -> np.ndarray:
+        def time_pool(x: np.ndarray, counter: Counter) -> np.ndarray:
             n = len(x) - pool_keep
             y = x[:n]
             for k in range(1, self.pool.time):
@@ -381,12 +382,12 @@ class Flatten(Layer):
         # stack reads, are kept too, so each stream row becomes one window
         return (window_rows - 1,), 1
 
-    def stages(self, placed: Placed, weights: Prepared, counter: Counter) -> list[Stage]:
+    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
         """Window j reads rows j, j+step, ... of the stream, one per row of its map."""
         keep = placed.keeps[0]
         offsets = placed.step * np.arange(placed.in_shape[0])
 
-        def gather(x: np.ndarray) -> np.ndarray:
+        def gather(x: np.ndarray, counter: Counter) -> np.ndarray:
             return self.forward(placed.name, weights, x[np.arange(len(x) - keep)[:, None] + offsets], counter)
 
         return [gather]

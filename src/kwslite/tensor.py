@@ -218,13 +218,26 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple
     corresponds to output position (p // out_f, p % out_f); within a row the
     patch is laid out (kernel_t, kernel_f, channels), matching a FilterBank's
     weights reshaped to (kernel_t*kernel_f*channels, maps).
+
+    The patches are one read-only strided view of x, already in that layout,
+    (..., out_t, out_f, kernel_t, kernel_f, channels), which the reshape
+    copies once into the matrix; a non-contiguous x is made contiguous first.
+    Raises ShapeError if the kernel does not fit.
     """
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(-3, -2))
-    windows = windows[..., :: stride.time, :: stride.freq, :, :, :]
-    out_t, out_f = windows.shape[-5], windows.shape[-4]
-    # sliding_window_view puts the window axes last: (..., out_t, out_f, c, kt, kf)
-    cols = windows.transpose(*range(x.ndim - 1), -2, -1, -3).reshape(*x.shape[:-3], out_t * out_f, -1)
-    return cols, out_t, out_f
+    x = np.ascontiguousarray(x)
+    *lead, t, f, c = x.shape
+    out_t, out_f = conv_output_shape(t, f, kernel_t, kernel_f, stride)
+    *lead_strides, st, sf, sc = x.strides
+    # np.ndarray over the buffer costs less per call than as_strided or
+    # sliding_window_view, and refuses a view that would run past the buffer
+    patches = np.ndarray(
+        (*lead, out_t, out_f, kernel_t, kernel_f, c),
+        x.dtype,
+        x,
+        strides=(*lead_strides, st * stride.time, sf * stride.freq, st, sf, sc),
+    )
+    patches.flags.writeable = False
+    return patches.reshape(*lead, out_t * out_f, -1), out_t, out_f
 
 
 def conv2d_optimized(

@@ -246,6 +246,8 @@ def test_detect_runs_and_reports_schema(tmp_path, capsys, tiny_model, tone_wav):
     doc = run_json(capsys, "detect", tone_wav, "--model", tiny_model,
                    "--threshold", "0.99")
     assert doc["frames"] == 98
+    assert doc["environment"] == {"numpy": np.__version__, "python": platform.python_version(),
+                                  "cpu_count": os.cpu_count()}
     assert isinstance(doc["events"], list)
     for event in doc["events"]:
         assert set(event) == {"frame", "time", "keyword", "confidence"}

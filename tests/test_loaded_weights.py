@@ -1,6 +1,7 @@
-"""Loaded weights: read-only tensors whose float64 copies are made once and
-kept for one model at a time, with outputs bit-identical to plain dicts, and
-whose forward continues the stream of a window advanced by one frame."""
+"""Loaded weights: read-only tensors whose plan (manifest check, float64
+copies and stream stages) is built once per spec and kept for one model at a
+time, with outputs bit-identical to plain dicts, and whose forward continues
+the stream of a window advanced by one frame."""
 
 import gc
 import sys
@@ -29,9 +30,11 @@ from kwslite import (
     save_model,
     stack_context,
 )
-from kwslite.arch import FrozenWeights
+from kwslite.arch import FrozenWeights, build_cnn_tstride
 from kwslite.audio import Waveform
 from kwslite.budget import report, streamed_multiplies
+from kwslite.errors import ManifestMismatchError
+from kwslite.layers import Layer
 from kwslite.tensor import MacCounter
 
 from conftest import STEPS_ARCH, random_arch, random_window
@@ -104,16 +107,25 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
     _, a = saved_and_loaded(tmp_path, TINY, 1, "a.kwsm")
     _, b = saved_and_loaded(tmp_path, TINY, 2, "b.kwsm")
     window = random_window(rng, TINY)
+
+    def held(weights):
+        """Weak references to a float64 copy and a stream stage of the kept plan."""
+        plan = weights.plan(TINY)
+        return weakref.ref(plan.prepared.copies["dense1.weights"]), weakref.ref(plan.stages[0][1])
+
     forward(TINY, a, window)
-    copy_a = weakref.ref(a.prepared().copies["dense1.weights"])
-    assert a.prepared().copies["dense1.weights"] is copy_a()  # kept between calls
+    plan_a = a.plan(TINY)
+    assert a.plan(TINY) is plan_a and a._plan is plan_a  # kept between calls
+    del plan_a
+    copy_a, stage_a = held(a)
     forward(TINY, b, window)
     gc.collect()
-    assert copy_a() is None  # b's copies replaced a's
-    copy_b = weakref.ref(b.prepared().copies["dense1.weights"])
+    assert copy_a() is None and stage_a() is None  # b's plan replaced a's
+    assert a._plan is None
+    copy_b, stage_b = held(b)
     del b
     gc.collect()
-    assert copy_b() is None  # freed with their weights
+    assert copy_b() is None and stage_b() is None  # freed with their weights
 
 
 def test_loaded_tensors_cannot_be_changed(tmp_path):
@@ -174,7 +186,7 @@ def test_threads_sharing_loaded_models_get_their_own_outputs(tmp_path, rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:3]
-    assert sum(loaded._prepared is not None for _, loaded in models) <= 1
+    assert sum(loaded._plan is not None for _, loaded in models) <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +223,56 @@ def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(
         else:
             assert_same_bits(got, streamed[j])
             assert count == (streamed_multiplies(arch, 2) if j == 1 else budget.per_frame), (arch, j)
+
+
+def test_continued_hops_build_the_stages_once_per_weights_and_spec(tmp_path, monkeypatch, rng):
+    built = []
+    for kind in (Layer, Conv, Flatten):  # every kind's stages() is one of these
+        def counted(self, placed, weights, stages=kind.__dict__["stages"]):
+            built.append(placed.name)
+            return stages(self, placed, weights)
+
+        monkeypatch.setattr(kind, "stages", counted)
+    arch = get_arch("cnn-tpool2", 4)
+    _, loaded = saved_and_loaded(tmp_path, arch, 7)
+    frames = rng.standard_normal((24, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    names = [p.name for p in arch.placed]
+    for j, window in enumerate(windows):
+        count = metered(arch, loaded, window)[1]
+        if j >= 2:  # continued, from primed carries
+            assert count == report(arch).per_frame
+    forward_frames(arch, loaded, frames)
+    assert built == names  # once for 24 hops and a whole-clip stream
+    same = get_arch("cnn-tpool2", 4)  # an equal spec, but another object: built again
+    forward(same, loaded, windows[0])
+    forward(same, loaded, windows[1])
+    assert built == names * 2
+
+
+def test_a_failed_manifest_check_is_never_kept(tmp_path, monkeypatch, rng):
+    tstride = get_arch("cnn-tstride2", 4)
+    _, loaded = saved_and_loaded(tmp_path, tstride, 5)
+    other_maps = build_cnn_tstride(4, 2, maps=32)
+    window = random_window(rng, tstride)
+    frames = rng.standard_normal((3, tstride.input_f)).astype(np.float32)
+    for _ in range(3):
+        with pytest.raises(ManifestMismatchError):
+            forward(other_maps, loaded, window)
+        with pytest.raises(ManifestMismatchError):
+            forward_frames(other_maps, loaded, frames)
+    forward(tstride, loaded, window)
+    with pytest.raises(ManifestMismatchError):  # a kept plan for another spec does not pass it
+        forward(other_maps, loaded, window)
+    checked = []
+    check = kwslite.arch.check_weights
+    monkeypatch.setattr(kwslite.arch, "check_weights", lambda *args: checked.append(args[0]) or check(*args))
+    forward(tstride, loaded, window)
+    assert checked == []  # the kept plan's spec is not checked again
+    same = get_arch("cnn-tstride2", 4)
+    for _ in range(2):
+        forward(same, loaded, window)
+    assert checked == [same]  # a new spec object is checked once
 
 
 def test_stock_rule_continues_only_where_a_frame_costs_less_than_a_window():

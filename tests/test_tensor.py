@@ -17,7 +17,7 @@ from kwslite import (
     maxpool,
 )
 from kwslite.errors import ShapeError
-from kwslite.tensor import conv_output_shape
+from kwslite.tensor import conv_output_shape, im2col
 
 
 def _rand_bank(rng, kt, kf, c, n):
@@ -73,6 +73,41 @@ def test_conv_paths_agree_random(rng):
         b = conv2d_optimized(x, bank, s)
         assert a.shape == b.shape
         npt.assert_allclose(a, b, rtol=1e-5, atol=0)
+
+
+def sliding_window_im2col(x, kernel_t, kernel_f, stride):
+    """The reference unfold: numpy's sliding windows, strided, with the window
+    axes moved from last, (..., out_t, out_f, c, kt, kf), to the filters' layout."""
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(-3, -2))
+    windows = windows[..., :: stride.time, :: stride.freq, :, :, :]
+    out_t, out_f = windows.shape[-5], windows.shape[-4]
+    cols = windows.transpose(*range(x.ndim - 1), -2, -1, -3).reshape(*x.shape[:-3], out_t * out_f, -1)
+    return cols, out_t, out_f
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+def test_im2col_equals_the_sliding_window_unfold_bit_for_bit(rng, dtype, lead):
+    cases = [
+        ((7, 9, 2), 3, 4, Stride(1, 1)),
+        ((9, 11, 3), 2, 3, Stride(2, 1)),
+        ((8, 10, 1), 3, 2, Stride(1, 3)),
+        ((11, 12, 2), 4, 5, Stride(3, 2)),
+        ((5, 6, 2), 5, 6, Stride(1, 1)),  # a kernel as large as its input
+        ((5, 6, 2), 5, 6, Stride(2, 3)),
+    ]
+    for shape, kt, kf, stride in cases:
+        base = rng.standard_normal(lead + (3 * shape[0],) + shape[1:]).astype(dtype)
+        # contiguous, every third row from each phase (x[p::step]), and leading axes stored last
+        inputs = [base[..., : shape[0], :, :]] + [base[..., p :: 3, :, :] for p in range(3)]
+        inputs.append(np.moveaxis(rng.standard_normal(shape + lead).astype(dtype), (0, 1, 2), (-3, -2, -1)))
+        for x in inputs:
+            got, want = im2col(x, kt, kf, stride), sliding_window_im2col(x, kt, kf, stride)
+            assert got[1:] == want[1:]
+            assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype == dtype
+            assert got[0].tobytes() == want[0].tobytes(), (shape, kt, kf, stride, x.strides)
+    with pytest.raises(ShapeError):
+        im2col(np.zeros(lead + (5, 6, 2), dtype), 6, 6, Stride())
 
 
 def test_conv_counter_meters_actual_multiplies(rng):
