@@ -8,10 +8,10 @@ and forward_frames() over the overlapping windows of a whole frame stream.
 Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
-arrays, checked against the spec's manifest and cast to the float64 copies
-inference computes with once per call. A FrozenWeights, which load_model
-returns, cannot change, so it is checked once per spec, and its copies and
-stream stages are built once and kept (its plan); forward() on it
+arrays, checked against the spec's manifest and bound once per call: every
+layer gets the float64 copies of its own tensors (_bind). A FrozenWeights,
+which load_model returns, cannot change, so it is bound once per spec, and
+its bindings and stream stages are kept (its plan); forward() on it
 continues the stream of the window it classified last: a window that is
 that one advanced by one frame costs one frame's stream rows, not a whole
 window.
@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError, check_counts
 from .frontend import Context
-from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, Prepared, SoftmaxOut, Stage, TraceEntry
+from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, SoftmaxOut, Stage, TraceEntry
 from .tensor import MacCounter, Pool, Stride
 
 __all__ = [
@@ -184,12 +184,12 @@ class _Snapshot(NamedTuple):
 
 class _Plan(NamedTuple):
     """What inference on a FrozenWeights needs for one spec, built once: the
-    spec, whose manifest the weights were checked against, the float64
-    copies, and the stream stages on them, each with the rows it keeps. The
-    stages take the MacCounter at call time, so one plan serves every call."""
+    spec, every layer's binding (_bind, which checked the manifest) and the
+    stream stages on them, each with the rows it keeps. The stages take the
+    MacCounter at call time, so one plan serves every call."""
 
     arch: ArchSpec
-    prepared: Prepared
+    bound: tuple[tuple, ...]
     stages: tuple[tuple[int, Stage], ...]
 
 
@@ -200,13 +200,11 @@ class FrozenWeights(Mapping[str, np.ndarray]):
     numpy refuses to make a view of `bytes` writeable again, and item
     assignment raises TypeError, so whatever forward() and forward_frames()
     derive from the tensors holds for as long as they do. Each FrozenWeights
-    keeps a plan for the spec it last ran under (see plan()): the result of
-    the manifest check, the float64 copies the kernels compute with and the
-    stream stages, so a hop pays for its kernels, not for rebuilding them.
+    keeps a plan for the spec it last ran under (see plan()), so a hop pays
+    for its kernels, not for binding the tensors or building the stages.
     The plan of one FrozenWeights at a time is kept in the process: making
-    another's drops it, and it is freed with its weights. A streamed model is
-    classified hop after hop, so it keeps its plan between hops, while the
-    extra memory stays that of one model's float64 weights.
+    another's drops it, and it is freed with its weights, so the extra
+    memory stays that of one model's float64 weights.
 
     Next to the plan it keeps one immutable snapshot of its stream: the
     spec and window forward() classified last and the stage carries after
@@ -244,38 +242,30 @@ class FrozenWeights(Mapping[str, np.ndarray]):
         return len(self._tensors)
 
     def plan(self, arch: ArchSpec) -> _Plan:
-        """The plan for `arch`, built on the first call under that spec object.
-
-        The tensors are checked against the manifest of each new spec, and a
-        failed check raises and keeps nothing, so it fails again on every
-        call. A plan for another spec keeps its float64 copies; the first
-        plan makes them, dropping the plan another FrozenWeights holds.
-        """
+        """The plan for `arch`, built on the first call under that spec object
+        by binding the tensors again (_bind), so a failed manifest check keeps
+        nothing and fails again on every call. It drops the plan another
+        FrozenWeights holds, then replaces this one's plan for another spec."""
         plan = self._plan
         if plan is not None and plan.arch is arch:
             return plan
-        check_weights(arch, self)
         with FrozenWeights._lock:
             plan = self._plan
             if plan is None or plan.arch is not arch:
-                if plan is not None:
-                    prepared = plan.prepared
-                else:
-                    last = FrozenWeights._holder() if FrozenWeights._holder else None
-                    if last is not None:
-                        last._plan = None
-                    copies = {name: w.astype(np.float64) for name, w in self._tensors.items()}
-                    prepared = Prepared(self._tensors, copies)
-                    FrozenWeights._holder = weakref.ref(self)
-                plan = self._plan = _Plan(arch, prepared, _stages(arch, prepared))
+                last = FrozenWeights._holder() if FrozenWeights._holder else None
+                if last is not None and last is not self:
+                    last._plan = None  # its copies are freed before these are made
+                bound = _bind(arch, self)
+                FrozenWeights._holder = weakref.ref(self)
+                plan = self._plan = _Plan(arch, bound, _stages(arch, bound))
         return plan
 
 
-def _cast(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> Prepared:
-    """A plain mapping's tensors, checked against the manifest and each cast
-    to float64, once per call: the mapping may change between calls."""
+def _bind(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> tuple[tuple, ...]:
+    """Check `weights` against the manifest, then bind every layer to its
+    own tensors (Layer.bind), in the order of arch.placed."""
     check_weights(arch, weights)
-    return Prepared(weights, {name: np.asarray(w, dtype=np.float64) for name, w in weights.items()})
+    return tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed)
 
 
 def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
@@ -295,9 +285,11 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _stages(arch: ArchSpec, prepared: Prepared) -> tuple[tuple[int, Stage], ...]:
+def _stages(arch: ArchSpec, bound: tuple[tuple, ...]) -> tuple[tuple[int, Stage], ...]:
     """Every stage of the stream, with the rows it keeps for the next chunk."""
-    return tuple(pair for p in arch.placed for pair in zip(p.keeps, p.layer.stages(p, prepared), strict=True))
+    return tuple(
+        pair for p, b in zip(arch.placed, bound) for pair in zip(p.keeps, p.layer.stages(p, b), strict=True)
+    )
 
 
 def _run_stages(
@@ -355,13 +347,13 @@ def forward(
     The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
     for bit. Every other call runs per window and restarts the stream; a
     plain dict of weights, which could change between calls, never
-    continues, and is checked against the manifest on every call, where a
-    FrozenWeights is checked once per spec (see FrozenWeights.plan).
+    continues, and is checked and copied to float64 on every call (_bind),
+    where a FrozenWeights is bound once per spec (see FrozenWeights.plan).
     """
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
     plan = weights.plan(arch) if isinstance(weights, FrozenWeights) else None
-    prepared = _cast(arch, weights) if plan is None else plan.prepared
+    bound = _bind(arch, weights) if plan is None else plan.bound
     window = np.asarray(window)
     if window.shape != (arch.input_t, arch.input_f):
         raise ShapeError(
@@ -376,8 +368,8 @@ def forward(
         if snapshot is not None and snapshot.advanced_by(arch, window):
             return _continue(weights, plan, snapshot, window, counter)
     x = window.reshape(arch.input_t, arch.input_f, 1)
-    for p in arch.placed:
-        x = p.layer.forward(p.name, prepared, x, counter, conv_path)
+    for p, b in zip(arch.placed, bound):
+        x = p.layer.forward(b, x, counter, conv_path)
     if frozen:
         weights._stream = _Snapshot(arch, window.copy(), None) if streams else None
     return x
@@ -421,7 +413,7 @@ def forward_frames(
     if isinstance(weights, FrozenWeights):
         stages = weights.plan(arch).stages
     else:
-        stages = _stages(arch, _cast(arch, weights))
+        stages = _stages(arch, _bind(arch, weights))
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(

@@ -10,6 +10,7 @@ every command except bench timing is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -316,7 +317,20 @@ def cmd_train(args) -> int:
 
 def _environment() -> dict:
     """What a run was measured on, for its --format structured output."""
-    return {"numpy": np.__version__, "python": platform.python_version(), "cpu_count": os.cpu_count()}
+    blas = _blas()  # a copy: the cached dict is shared by every call
+    return {"numpy": np.__version__, "python": platform.python_version(), "cpu_count": os.cpu_count(),
+            "blas": dict(blas) if blas else None}
+
+
+@functools.cache
+def _blas() -> dict | None:
+    """The BLAS numpy was built with, or None where numpy cannot say (an older
+    numpy's show_config takes no mode=). Asked once: detect runs are timed."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
 def cmd_detect(args) -> int:

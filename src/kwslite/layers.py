@@ -5,31 +5,34 @@ every decision that depends on its kind, so the walks over a stack in
 `arch`, `budget` and `train` are plain loops. `kind` names it in a model
 header and prefixes its layer name (conv1, dense2); `trace` gives its output
 shapes or raises ShapeError, a conv taking both from `tensor`'s geometry
-rules; `manifest` lists its weight tensors; `cost` and
-`frame_multiplies` count it per window and per streamed frame; `forward`
-is its inference step, on the conv path the caller names; `stream_keeps`
-and `stages` place that step in the carried stream of `forward_frames` and
-of a loaded model's continued `forward`, where a stage runs the kind's own
-`forward` path and adds only row bookkeeping (the rows it carries, the
-interleaving by time step, flatten's gather, the time pool);
-`train_forward` and `train_backward` are its batched training passes, and
-a layer that routes (a pool's argmax, a relu's mask) keeps that routing
-under its cache's "route" key; `to_dict` and `Layer.from_dict` are its
-model-header form.
+rules; `manifest` names its weight tensors, the one method that does: the
+others take them as a tuple in manifest order; `cost` and
+`frame_multiplies` count it per window and per streamed frame; `bind` makes
+inference's form of that tuple and `forward` is its inference step, on the
+conv path the caller names; `stream_keeps` and `stages` place that step in
+the carried stream of `forward_frames` and of a loaded model's continued
+`forward`, where a stage runs the kind's own `forward` path and adds only
+row bookkeeping (the rows it carries, the interleaving by time step,
+flatten's gather, the time pool); `train_forward` and `train_backward` are
+its batched training passes, and a layer that routes (a pool's argmax, a
+relu's mask) keeps that routing under its cache's "route" key; `to_dict`
+and `Layer.from_dict` are its model-header form.
 Adding a kind means one class here and its entry in `_KINDS` (a new output
 kind also needs the stack rule in `ArchSpec.placed`).
 
 Inference calls the float64-accumulating kernels through the `tensor`
-module, so tracers that wrap them see every call, and a MacCounter passed
-in meters every multiply they execute. It reads its weights from a
-`Prepared` set, the whole model in float64 for the kernels to use as they
-are, and rounds each layer's output to the dtype the kernels give on the
-stored tensors, so outputs do not depend on when the copies were made.
+module at call time, so tracers that wrap them see every call, and a
+MacCounter passed in meters every multiply they execute. A layer reads its
+binding: the float64 copies of its tensors, which the kernels use as they
+are (a conv's as one FilterBank), and the stored weights' dtype, to which
+it rounds its output, the dtype the kernels give on the stored tensors, so
+outputs do not depend on when the copies were made.
 Training's forward and backward passes run over a leading example axis,
 and every product in them (im2col and col2im, the pool scatter, the outer
 products and input gradients) runs in the dtype of the weights they are
-given: float32 in `train`, float64 in `grad_check`. Per-example gradients are summed into
-float64 totals in example order.
+given: float32 in `train`, float64 in `grad_check`. Per-example gradients
+are summed in example order into float64 totals, given as a tuple like the
+tensors.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .errors import ShapeError, check_counts
 from .tensor import FilterBank, MacCounter, Pool, Stride
 
 Shape = tuple[int, ...]
-Weights = dict[str, np.ndarray]
+Tensors = tuple[np.ndarray, ...]  # a layer's tensors (or their gradients) in manifest order
 Counter = MacCounter | None  # a multiply meter the kernels add to, if any
 
 # One step of the carried stream: what it does to its rows, metering its
@@ -72,25 +75,6 @@ class LayerCost:
 ZERO_COST = LayerCost(0, 0)
 
 
-class Prepared(NamedTuple):
-    """A weight set as inference reads it: each tensor as stored, whose dtype
-    sets the dtype of a layer's output, and the float64 copy of every tensor,
-    on which the kernels compute without casting. A FrozenWeights keeps its
-    copies; a plain mapping's are cast once per call."""
-
-    stored: Mapping[str, np.ndarray]
-    copies: Mapping[str, np.ndarray]
-
-    def float64(self, key: str) -> np.ndarray:
-        return self.copies[key]
-
-    def out_dtype(self, name: str, x: np.ndarray) -> np.dtype:
-        """The dtype the kernels give layer `name` on input x and its stored
-        weights, promote_types(input, stored weights), to which its float64
-        output is rounded."""
-        return np.promote_types(x.dtype, np.asarray(self.stored[f"{name}.weights"]).dtype)
-
-
 class Placed(NamedTuple):
     """A layer at its place in a valid stack, as one walk of the stack derives it."""
 
@@ -101,6 +85,10 @@ class Placed(NamedTuple):
     manifest: tuple[tuple[str, Shape], ...]
     step: int  # stream rows between consecutive input rows of one window
     keeps: tuple[int, ...]  # rows each of its stream stages carries to the next chunk
+
+    def tensors(self, mapping: Mapping[str, np.ndarray]) -> Tensors:
+        """The layer's tensors in `mapping`, in manifest order."""
+        return tuple(mapping[key] for key, _ in self.manifest)
 
 
 class Layer:
@@ -127,9 +115,15 @@ class Layer:
         stream, and the time step after the layer."""
         return (0,), step
 
-    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
+    def bind(self, tensors: Tensors) -> tuple:
+        """Inference's form of the layer's tensors: their float64 copies, then
+        the stored weights' dtype, to which forward() rounds its output."""
+        copies = tuple(np.asarray(t, dtype=np.float64) for t in tensors)
+        return (*copies, np.asarray(tensors[0]).dtype) if tensors else ()
+
+    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
         """forward() on every row of a chunk at once."""
-        return [lambda x, counter: self.forward(placed.name, weights, x, counter)]
+        return [lambda x, counter: self.forward(bound, x, counter)]
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -176,6 +170,11 @@ def _col2im(
         for j in reversed(range(kernel_f)):
             grad_x[:, i : i + t_span : stride.time, j : j + f_span : stride.freq] += patches[:, :, :, i, j]
     return grad_x
+
+
+def _rounded(y: np.ndarray, x: np.ndarray, stored: np.dtype) -> np.ndarray:
+    """A float64 output y on input x, rounded to promote_types(x, stored weights)."""
+    return y.astype(np.promote_types(x.dtype, stored), copy=False)
 
 
 def _maxpool_argmax(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -280,16 +279,20 @@ class Conv(Layer):
             step *= self.pool.time
         return keeps, step
 
-    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
+    def bind(self, tensors: Tensors) -> tuple:
+        weights, bias, stored = super().bind(tensors)
+        return FilterBank(weights, bias), stored
+
+    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
         """forward()'s step at time stride 1 over rows u, u+step, ...: `step`
         interleaved calls on rows[p::step], each pooled in frequency, which
         pools within a row; then a time pool, a max over rows u, u+d, ...,
         u+(pool.time-1)*d at the step d after the stride."""
-        name, step, keep = placed.name, placed.step, placed.keeps[0]
+        step, keep = placed.step, placed.keeps[0]
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
         def phase(rows: np.ndarray, counter: Counter) -> np.ndarray:
-            return self._step(tensor.conv2d_optimized, name, weights, rows, freq_only, freq_pool, counter)
+            return self._step(tensor.conv2d_optimized, bound, rows, freq_only, freq_pool, counter)
 
         def conv(x: np.ndarray, counter: Counter) -> np.ndarray:
             if step == 1:
@@ -317,28 +320,28 @@ class Conv(Layer):
         return [conv, time_pool]
 
     def _step(
-        self, kernel: Callable, name: str, weights: Prepared, x: np.ndarray, stride: Stride, pool: Pool,
-        counter: Counter,
+        self, kernel: Callable, bound: tuple, x: np.ndarray, stride: Stride, pool: Pool, counter: Counter
     ) -> np.ndarray:
         """`kernel` at `stride`, its output rounded to the layer's output
         dtype, then max-pooled by `pool`: forward() and the stream stage."""
-        bank = FilterBank(weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias"))
-        y = kernel(x, bank, stride, counter=counter).astype(weights.out_dtype(name, x), copy=False)
+        bank, stored = bound
+        y = _rounded(kernel(x, bank, stride, counter=counter), x, stored)
         return tensor.maxpool(y, pool) if pool.active else y
 
     def forward(
-        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
-        return self._step(kernel, name, weights, x, self.stride, self.pool, counter)
+        return self._step(kernel, bound, x, self.stride, self.pool, counter)
 
-    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
+    def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""
+        weights, bias = tensors
         out_t, out_f = self._out(x.shape[1:])
         cols = tensor.im2col(x, self.kernel_t, self.kernel_f, self.stride)[0]
-        pre = np.matmul(cols, weights[f"{name}.weights"].reshape(-1, self.maps))
+        pre = np.matmul(cols, weights.reshape(-1, self.maps))
         del cols  # the chunk's patch matrix is not held through pooling
-        pre += weights[f"{name}.bias"]
+        pre += bias
         pre = pre.reshape(len(x), out_t, out_f, self.maps)
         cache["x"] = x
         if not self.pool.active:
@@ -348,7 +351,7 @@ class Conv(Layer):
         return pooled
 
     def train_backward(
-        self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
+        self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
         if self.pool.active:
             delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"], self.pool)
@@ -357,14 +360,15 @@ class Conv(Layer):
         # chunk of patch matrices is held from forward to backward
         x = cache["x"]
         kt, kf, stride = self.kernel_t, self.kernel_f, self.stride
+        grad_weights, grad_bias = grads
         _accumulate(
-            grads[f"{name}.weights"].reshape(-1, self.maps),
+            grad_weights.reshape(-1, self.maps),
             (tensor.im2col(x[i], kt, kf, stride)[0].T @ dmat[i] for i in range(len(dmat))),
         )
-        _accumulate(grads[f"{name}.bias"], dmat.sum(axis=1))
+        _accumulate(grad_bias, dmat.sum(axis=1))
         if not input_grad:
             return None
-        wmat = weights[f"{name}.weights"].reshape(-1, self.maps)
+        wmat = tensors[0].reshape(-1, self.maps)
         return _col2im(np.matmul(dmat, wmat.T), x.shape, kt, kf, stride)
 
 
@@ -382,27 +386,27 @@ class Flatten(Layer):
         # stack reads, are kept too, so each stream row becomes one window
         return (window_rows - 1,), 1
 
-    def stages(self, placed: Placed, weights: Prepared) -> list[Stage]:
+    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
         """Window j reads rows j, j+step, ... of the stream, one per row of its map."""
         keep = placed.keeps[0]
         offsets = placed.step * np.arange(placed.in_shape[0])
 
         def gather(x: np.ndarray, counter: Counter) -> np.ndarray:
-            return self.forward(placed.name, weights, x[np.arange(len(x) - keep)[:, None] + offsets], counter)
+            return self.forward(bound, x[np.arange(len(x) - keep)[:, None] + offsets], counter)
 
         return [gather]
 
     def forward(
-        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
         return tensor.flatten(x)
 
-    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
+    def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["in_shape"] = x.shape
         return x.reshape(len(x), -1)
 
     def train_backward(
-        self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
+        self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray:
         return delta.reshape(cache["in_shape"])
 
@@ -427,25 +431,25 @@ class _Flat(Layer):
         return LayerCost(shape[0] * self.width, shape[0] * self.width)
 
     def forward(
-        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        y = tensor.linear(x, weights.float64(f"{name}.weights"), counter=counter)
-        return y.astype(weights.out_dtype(name, x), copy=False)
+        weights, stored = bound
+        return _rounded(tensor.linear(x, weights, counter=counter), x, stored)
 
-    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
+    def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["x"] = x
-        return np.matmul(weights[f"{name}.weights"], x[..., None])[..., 0]
+        return np.matmul(tensors[0], x[..., None])[..., 0]
 
     def train_backward(
-        self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
+        self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
-        total, x = grads[f"{name}.weights"], cache["x"]
+        total, x = grads[0], cache["x"]
         # every example's outer product is written here, not allocated
         buf = np.empty(total.shape, np.result_type(delta, x))
         _accumulate(total, (np.outer(d, row, out=buf) for d, row in zip(delta, x)))
         if not input_grad:
             return None
-        return np.matmul(weights[f"{name}.weights"].T, delta[..., None])[..., 0]
+        return np.matmul(tensors[0].T, delta[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -472,22 +476,21 @@ class _Affine(_Flat):
         return super().cost(shape) + LayerCost(self.width, 0)
 
     def forward(
-        self, name: str, weights: Prepared, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
+        self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        w, b = weights.float64(f"{name}.weights"), weights.float64(f"{name}.bias")
-        y = tensor.dense(x, w, b, self.activation, counter=counter)
-        return y.astype(weights.out_dtype(name, x), copy=False)
+        weights, bias, stored = bound
+        return _rounded(tensor.dense(x, weights, bias, self.activation, counter=counter), x, stored)
 
-    def train_forward(self, name: str, weights: Weights, x: np.ndarray, cache: dict) -> np.ndarray:
-        z = super().train_forward(name, weights, x, cache) + weights[f"{name}.bias"]
+    def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
+        z = super().train_forward(tensors, x, cache) + tensors[1]
         return self._activate(z, cache)
 
     def train_backward(
-        self, name: str, weights: Weights, cache: dict, delta: np.ndarray, grads: Weights, input_grad: bool
+        self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
         delta = self._activation_grad(delta, cache)
-        _accumulate(grads[f"{name}.bias"], delta)
-        return super().train_backward(name, weights, cache, delta, grads, input_grad)
+        _accumulate(grads[1], delta)
+        return super().train_backward(tensors, cache, delta, grads, input_grad)
 
 
 @dataclass(frozen=True)

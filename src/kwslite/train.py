@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12
+EPSILON = 1e-3  # grad_check's central-difference step
 
 
 @dataclass(frozen=True)
@@ -52,14 +53,11 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 16
     seed: int = 0
-    init_scale: float = 0.05
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
         check_counts(self, 1, epochs=self.epochs, batch_size=self.batch_size)
-        if self.init_scale < 0:
-            raise ValueError(f"init scale must be >= 0, got {self.init_scale}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,7 @@ def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
     caches: list[dict] = []
     for p in arch.placed:
         caches.append({})
-        x = p.layer.train_forward(p.name, weights, x, caches[-1])
+        x = p.layer.train_forward(p.tensors(weights), x, caches[-1])
     return x, caches
 
 
@@ -134,7 +132,8 @@ def _backward(
     first = next(i for i, p in enumerate(placed) if p.manifest)
     for index in reversed(range(first, len(placed))):
         p = placed[index]
-        delta = p.layer.train_backward(p.name, weights, caches[index], delta, grads, index > first)
+        tensors, totals = p.tensors(weights), p.tensors(grads)
+        delta = p.layer.train_backward(tensors, caches[index], delta, totals, index > first)
 
 
 def _check_examples(arch: ArchSpec, examples: list[LabeledExample]) -> None:
@@ -190,22 +189,16 @@ def _routing(caches: list[dict]) -> list[bytes]:
 
 
 def grad_check(
-    arch: ArchSpec,
-    example: LabeledExample,
-    epsilon: float = 1e-3,
-    samples_per_tensor: int = 200,
-    seed: int = 0,
-    init_scale: float = 0.05,
-    weights: dict[str, np.ndarray] | None = None,
+    arch: ArchSpec, example: LabeledExample, samples_per_tensor: int = 200, seed: int = 0
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    Weights are initialized from `seed` (or taken from `weights`) and the
-    whole comparison runs in float64; the analytic gradients come from the
-    training forward and backward on a batch of one. For every tensor up to
-    `samples_per_tensor` coordinates are drawn without replacement; each is
-    perturbed by +/- epsilon and the loss difference quotient is compared
-    against the analytic gradient.
+    Weights are init_weights(arch, seed) and the whole comparison runs in
+    float64; the analytic gradients come from the training forward and
+    backward on a batch of one. For every tensor up to `samples_per_tensor`
+    coordinates are drawn without replacement; each is perturbed by
+    +/- EPSILON and the loss difference quotient is compared against the
+    analytic gradient.
 
     A coordinate whose two perturbed evaluations change the activation
     routing (a max-pool argmax or a ReLU sign) sits on a kink of the loss
@@ -214,12 +207,8 @@ def grad_check(
     denominator is floored at 1e-2, so near-zero gradient coordinates are
     held to absolute rather than relative accuracy.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if weights is None:
-        weights = _arch.init_weights(arch, seed, init_scale)
     _check_examples(arch, [example])
-    w64 = {name: np.asarray(w, dtype=np.float64) for name, w in weights.items()}
+    w64 = {name: w.astype(np.float64) for name, w in _arch.init_weights(arch, seed).items()}
     windows = np.asarray(example.window, dtype=np.float64)[None]
 
     posteriors, caches = _forward(arch, w64, windows)
@@ -243,15 +232,15 @@ def grad_check(
             if checked >= n_coords:
                 break
             original = flat[coord]
-            flat[coord] = original + epsilon
+            flat[coord] = original + EPSILON
             loss_hi, routing_hi = loss_at(w64)
-            flat[coord] = original - epsilon
+            flat[coord] = original - EPSILON
             loss_lo, routing_lo = loss_at(w64)
             flat[coord] = original
             if not routing_hi == base_routing == routing_lo:
                 continue  # kink inside the probe interval; quotient is meaningless
             checked += 1
-            numeric = (loss_hi - loss_lo) / (2 * epsilon)
+            numeric = (loss_hi - loss_lo) / (2 * EPSILON)
             analytic = grads[name].reshape(-1)[coord]
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-2)
             worst = max(worst, err)
@@ -261,17 +250,17 @@ def grad_check(
 def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
     """Mini-batch gradient descent; deterministic for a given (arch, data, cfg).
 
-    Weights start from init_weights(arch, cfg.seed, cfg.init_scale); the
-    per-epoch shuffle has its own stream derived from the same seed. History
-    records the running mean loss, accuracy and gradient norm over each
-    epoch's batches, and the epoch's wall time. Every example's window shape
-    and label are checked before the first update (ShapeError, ValueError). A
-    non-finite batch loss raises DivergenceError naming the epoch.
+    Weights start from init_weights(arch, cfg.seed); the per-epoch shuffle
+    has its own stream derived from the same seed. History records the
+    running mean loss, accuracy and gradient norm over each epoch's batches,
+    and the epoch's wall time. Every example's window shape and label are
+    checked before the first update (ShapeError, ValueError). A non-finite
+    batch loss raises DivergenceError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
     _check_examples(arch, examples)
-    weights = _arch.init_weights(arch, cfg.seed, cfg.init_scale)
+    weights = _arch.init_weights(arch, cfg.seed)
     shuffle_rng = np.random.default_rng([cfg.seed, 1])
     history: list[EpochStats] = []
     n = len(examples)

@@ -37,6 +37,11 @@ def random_window(rng, arch, scale=1.0):
     return (scale * rng.standard_normal((arch.input_t, arch.input_f))).astype(np.float32)
 
 
+def in_reverse_order(weights):
+    """The same tensors, keyed in the reverse of manifest order."""
+    return dict(reversed(list(weights.items())))
+
+
 def random_arch(rng, max_convs=2):
     """A small random-but-valid layer stack for property-style tests."""
     for _ in range(200):

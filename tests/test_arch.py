@@ -36,7 +36,7 @@ from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeE
 from kwslite.frontend import stack_context
 from kwslite.tensor import FilterBank, conv2d_optimized, conv_output_shape, maxpool, pool_output_shape
 
-from conftest import STEPS_ARCH, random_arch, random_window
+from conftest import STEPS_ARCH, in_reverse_order, random_arch, random_window
 
 
 def trace_shapes(arch):
@@ -281,6 +281,33 @@ def test_weights_are_checked_on_every_call(rng):
         with pytest.raises(ManifestMismatchError):
             forward_frames(arch, bad, frames)
     npt.assert_array_equal(forward(arch, weights, window), forward(arch, dict(weights), window))
+
+
+@pytest.mark.parametrize("arch", [build_cnn_trad(4), STEPS_ARCH], ids=["cnn-trad", "steps"])
+def test_layers_find_their_tensors_whatever_the_key_order(rng, arch):
+    weights = init_weights(arch, 3, init_scale=0.2)
+    backwards = in_reverse_order(weights)
+    assert list(backwards) != list(weights)
+    window = random_window(rng, arch)
+    frames = rng.standard_normal((40, arch.input_f)).astype(np.float32)
+    pairs = [
+        (forward(arch, backwards, window, conv_path=path), forward(arch, weights, window, conv_path=path))
+        for path in ("optimized", "naive")
+    ]
+    pairs.append((forward_frames(arch, backwards, frames), forward_frames(arch, weights, frames)))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    name, shape = weight_manifest(arch)[0]
+    broken = [
+        in_reverse_order({k: v for k, v in weights.items() if k != name}),
+        {**backwards, "conv9.weights": np.zeros(shape, dtype=np.float32)},
+        {**backwards, name: np.zeros(shape[:-1] + (shape[-1] + 1,), dtype=np.float32)},
+    ]
+    for bad in broken:
+        with pytest.raises(ManifestMismatchError):
+            forward(arch, bad, window)
+        with pytest.raises(ManifestMismatchError):
+            forward_frames(arch, bad, frames)
 
 
 def test_arch_dict_roundtrip(rng):

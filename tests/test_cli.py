@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output shapes, structured mode."""
 
+import inspect
 import json
 import os
 import platform
@@ -174,6 +175,27 @@ def test_train_writes_loadable_model(tmp_path, capsys):
     assert loaded.arch.name == "dnn"
 
 
+def check_environment(env):
+    assert set(env) == {"numpy", "python", "cpu_count", "blas"}
+    assert (env["numpy"], env["python"], env["cpu_count"]) == (
+        np.__version__, platform.python_version(), os.cpu_count())
+    if "mode" in inspect.signature(np.show_config).parameters:
+        assert set(env["blas"]) == {"name", "version"}
+        assert all(isinstance(value, str) and value for value in env["blas"].values())
+    else:
+        assert env["blas"] is None
+
+
+def test_environment_asks_numpy_for_its_blas_once(monkeypatch):
+    cli._blas.cache_clear()
+    asked = []
+    show_config = np.show_config
+    monkeypatch.setattr(np, "show_config", lambda **kw: asked.append(kw) or show_config(**kw))
+    first = cli._environment()
+    assert cli._environment() == first
+    assert len(asked) == 1
+
+
 def test_train_history_reports_time_and_gradient_norm(tmp_path, capsys):
     args = ("train", "--arch", "dnn", "--synthetic", "2", "--per-class", "4",
             "--epochs", "2", "--seed", "0", "--out", str(tmp_path / "m.kwsm"))
@@ -182,8 +204,7 @@ def test_train_history_reports_time_and_gradient_norm(tmp_path, capsys):
         assert set(entry) == {"loss", "accuracy", "seconds", "grad_norm"}
         assert entry["seconds"] > 0.0
         assert np.isfinite(entry["grad_norm"]) and entry["grad_norm"] > 0.0
-    assert doc["environment"] == {"numpy": np.__version__, "python": platform.python_version(),
-                                  "cpu_count": os.cpu_count()}
+    check_environment(doc["environment"])
     code, text, _ = run(capsys, *args)
     assert code == 0
     epoch_lines = [line for line in text.splitlines() if line.startswith("epoch ")]
@@ -246,8 +267,7 @@ def test_detect_runs_and_reports_schema(tmp_path, capsys, tiny_model, tone_wav):
     doc = run_json(capsys, "detect", tone_wav, "--model", tiny_model,
                    "--threshold", "0.99")
     assert doc["frames"] == 98
-    assert doc["environment"] == {"numpy": np.__version__, "python": platform.python_version(),
-                                  "cpu_count": os.cpu_count()}
+    check_environment(doc["environment"])
     assert isinstance(doc["events"], list)
     for event in doc["events"]:
         assert set(event) == {"frame", "time", "keyword", "confidence"}

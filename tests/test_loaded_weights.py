@@ -1,7 +1,7 @@
-"""Loaded weights: read-only tensors whose plan (manifest check, float64
-copies and stream stages) is built once per spec and kept for one model at a
-time, with outputs bit-identical to plain dicts, and whose forward continues
-the stream of a window advanced by one frame."""
+"""Loaded weights: read-only tensors whose plan (manifest check, every
+layer's float64 binding and the stream stages) is built once per spec and
+kept for one model at a time, with outputs bit-identical to plain dicts,
+and whose forward continues the stream of a window advanced by one frame."""
 
 import gc
 import sys
@@ -35,7 +35,7 @@ from kwslite.audio import Waveform
 from kwslite.budget import report, streamed_multiplies
 from kwslite.errors import ManifestMismatchError
 from kwslite.layers import Layer
-from kwslite.tensor import MacCounter
+from kwslite.tensor import FilterBank, MacCounter
 
 from conftest import STEPS_ARCH, random_arch, random_window
 
@@ -111,7 +111,8 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
     def held(weights):
         """Weak references to a float64 copy and a stream stage of the kept plan."""
         plan = weights.plan(TINY)
-        return weakref.ref(plan.prepared.copies["dense1.weights"]), weakref.ref(plan.stages[0][1])
+        dense1 = [p.name for p in TINY.placed].index("dense1")
+        return weakref.ref(plan.bound[dense1][0]), weakref.ref(plan.stages[0][1])
 
     forward(TINY, a, window)
     plan_a = a.plan(TINY)
@@ -248,6 +249,26 @@ def test_continued_hops_build_the_stages_once_per_weights_and_spec(tmp_path, mon
     forward(same, loaded, windows[0])
     forward(same, loaded, windows[1])
     assert built == names * 2
+
+
+def test_a_plan_validates_each_conv_filter_bank_once(tmp_path, monkeypatch, rng):
+    arch = get_arch("cnn-tpool2", 4)
+    plain, loaded = saved_and_loaded(tmp_path, arch, 7)
+    convs = sum(isinstance(p.layer, Conv) for p in arch.placed)
+    built = []  # one entry per FilterBank constructed
+    post_init = FilterBank.__post_init__
+    monkeypatch.setattr(FilterBank, "__post_init__", lambda bank: built.append(1) or post_init(bank))
+    frames = rng.standard_normal((202, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    forward(arch, loaded, windows[0])
+    assert len(built) == convs  # the plan binds each conv once
+    forward(arch, loaded, windows[1])  # primes the carries
+    for window in windows[2:]:  # 200 continued hops
+        assert metered(arch, loaded, window)[1] == report(arch).per_frame
+    forward_frames(arch, loaded, frames)
+    assert len(built) == convs
+    forward_frames(arch, plain, rng.standard_normal((300, arch.input_f)).astype(np.float32))
+    assert len(built) <= 2 * convs  # a plain dict binds each conv at most once per call
 
 
 def test_a_failed_manifest_check_is_never_kept(tmp_path, monkeypatch, rng):

@@ -10,6 +10,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, strategies as st
 
+import kwslite.arch
 from kwslite import (
     ARCHITECTURES,
     ArchSpec,
@@ -48,7 +49,7 @@ from kwslite.tensor import Pool, Stride, im2col
 from kwslite.train import CHUNK
 from kwslite.audio import write_wav
 
-from conftest import random_arch, random_window
+from conftest import STEPS_ARCH, in_reverse_order, random_arch, random_window
 
 train_module = importlib.import_module("kwslite.train")  # the package's `train` is the function
 
@@ -219,6 +220,27 @@ def test_loss_and_grads_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak < TRAIN_PEAK_MB[name] * 1e6, f"{name}: loss_and_grads peaked at {peak} bytes"
+
+
+@pytest.mark.parametrize("arch", [build_cnn_trad(4), STEPS_ARCH], ids=["cnn-trad", "steps"])
+def test_training_finds_its_tensors_whatever_the_key_order(rng, monkeypatch, arch):
+    examples = [LabeledExample(random_window(rng, arch), i % arch.labels) for i in range(6)]
+    weights = init_weights(arch, 3, init_scale=0.2)
+    want, want_loss, want_correct = loss_and_grads(arch, weights, examples)
+    got, loss, correct = loss_and_grads(arch, in_reverse_order(weights), examples)
+    assert (loss, correct) == (want_loss, want_correct) and set(got) == set(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype and got[key].tobytes() == want[key].tobytes(), key
+
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+    want_run = train(arch, examples, cfg)
+    init = kwslite.arch.init_weights
+    monkeypatch.setattr(kwslite.arch, "init_weights", lambda *args: in_reverse_order(init(*args)))
+    got_run = train(arch, examples, cfg)
+    assert list(got_run.weights) == list(reversed(list(want_run.weights)))  # the reversed start was used
+    assert [s.loss for s in got_run.history] == [s.loss for s in want_run.history]
+    for key, w in want_run.weights.items():
+        assert got_run.weights[key].tobytes() == w.tobytes(), key
 
 
 def test_maxpool_routing_conserves_gradient(rng):
