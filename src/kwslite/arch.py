@@ -8,13 +8,13 @@ and forward_frames() over the overlapping windows of a whole frame stream.
 Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
-arrays, checked against the spec's manifest and bound once per call: every
-layer gets the float64 copies of its own tensors (_bind). A FrozenWeights,
-which load_model returns, cannot change, so it is bound once per spec, and
-its bindings and stream stages are kept (its plan); forward() on it
-continues the stream of the window it classified last: a window that is
-that one advanced by one frame costs one frame's stream rows, not a whole
-window.
+arrays, checked against the spec's manifest and bound into a plan (_plan):
+every layer's float64 copies of its own tensors and the stream stages on
+them. A plain dict gets a new plan on every call. A FrozenWeights, which
+load_model returns, cannot change, so its plan is built once per spec and
+kept, one plan in the process, with its stream: forward() on it continues
+the stream of the window it classified last, and a window that is that one
+advanced by one frame costs one frame's stream rows, not a whole window.
 """
 
 from __future__ import annotations
@@ -164,33 +164,31 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
     }
 
 
-class _Snapshot(NamedTuple):
-    """Where a FrozenWeights' stream stands: the window forward() classified
-    last, for which spec, and the stage carries after it (None until a
-    continued call primes them)."""
-
-    arch: ArchSpec
-    last: np.ndarray
-    carries: tuple[np.ndarray | None, ...] | None
-
-    def advanced_by(self, arch: ArchSpec, window: np.ndarray) -> bool:
-        """Whether `window` is `last` advanced by one finite frame, bit for bit."""
-        return (
-            arch is self.arch
-            and np.array_equal(window[:-1].view(np.uint32), self.last[1:].view(np.uint32))
-            and bool(np.isfinite(window).all())
-        )
-
-
 class _Plan(NamedTuple):
-    """What inference on a FrozenWeights needs for one spec, built once: the
-    spec, every layer's binding (_bind, which checked the manifest) and the
-    stream stages on them, each with the rows it keeps. The stages take the
-    MacCounter at call time, so one plan serves every call."""
+    """What inference runs one mapping of weights under one spec with: the
+    spec, every layer's binding (Layer.bind) and the stream stages on them,
+    each with the rows it keeps; a weak reference to the FrozenWeights it
+    was built for (None for a plain dict, whose plan is never kept); and
+    that model's stream, the window forward() classified last and the stage
+    carries after it (None until a continued call primes them). A plan is
+    never changed: a hop publishes a new one whole (_replace), so concurrent
+    callers can at worst miss a continuation or rebuild a plan. The stages
+    take the MacCounter at call time."""
 
     arch: ArchSpec
     bound: tuple[tuple, ...]
     stages: tuple[tuple[int, Stage], ...]
+    weights: weakref.ref | None
+    last: np.ndarray | None = None
+    carries: tuple[np.ndarray | None, ...] | None = None
+
+    def advanced_by(self, window: np.ndarray) -> bool:
+        """Whether `window` is `last` advanced by one finite frame, bit for bit."""
+        return (
+            self.last is not None
+            and np.array_equal(window[:-1].view(np.uint32), self.last[1:].view(np.uint32))
+            and bool(np.isfinite(window).all())
+        )
 
 
 class FrozenWeights(Mapping[str, np.ndarray]):
@@ -199,24 +197,12 @@ class FrozenWeights(Mapping[str, np.ndarray]):
 
     numpy refuses to make a view of `bytes` writeable again, and item
     assignment raises TypeError, so whatever forward() and forward_frames()
-    derive from the tensors holds for as long as they do. Each FrozenWeights
-    keeps a plan for the spec it last ran under (see plan()), so a hop pays
-    for its kernels, not for binding the tensors or building the stages.
-    The plan of one FrozenWeights at a time is kept in the process: making
-    another's drops it, and it is freed with its weights, so the extra
-    memory stays that of one model's float64 weights.
-
-    Next to the plan it keeps one immutable snapshot of its stream: the
-    spec and window forward() classified last and the stage carries after
-    it, from which the next hop's window continues (see forward()). A call
-    reads one plan and one snapshot and publishes new ones whole, never
-    changing either in place, so concurrent callers can at worst miss a
-    continuation or rebuild a plan.
+    derive from the tensors holds for as long as they do: their plan (see
+    _plan()) is built once per spec and kept while no other model or spec
+    takes its place.
     """
 
-    __slots__ = ("_tensors", "_plan", "_stream", "__weakref__")
-    _lock = threading.Lock()
-    _holder: "weakref.ref[FrozenWeights] | None" = None  # the one whose plan is kept
+    __slots__ = ("_tensors", "__weakref__")
 
     def __init__(self, buffer: bytes, manifest: Iterable[tuple[str, tuple[int, ...]]], offset: int = 0):
         """Views of the little-endian float32 tensors that follow one another
@@ -229,8 +215,6 @@ class FrozenWeights(Mapping[str, np.ndarray]):
             tensors[name] = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
         self._tensors = tensors
-        self._plan: _Plan | None = None
-        self._stream: _Snapshot | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -240,32 +224,6 @@ class FrozenWeights(Mapping[str, np.ndarray]):
 
     def __len__(self) -> int:
         return len(self._tensors)
-
-    def plan(self, arch: ArchSpec) -> _Plan:
-        """The plan for `arch`, built on the first call under that spec object
-        by binding the tensors again (_bind), so a failed manifest check keeps
-        nothing and fails again on every call. It drops the plan another
-        FrozenWeights holds, then replaces this one's plan for another spec."""
-        plan = self._plan
-        if plan is not None and plan.arch is arch:
-            return plan
-        with FrozenWeights._lock:
-            plan = self._plan
-            if plan is None or plan.arch is not arch:
-                last = FrozenWeights._holder() if FrozenWeights._holder else None
-                if last is not None and last is not self:
-                    last._plan = None  # its copies are freed before these are made
-                bound = _bind(arch, self)
-                FrozenWeights._holder = weakref.ref(self)
-                plan = self._plan = _Plan(arch, bound, _stages(arch, bound))
-        return plan
-
-
-def _bind(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> tuple[tuple, ...]:
-    """Check `weights` against the manifest, then bind every layer to its
-    own tensors (Layer.bind), in the order of arch.placed."""
-    check_weights(arch, weights)
-    return tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed)
 
 
 def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
@@ -285,11 +243,55 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
-def _stages(arch: ArchSpec, bound: tuple[tuple, ...]) -> tuple[tuple[int, Stage], ...]:
-    """Every stage of the stream, with the rows it keeps for the next chunk."""
-    return tuple(
+# The one kept plan in the process, of one FrozenWeights under one spec, so
+# the extra memory stays that of one model's float64 copies. Only building
+# a plan takes the lock; a hop replaces the slot whole without it, since
+# one slot cannot hold two models' copies.
+_kept: _Plan | None = None
+_lock = threading.Lock()
+
+
+def _plan(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> _Plan:
+    """The plan forward() and forward_frames() run `weights` under `arch`.
+
+    A plain dict, which could change between calls, is checked against the
+    manifest and bound on every call, and its plan is never kept. A
+    FrozenWeights' plan is built on the first call under that spec object
+    and kept; a failed manifest check keeps nothing and leaves the kept plan
+    in place, so it fails again on every call."""
+    global _kept
+    if not isinstance(weights, FrozenWeights):
+        check_weights(arch, weights)
+        return _build(arch, weights, None)
+    plan = _kept
+    if plan is not None and plan.arch is arch and plan.weights() is weights:
+        return plan
+    with _lock:
+        plan = _kept
+        if plan is None or plan.arch is not arch or plan.weights() is not weights:
+            check_weights(arch, weights)
+            plan = _kept = None  # the kept copies are freed before these are made
+            plan = _kept = _build(arch, weights, weakref.ref(weights, _forget))
+    return plan
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Empty the slot when the weights of its plan are freed. It takes no
+    lock, as weights can be freed during a build, which holds it."""
+    global _kept
+    if _kept is not None and _kept.weights is ref:
+        _kept = None
+
+
+def _build(arch: ArchSpec, weights: Mapping[str, np.ndarray], ref: weakref.ref | None) -> _Plan:
+    """A plan with every layer bound to its own tensors (Layer.bind), in the
+    order of arch.placed, and every stage of the stream on them, with the
+    rows it keeps for the next chunk."""
+    bound = tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed)
+    stages = tuple(
         pair for p, b in zip(arch.placed, bound) for pair in zip(p.keeps, p.layer.stages(p, b), strict=True)
     )
+    return _Plan(arch, bound, stages, ref)
 
 
 def _run_stages(
@@ -339,21 +341,21 @@ def forward(
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is
     cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
-    path that is the window this spec last classified on them advanced by
-    one finite frame, bit for bit, pushes only its new row through the
-    stages forward_frames runs, from the carries after the last window, and
-    meters report(arch).per_frame. The first such call primes the carries by
+    path that is the window the kept plan classified last advanced by one
+    finite frame, bit for bit, pushes only its new row through the stages
+    forward_frames runs, from the carries after the last window, and meters
+    report(arch).per_frame. The first such call primes the carries by
     streaming the last window's rows, metering streamed_multiplies(arch, 2).
     The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
-    for bit. Every other call runs per window and restarts the stream; a
-    plain dict of weights, which could change between calls, never
-    continues, and is checked and copied to float64 on every call (_bind),
-    where a FrozenWeights is bound once per spec (see FrozenWeights.plan).
+    for bit. Every other call runs per window and restarts the stream. The
+    stream lives and dies with its plan (see _plan()): it ends when another
+    model or another spec object takes the kept slot. A plain dict of
+    weights, which could change between calls, never continues.
     """
+    global _kept
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
-    plan = weights.plan(arch) if isinstance(weights, FrozenWeights) else None
-    bound = _bind(arch, weights) if plan is None else plan.bound
+    plan = _plan(arch, weights)
     window = np.asarray(window)
     if window.shape != (arch.input_t, arch.input_f):
         raise ShapeError(
@@ -361,31 +363,28 @@ def forward(
             f"{(arch.input_t, arch.input_f)} input of {arch.name}",
             axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
         )
-    frozen = plan is not None and arch.streams_cheaper
-    streams = frozen and conv_path == "optimized" and window.dtype == np.float32
-    if streams:
-        snapshot = weights._stream
-        if snapshot is not None and snapshot.advanced_by(arch, window):
-            return _continue(weights, plan, snapshot, window, counter)
+    kept = plan.weights is not None and arch.streams_cheaper
+    streams = kept and conv_path == "optimized" and window.dtype == np.float32
+    if streams and plan.advanced_by(window):
+        return _continue(plan, window, counter)
     x = window.reshape(arch.input_t, arch.input_f, 1)
-    for p, b in zip(arch.placed, bound):
+    for p, b in zip(arch.placed, plan.bound):
         x = p.layer.forward(b, x, counter, conv_path)
-    if frozen:
-        weights._stream = _Snapshot(arch, window.copy(), None) if streams else None
+    if kept:
+        _kept = plan._replace(last=window.copy() if streams else None, carries=None)
     return x
 
 
-def _continue(
-    weights: FrozenWeights, plan: _Plan, snapshot: _Snapshot, window: np.ndarray, counter: MacCounter | None
-) -> np.ndarray:
-    """forward() of `window`, snapshot.last advanced by one frame, from the
-    carries after snapshot.last (primed here first if it has none)."""
+def _continue(plan: _Plan, window: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+    """forward() of `window`, plan.last advanced by one frame, from the
+    carries after plan.last (primed here first if it has none)."""
+    global _kept
     stages = plan.stages
-    carries = snapshot.carries
+    carries = plan.carries
     if carries is None:
-        _, carries = _run_stages(stages, (None,) * len(stages), snapshot.last[:, :, None], counter)
+        _, carries = _run_stages(stages, (None,) * len(stages), plan.last[:, :, None], counter)
     row, carries = _run_stages(stages, carries, window[-1:, :, None], counter)
-    weights._stream = _Snapshot(plan.arch, window.copy(), carries)
+    _kept = plan._replace(last=window.copy(), carries=carries)
     return row[0]
 
 
@@ -410,10 +409,7 @@ def forward_frames(
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """
-    if isinstance(weights, FrozenWeights):
-        stages = weights.plan(arch).stages
-    else:
-        stages = _stages(arch, _bind(arch, weights))
+    stages = _plan(arch, weights).stages
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(

@@ -155,11 +155,13 @@ def loss_and_grads(
     product stays in it. Per-example gradients are summed in float64, in
     example order, and returned in the dtype of the corresponding weight
     tensor, so they do not depend on `CHUNK`. Averaging over b identical
-    examples yields exactly the single-example gradient.
+    examples yields exactly the single-example gradient. Weights that do
+    not match the manifest raise ManifestMismatchError.
     """
     if not batch:
         raise ValueError("empty batch")
     _check_examples(arch, batch)
+    _arch.check_weights(arch, weights)
     grads64 = {name: np.zeros(w.shape, dtype=np.float64) for name, w in weights.items()}
     dtype = np.result_type(*weights.values())
     total_loss = 0.0

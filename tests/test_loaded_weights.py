@@ -110,19 +110,19 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
 
     def held(weights):
         """Weak references to a float64 copy and a stream stage of the kept plan."""
-        plan = weights.plan(TINY)
+        plan = kwslite.arch._plan(TINY, weights)
         dense1 = [p.name for p in TINY.placed].index("dense1")
         return weakref.ref(plan.bound[dense1][0]), weakref.ref(plan.stages[0][1])
 
     forward(TINY, a, window)
-    plan_a = a.plan(TINY)
-    assert a.plan(TINY) is plan_a and a._plan is plan_a  # kept between calls
+    plan_a = kwslite.arch._plan(TINY, a)
+    assert kwslite.arch._plan(TINY, a) is plan_a and kwslite.arch._kept is plan_a  # kept between calls
     del plan_a
     copy_a, stage_a = held(a)
     forward(TINY, b, window)
     gc.collect()
     assert copy_a() is None and stage_a() is None  # b's plan replaced a's
-    assert a._plan is None
+    assert kwslite.arch._kept.weights() is b
     copy_b, stage_b = held(b)
     del b
     gc.collect()
@@ -187,7 +187,8 @@ def test_threads_sharing_loaded_models_get_their_own_outputs(tmp_path, rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:3]
-    assert sum(loaded._plan is not None for _, loaded in models) <= 1
+    kept = kwslite.arch._kept
+    assert kept is None or any(kept.weights() is loaded for _, loaded in models)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,7 @@ def test_dnn_and_cnn_one_never_continue(tmp_path, rng):
         frames = rng.standard_normal((4, arch.input_f)).astype(np.float32)
         for window in stack_context(frames, arch.context):
             assert metered(arch, loaded, window)[1] == report(arch).total.multiplies
-        assert loaded._stream is None
+        assert kwslite.arch._kept.last is None
 
 
 def _nan_last(window):
@@ -401,6 +402,26 @@ def test_a_stream_does_not_continue_under_another_spec(tmp_path, rng):
         got, count = metered(arch, loaded, window)
         assert_same_bits(got, forward(arch, plain, window))
         assert count == report(arch).total.multiplies
+
+
+def test_the_stream_lives_and_dies_with_its_plan(tmp_path, rng):
+    arch = get_arch("cnn-tpool2", 4)
+    plain_a, a = saved_and_loaded(tmp_path, arch, 1, "a.kwsm")
+    _, b = saved_and_loaded(tmp_path, arch, 2, "b.kwsm")
+    frames = rng.standard_normal((5, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    budget = report(arch)
+    forward(arch, a, windows[0])
+    assert metered(arch, a, windows[1])[1] == streamed_multiplies(arch, 2)
+    assert metered(arch, a, windows[2])[1] == budget.per_frame  # a continued two windows
+    forward(arch, b, windows[0])  # b's plan takes the slot, and a's stream ends with a's plan
+    got, count = metered(arch, a, windows[3])
+    assert_same_bits(got, forward(arch, plain_a, windows[3]))
+    assert count == budget.total.multiplies
+    assert kwslite.arch._kept.weights() is a and kwslite.arch._kept.last is not None
+    del a
+    gc.collect()
+    assert kwslite.arch._kept is None  # freed with its weights
 
 
 def test_two_threads_streaming_one_loaded_model_get_their_own_posteriors(tmp_path):

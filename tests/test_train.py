@@ -43,7 +43,7 @@ from kwslite.data import (
     center_window_examples,
     load_dataset_dir,
 )
-from kwslite.errors import DivergenceError, KwsError, ShapeError
+from kwslite.errors import DivergenceError, KwsError, ManifestMismatchError, ShapeError
 from kwslite.layers import _col2im, _maxpool_argmax, _maxpool_scatter
 from kwslite.tensor import Pool, Stride, im2col
 from kwslite.train import CHUNK
@@ -375,6 +375,23 @@ def test_out_of_range_label_is_rejected_before_training(tiny_corpus, label):
         train(arch, bad, TrainConfig(epochs=1, batch_size=1, seed=0))
     with pytest.raises(ValueError, match="example 0"):
         loss_and_grads(arch, init_weights(arch, 0), [bad[last]])
+
+
+@pytest.mark.parametrize("name", ["dnn", "cnn-tpool2"])
+def test_weights_off_the_manifest_are_rejected_by_name(rng, name):
+    arch = get_arch(name, 3)
+    batch = [LabeledExample(random_window(rng, arch), 1)]
+    weights = init_weights(arch, 0)
+    missing = {k: w for k, w in weights.items() if k != "dense1.bias"}
+    misshaped = {**weights, "dense1.bias": np.zeros(5, np.float32)}
+    extra = {**weights, "dense9.bias": np.zeros(5, np.float32)}
+    for bad, match in (
+        (missing, "missing dense1.bias"),
+        (misshaped, "dense1.bias has shape"),
+        (extra, "unexpected tensor dense9.bias"),
+    ):
+        with pytest.raises(ManifestMismatchError, match=match):
+            loss_and_grads(arch, bad, batch)
 
 
 def test_history_records_time_and_gradient_norm(tiny_corpus):
