@@ -9,12 +9,13 @@ Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
 arrays, checked against the spec's manifest and bound into a plan (_plan):
-every layer's float64 copies of its own tensors and the stream stages on
-them. A plain dict gets a new plan on every call. A FrozenWeights, which
-load_model returns, cannot change, so its plan is built once per spec and
-kept, one plan in the process, with its stream: forward() on it continues
-the stream of the window it classified last, and a window that is that one
-advanced by one frame costs one frame's stream rows, not a whole window.
+every layer's binding of its own tensors (a conv's tensors as they are, a
+flat layer's float64 copies) and the stream stages on them. A plain dict
+gets a new plan on every call. A FrozenWeights, which load_model returns,
+cannot change, so its plan is built once per spec and kept, one plan in
+the process, with its stream: forward() on it continues the stream of the
+window it classified last, and a window that is that one advanced by one
+frame costs one frame's stream rows, not a whole window.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "init_weights",
     "forward",
     "forward_frames",
+    "conv_bound_fractions",
     "BLOCK_WINDOWS",
     "ARCHITECTURES",
     "build_dnn_baseline",
@@ -209,6 +211,10 @@ class FrozenWeights(Mapping[str, np.ndarray]):
         in `buffer` from `offset`, in manifest order."""
         if not isinstance(buffer, bytes):
             raise TypeError(f"FrozenWeights needs an immutable bytes buffer, got {type(buffer).__name__}")
+        if offset % 4:
+            # a float32 view off a 4-byte boundary is copied by every matrix
+            # product that reads it; one aligned copy of the tensors' bytes is not
+            buffer, offset = buffer[offset:], 0
         tensors = {}
         for name, shape in manifest:
             count = int(np.prod(shape))
@@ -244,9 +250,9 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
 
 
 # The one kept plan in the process, of one FrozenWeights under one spec, so
-# the extra memory stays that of one model's float64 copies. Only building
-# a plan takes the lock; a hop replaces the slot whole without it, since
-# one slot cannot hold two models' copies.
+# the extra memory stays that of one model's float64 flat-layer copies. Only
+# building a plan takes the lock; a hop replaces the slot whole without it,
+# since one slot cannot hold two models' copies.
 _kept: _Plan | None = None
 _lock = threading.Lock()
 
@@ -317,10 +323,14 @@ def _run_stages(
 # computed once whatever the chunk size; larger chunks only save per-call
 # overhead, and hold larger im2col matrices. On a 10 s clip, 48-window chunks
 # ran cnn-tpool2 1.3x faster than 32 but raised the tracemalloc peak by 1.3 MB
-# (cnn-trad: 2.4 MB, no faster); in a process that scans 10 s clips with all
-# five stock architectures (the repository benchmark's scan workload), rises
-# of that size have cost several MB of peak RSS (2-vCPU x86 VM, one BLAS
-# thread).
+# (cnn-trad: 2.4 MB, no faster), both measured with float64 patch matrices;
+# in a process that scans 10 s clips with all five stock architectures (the
+# repository benchmark's scan workload), rises of that size have cost
+# several MB of peak RSS (2-vCPU x86 VM, one BLAS thread). With float32
+# weights the patch matrix is float32: the tracemalloc peak of a warm call
+# on a 998-frame clip, plain-dict weights, is 2.37 MB (dnn), 3.07 (cnn-trad),
+# 2.22 (cnn-one), 2.58 (cnn-tstride2) and 2.58 (cnn-tpool2), against 2.37,
+# 7.04, 3.84, 5.93 and 5.93 with float64 patch matrices and conv copies.
 BLOCK_WINDOWS = 32
 
 
@@ -335,9 +345,12 @@ def forward(
 
     conv_path selects "optimized" (im2col matmul) or "naive" (reference
     loops). Either path meters on `counter` every scalar multiply it
-    executes, which is report(arch).total.multiplies. Every layer computes on
-    float64 weights and rounds its output to promote_types(its input, its
-    stored weights), the dtype its kernel gives on the stored tensors.
+    executes, which is report(arch).total.multiplies. Every layer's output
+    takes promote_types(its input, its stored weights). On the optimized
+    path a conv is one im2col product in that dtype, so float32 weights
+    accumulate in float32, within the per-layer bound conv_bound_fractions
+    checks; the flat layers and softmax sum in float64 on float64 copies.
+    The naive path sums every layer in float64: it is the oracle.
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is
     cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
@@ -403,9 +416,10 @@ def forward_frames(
     position of the clip is computed exactly once: window j reads rows j,
     j+step, ... of a stage's output, where `step` is the stage's time step
     (see ArchSpec.placed). Each stage runs its layer's forward() step on
-    the same float64 weights and adds only row bookkeeping: the rows it
-    carries, the interleaving by time step, flatten's gather and the time
-    pool. Agrees with forward() on each stacked window to float32 rounding.
+    the same binding, a conv's as one im2col product per call (float32 for
+    float32 weights), and adds only row bookkeeping: the rows it carries,
+    the interleaving by time step, flatten's gather and the time pool.
+    Agrees with forward() on each stacked window to float32 rounding.
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """
@@ -431,6 +445,25 @@ def forward_frames(
             out = np.empty((n, x.shape[-1]), dtype=x.dtype)
         out[j0:j1] = x
     return out
+
+
+def conv_bound_fractions(
+    arch: ArchSpec, weights: Mapping[str, np.ndarray], window: np.ndarray
+) -> dict[str, float]:
+    """Each conv layer's worst error on `window` as a fraction of its float32
+    bound, by layer name (Conv.bound_check): the optimized kernel against
+    the exact float64 one, before pooling, with every layer fed the naive
+    path's output of the layers before it, so errors do not compound. A
+    fraction above 1, or NaN, means the optimized kernel broke the bound."""
+    plan = _plan(arch, weights)
+    x = np.asarray(window).reshape(arch.input_t, arch.input_f, 1)
+    fractions = {}
+    for p, b in zip(arch.placed, plan.bound):
+        if isinstance(p.layer, Conv):
+            fractions[p.name], x = p.layer.bound_check(b, x)
+        else:
+            x = p.layer.forward(b, x, None, "naive")
+    return fractions
 
 
 # ---------------------------------------------------------------------------

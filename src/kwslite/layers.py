@@ -20,13 +20,18 @@ and `Layer.from_dict` are its model-header form.
 Adding a kind means one class here and its entry in `_KINDS` (a new output
 kind also needs the stack rule in `ArchSpec.placed`).
 
-Inference calls the float64-accumulating kernels through the `tensor`
-module at call time, so tracers that wrap them see every call, and a
-MacCounter passed in meters every multiply they execute. A layer reads its
-binding: the float64 copies of its tensors, which the kernels use as they
-are (a conv's as one FilterBank), and the stored weights' dtype, to which
-it rounds its output, the dtype the kernels give on the stored tensors, so
-outputs do not depend on when the copies were made.
+Inference calls the kernels through the `tensor` module at call time, so
+tracers that wrap them see every call, and a MacCounter passed in meters
+every multiply they execute. A layer reads its binding. A conv's is its
+stored tensors as they are, as one FilterBank: its optimized path is one
+im2col product per call (per chunk in a stream) in the promoted dtype of
+its input and weights, so float32 models accumulate their convs in float32,
+each output within the float32 bound of `tensor.conv2d_error_bound`, which
+`bound_check` measures against the naive kernel. A flat layer's binding is
+the float64 copies of its tensors, on which `linear` and `dense` sum in
+float64, and the stored weights' dtype, to which it rounds its output, the
+dtype the kernels give on the stored tensors; softmax runs in float64 too.
+The naive conv path sums in float64 and is the oracle.
 Training's forward and backward passes run over a leading example axis,
 and every product in them (im2col and col2im, the pool scatter, the outer
 products and input gradients) runs in the dtype of the weights they are
@@ -116,8 +121,9 @@ class Layer:
         return (0,), step
 
     def bind(self, tensors: Tensors) -> tuple:
-        """Inference's form of the layer's tensors: their float64 copies, then
-        the stored weights' dtype, to which forward() rounds its output."""
+        """Inference's form of a flat layer's tensors: their float64 copies,
+        then the stored weights' dtype, to which forward() rounds its output.
+        (A conv binds its tensors as they are.)"""
         copies = tuple(np.asarray(t, dtype=np.float64) for t in tensors)
         return (*copies, np.asarray(tensors[0]).dtype) if tensors else ()
 
@@ -280,8 +286,8 @@ class Conv(Layer):
         return keeps, step
 
     def bind(self, tensors: Tensors) -> tuple:
-        weights, bias, stored = super().bind(tensors)
-        return FilterBank(weights, bias), stored
+        """The stored tensors as they are, as one validated FilterBank."""
+        return (FilterBank(*tensors),)
 
     def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
         """forward()'s step at time stride 1 over rows u, u+step, ...: `step`
@@ -292,7 +298,7 @@ class Conv(Layer):
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
         def phase(rows: np.ndarray, counter: Counter) -> np.ndarray:
-            return self._step(tensor.conv2d_optimized, bound, rows, freq_only, freq_pool, counter)
+            return self._step(tensor.conv2d_im2col, bound, rows, freq_only, freq_pool, counter)
 
         def conv(x: np.ndarray, counter: Counter) -> np.ndarray:
             if step == 1:
@@ -322,17 +328,29 @@ class Conv(Layer):
     def _step(
         self, kernel: Callable, bound: tuple, x: np.ndarray, stride: Stride, pool: Pool, counter: Counter
     ) -> np.ndarray:
-        """`kernel` at `stride`, its output rounded to the layer's output
-        dtype, then max-pooled by `pool`: forward() and the stream stage."""
-        bank, stored = bound
-        y = _rounded(kernel(x, bank, stride, counter=counter), x, stored)
+        """`kernel` at `stride`, then max-pooled by `pool`: forward() and the
+        stream stage."""
+        y = kernel(x, bound[0], stride, counter=counter)
         return tensor.maxpool(y, pool) if pool.active else y
 
     def forward(
         self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
+        kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_im2col
         return self._step(kernel, bound, x, self.stride, self.pool, counter)
+
+    def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The optimized kernel's worst error on input x, before pooling, as a
+        fraction of its float32 bound (tensor.conv2d_error_bound): at most 1
+        if it keeps the bound, inf or NaN where it does not. Also forward()'s
+        naive-path output on x, rounded and pooled from the same exact sums."""
+        bank = bound[0]
+        exact = tensor.conv2d_valid(x.astype(np.float64), bank, self.stride)
+        err = np.abs(tensor.conv2d_im2col(x, bank, self.stride) - exact)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fraction = np.where(err == 0, 0.0, err / tensor.conv2d_error_bound(x, bank, self.stride))
+        y = exact.astype(np.promote_types(x.dtype, bank.weights.dtype), copy=False)
+        return float(fraction.max()), tensor.maxpool(y, self.pool) if self.pool.active else y
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""

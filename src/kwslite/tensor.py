@@ -1,15 +1,22 @@
 """Dense forward kernels over (time, freq, channels) feature tensors.
 
 Two convolution paths are provided on purpose. ``conv2d_valid`` is the
-reference: explicit loops, one inner product per output element.
-``conv2d_optimized`` lowers the same computation to an im2col matrix
-product. Both accumulate in float64 and cast back to the promoted
-input/weight dtype at the end, so their float32 results agree to within
-rounding. Every kernel casts its weights to float64 only when they are not
-float64 already: weights held in float64 are used without a copy, and a
-float64 result is returned without one. Every kernel takes an optional
-MacCounter and adds the multiplies it executes, so a caller can meter
-either conv path exactly.
+reference: explicit loops, one inner product per output element, summed in
+float64 and cast back to the promoted input/weight dtype at the end.
+``conv2d_im2col``, the production conv, lowers the same computation to one
+im2col matrix product run in the promoted dtype itself: float32 inputs and
+weights accumulate in float32, and each output is then held to the a-priori
+float32 bound ``conv2d_error_bound`` of the exact sums, gamma(K + 1) times
+the sum of the magnitudes of its K products and bias (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 3), not to a relative tolerance,
+which a float32 sum cannot meet near cancellation. ``conv2d_optimized`` is
+the same product on float64 operands, cast back like ``conv2d_valid``, so
+their float32 results agree to within rounding. The float64 kernels cast
+their operands to float64 only when they are not float64 already: weights
+held in float64 are used without a copy, and a float64 result is returned
+without one. ``linear`` and ``dense`` also sum in float64. Every kernel
+takes an optional MacCounter and adds the multiplies it executes, so a
+caller can meter either conv path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
@@ -40,6 +47,9 @@ __all__ = [
     "pool_output_shape",
     "conv2d_valid",
     "conv2d_optimized",
+    "conv2d_im2col",
+    "conv2d_error_bound",
+    "gamma",
     "maxpool",
     "flatten",
     "dense",
@@ -240,24 +250,75 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple
     return patches.reshape(*lead, out_t * out_f, -1), out_t, out_f
 
 
+def _im2col_product(
+    x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: Stride, counter: MacCounter | None
+) -> np.ndarray:
+    """One im2col matrix product plus bias, in the dtype of its operands."""
+    kt, kf, _, maps = weights.shape
+    cols, out_t, out_f = im2col(x, kt, kf, stride)
+    if counter is not None:
+        counter.add(cols.size * maps)
+    out = cols @ weights.reshape(-1, maps)
+    out += bias  # in place: no second (rows, maps) array
+    return out.reshape(out_t, out_f, maps)
+
+
 def conv2d_optimized(
     x: np.ndarray,
     filters: FilterBank,
     stride: Stride = Stride(),
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """Same contract as conv2d_valid, counter included, lowered to one im2col matrix product."""
+    """Same contract as conv2d_valid, counter included, lowered to one im2col
+    matrix product on float64 operands."""
     x = _require_tensor3(x, "conv2d_optimized")
     _check_conv_args(x, filters, stride)
     out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
+    f64 = [filters.weights.astype(np.float64, copy=False), filters.bias.astype(np.float64, copy=False)]
+    return _im2col_product(x.astype(np.float64), *f64, stride, counter).astype(out_dtype, copy=False)
 
-    cols, out_t, out_f = im2col(x.astype(np.float64), filters.kernel_t, filters.kernel_f, stride)
-    if counter is not None:
-        counter.add(cols.size * filters.maps)
-    wmat = filters.weights.astype(np.float64, copy=False).reshape(-1, filters.maps)
-    out = cols @ wmat
-    out += filters.bias.astype(np.float64, copy=False)  # in place: no second (rows, maps) array
-    return out.reshape(out_t, out_f, filters.maps).astype(out_dtype, copy=False)
+
+def conv2d_im2col(
+    x: np.ndarray,
+    filters: FilterBank,
+    stride: Stride = Stride(),
+    counter: MacCounter | None = None,
+) -> np.ndarray:
+    """The production conv: conv2d_optimized's product, counter included, run
+    in the promoted input/weight dtype, so float32 inputs and weights
+    accumulate in float32.
+
+    Each output is then within conv2d_error_bound(x, filters, stride) of the
+    exact value: the float32 dot product of length K = kernel_t*kernel_f*
+    in_channels, plus its bias, errs by at most gamma(K + 1)*(sum|w*x| + |b|).
+    """
+    x = _require_tensor3(x, "conv2d_im2col")
+    _check_conv_args(x, filters, stride)
+    dtype = np.promote_types(x.dtype, filters.weights.dtype)
+    weights, bias = filters.weights.astype(dtype, copy=False), filters.bias.astype(dtype, copy=False)
+    return _im2col_product(x.astype(dtype, copy=False), weights, bias, stride, counter)
+
+
+UNIT_ROUNDOFF = 2.0**-24  # u of float32: half the gap between 1 and the next float32
+
+
+def gamma(n: int) -> float:
+    """Higham's gamma(n) = n*u / (1 - n*u) at float32's unit roundoff u: a
+    float32 sum of n products errs by at most gamma(n) times the sum of
+    their magnitudes (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    nu = n * UNIT_ROUNDOFF
+    if nu >= 1:
+        raise ValueError(f"no float32 error bound for sums of {n} terms")
+    return nu / (1 - nu)
+
+
+def conv2d_error_bound(x: np.ndarray, filters: FilterBank, stride: Stride = Stride()) -> np.ndarray:
+    """Float64 (out_t, out_f, maps) bound on a float32 conv's error per
+    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being conv2d_valid run
+    on |x|, |w| and |b|."""
+    magnitudes = FilterBank(np.abs(filters.weights), np.abs(filters.bias))
+    k = filters.kernel_t * filters.kernel_f * filters.in_channels
+    return gamma(k + 1) * conv2d_valid(np.abs(x).astype(np.float64), magnitudes, stride)
 
 
 def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:

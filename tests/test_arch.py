@@ -31,7 +31,7 @@ from kwslite import (
     validate,
     weight_manifest,
 )
-from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, layer_names
+from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, conv_bound_fractions, layer_names
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.frontend import stack_context
 from kwslite.tensor import FilterBank, conv2d_optimized, conv_output_shape, maxpool, pool_output_shape
@@ -341,6 +341,15 @@ def assert_frames_match(arch, weights, frames, oracle_path="optimized"):
     npt.assert_allclose(got, per_window(arch, weights, frames, oracle_path), rtol=1e-5, atol=1e-12)
 
 
+def assert_within_bound(arch, weights, frames):
+    """Every conv layer keeps its float32 error bound on every stacked window:
+    the per-layer oracle gate, which a float32 product meets where a
+    per-posterior rtol cannot (near cancellation)."""
+    for j, window in enumerate(stack_context(frames, arch.context)):
+        fractions = conv_bound_fractions(arch, weights, window)
+        assert all(f <= 1 for f in fractions.values()), (arch.name, j, fractions)
+
+
 # lengths around the context size and the block size: one frame, fewer frames
 # than one window spans, a partial block, exactly one block, several blocks
 EDGE_LENGTHS = (1, 5, BLOCK_WINDOWS - 1, BLOCK_WINDOWS, 2 * BLOCK_WINDOWS + 3)
@@ -353,7 +362,35 @@ def test_forward_frames_matches_per_window_on_stock_archs(rng):
         for n in EDGE_LENGTHS:
             assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
         # the naive oracle costs up to half a second per stock window
-        assert_frames_match(arch, weights, rng.standard_normal((2, 40)).astype(np.float32), "naive")
+        assert_within_bound(arch, weights, rng.standard_normal((2, 40)).astype(np.float32))
+
+
+def test_conv_layers_keep_the_float32_bound(rng):
+    stock = [get_arch(name, 4) for name in ARCHITECTURES if name != "dnn"]
+    stacks = stock + [random_arch(rng, max_convs=3) for _ in range(12)] + [STEPS_ARCH]
+    worst = 0.0
+    for trial, arch in enumerate(stacks):
+        weights = init_weights(arch, trial, init_scale=0.2 if arch in stock else 0.5)
+        fractions = conv_bound_fractions(arch, weights, random_window(rng, arch))
+        assert list(fractions) == [p.name for p in arch.placed if isinstance(p.layer, Conv)]
+        assert all(f <= 1 for f in fractions.values()), (arch.name, fractions)
+        worst = max(worst, *fractions.values())
+        if arch not in stock:  # float64 weights accumulate in float64, far inside the float32 bound
+            wide = {k: w.astype(np.float64) for k, w in weights.items()}
+            assert all(f < 1e-6 for f in conv_bound_fractions(arch, wide, random_window(rng, arch)).values())
+    assert worst > 1e-3  # float32 weights do run float32 products
+
+
+def test_a_conv_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypatch):
+    arch = get_arch("cnn-trad", 4)
+    weights = init_weights(arch, 0, init_scale=0.2)
+    window = random_window(rng, arch)
+    honest = kwslite.tensor.conv2d_im2col
+    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
+    # conv1 sums K = 189 products: its bound is gamma(190), about 1.1e-5 of their magnitudes
+    assert conv_bound_fractions(arch, weights, window)["conv1"] > 1
+    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * np.nan)
+    assert all(np.isnan(f) for f in conv_bound_fractions(arch, weights, window).values())
 
 
 def test_forward_frames_matches_per_window_on_random_archs(rng):
@@ -417,17 +454,22 @@ def test_float64_weights_give_float64_posteriors(rng):
 
 def test_float32_conv_weights_round_conv_outputs_to_float32(rng):
     # each layer's output takes promote_types(its input, its stored weights):
-    # float32 conv weights round the conv maps, float64 dense weights do not
+    # float32 conv weights give float32 conv maps, float64 dense weights do not
     arch = get_arch("cnn-trad", 4)
     all64 = {k: w.astype(np.float64) for k, w in init_weights(arch, 7, init_scale=0.2).items()}
     mixed = {k: w.astype(np.float32) if k.startswith("conv") else w for k, w in all64.items()}
     frames = rng.standard_normal((3, 40)).astype(np.float32)
     window = stack_context(frames, arch.context)[0]
+    bound = kwslite.arch._plan(arch, mixed).bound
+    x = window[:, :, None]
+    for p, b in zip(arch.placed, bound):
+        x = p.layer.forward(b, x, None)
+        assert x.dtype == (np.float32 if p.name.startswith(("conv", "flatten")) else np.float64), p.name
     for run in (lambda w: forward(arch, w, window), lambda w: forward_frames(arch, w, frames)):
         got, want = run(mixed), run(all64)
         assert got.dtype == want.dtype == np.float64
         assert not np.array_equal(got, want)
-        npt.assert_allclose(got, want, rtol=1e-5, atol=1e-12)
+    assert all(f <= 1 for f in conv_bound_fractions(arch, mixed, window).values())
 
 
 def test_forward_frames_rejects_bad_streams():

@@ -367,6 +367,18 @@ def test_bench_checks_the_continued_stream(tmp_path, capsys, monkeypatch):
     assert "disagree" in err and "agreement check OK" not in out
 
 
+def test_bench_checks_each_conv_layer_against_its_float32_bound(capsys, monkeypatch, tiny_model):
+    # an error a little over float32 rounding, in the production conv kernel
+    # itself, moves the per-window and streamed rows alike: only the
+    # per-layer bound against the naive kernel sees it
+    honest = kwslite.tensor.conv2d_im2col
+    for error in (1e-3, np.nan):
+        monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + error))
+        code, out, err = run(capsys, "bench", "--model", tiny_model, "--iters", "1")
+        assert code == 3
+        assert "float32 error bound" in err and "conv1 on window 0" in err and "agreement check OK" not in out
+
+
 def test_bench_times_both_paths(capsys, tiny_model):
     code, text, _ = run(capsys, "bench", "--model", tiny_model, "--iters", "3")
     assert code == 0

@@ -1,5 +1,5 @@
 """Loaded weights: read-only tensors whose plan (manifest check, every
-layer's float64 binding and the stream stages) is built once per spec and
+layer's binding and the stream stages) is built once per spec and
 kept for one model at a time, with outputs bit-identical to plain dicts,
 and whose forward continues the stream of a window advanced by one frame."""
 
@@ -30,7 +30,7 @@ from kwslite import (
     save_model,
     stack_context,
 )
-from kwslite.arch import FrozenWeights, build_cnn_tstride
+from kwslite.arch import FrozenWeights, build_cnn_tstride, conv_bound_fractions
 from kwslite.audio import Waveform
 from kwslite.budget import report, streamed_multiplies
 from kwslite.errors import ManifestMismatchError
@@ -117,6 +117,11 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
     forward(TINY, a, window)
     plan_a = kwslite.arch._plan(TINY, a)
     assert kwslite.arch._plan(TINY, a) is plan_a and kwslite.arch._kept is plan_a  # kept between calls
+    (bank,) = plan_a.bound[0]  # conv1 is bound to the stored tensors as they are
+    assert np.shares_memory(bank.weights, a["conv1.weights"]) and np.shares_memory(bank.bias, a["conv1.bias"])
+    copied = [p.name for p, b in zip(TINY.placed, plan_a.bound)
+              if any(isinstance(t, np.ndarray) and t.dtype == np.float64 for t in b)]
+    assert copied == ["dense1", "softmax"]  # only the flat layers hold float64 copies
     del plan_a
     copy_a, stage_a = held(a)
     forward(TINY, b, window)
@@ -143,6 +148,21 @@ def test_loaded_tensors_cannot_be_changed(tmp_path):
     mutable = {key: value.copy() for key, value in weights.items()}
     mutable["dense1.weights"][0, 0] = 1.0
     assert mutable["dense1.weights"][0, 0] == 1.0
+
+
+def test_loaded_tensors_are_aligned_whatever_the_header_length(tmp_path):
+    # a float32 view off a 4-byte boundary would be copied by every conv product
+    offsets = set()
+    for n in range(4):
+        labels = ["_filler", "k" * (n + 1), "kw2"]  # the header, and the payload's offset, grow by one byte
+        path = tmp_path / f"m{n}.kwsm"
+        save_model(path, TINY, init_weights(TINY, 0), labels)
+        data = path.read_bytes()
+        offsets.add((12 + int.from_bytes(data[8:12], "little")) % 4)
+        weights = load_model(path).weights
+        assert all(t.flags.aligned for t in weights.values())
+        assert all(t.tobytes() == init_weights(TINY, 0)[k].tobytes() for k, t in weights.items())
+    assert offsets == {0, 1, 2, 3}
 
 
 def test_loaded_dnn_forward_makes_no_weight_sized_temporary(tmp_path, rng):
@@ -203,8 +223,9 @@ def metered(arch, weights, window, conv_path="optimized"):
 def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(1, 2)):
     """forward on consecutive windows of a loaded model: from window 1 on the
     rows of forward_frames at BLOCK_WINDOWS = 1 where streaming is cheaper,
-    the plain dict's elsewhere; within rtol of the plain dict and of the
-    naive path; metered as the stream or the window costs."""
+    the plain dict's elsewhere; within rtol of the plain dict, and every conv
+    layer within its float32 bound of the naive path on the `naive` windows;
+    metered as the stream or the window costs."""
     plain, loaded = saved_and_loaded(tmp_path, arch, seed)
     frames = rng.standard_normal((n, arch.input_f)).astype(np.float32)
     monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", 1)
@@ -216,7 +237,8 @@ def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12, err_msg=f"{arch} window {j}")
         if j in naive:
-            np.testing.assert_allclose(got, forward(arch, plain, window, conv_path="naive"), rtol=1e-5, atol=1e-12)
+            fractions = conv_bound_fractions(arch, plain, window)
+            assert all(f <= 1 for f in fractions.values()), (arch, j, fractions)
         if not arch.streams_cheaper:
             assert_same_bits(got, want)
             assert count == budget.total.multiplies

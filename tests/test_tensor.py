@@ -17,7 +17,14 @@ from kwslite import (
     maxpool,
 )
 from kwslite.errors import ShapeError
-from kwslite.tensor import conv_output_shape, im2col
+from kwslite.tensor import (
+    UNIT_ROUNDOFF,
+    conv2d_error_bound,
+    conv2d_im2col,
+    conv_output_shape,
+    gamma,
+    im2col,
+)
 
 
 def _rand_bank(rng, kt, kf, c, n):
@@ -75,6 +82,36 @@ def test_conv_paths_agree_random(rng):
         npt.assert_allclose(a, b, rtol=1e-5, atol=0)
 
 
+def test_production_conv_accumulates_in_the_promoted_dtype_within_the_bound(rng):
+    # float32 operands: a float32 product, each output within its a-priori
+    # bound of the exact sums; a float64 operand: conv2d_optimized bit for bit
+    worst = 0.0
+    for _ in range(300):
+        t, f, c = int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
+        kt, kf = int(rng.integers(1, t + 1)), int(rng.integers(1, f + 1))
+        s = Stride(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+        x = rng.standard_normal((t, f, c)).astype(np.float32)
+        bank = _rand_bank(rng, kt, kf, c, int(rng.integers(1, 7)))
+        fast = conv2d_im2col(x, bank, s)
+        assert fast.dtype == np.float32
+        err = np.abs(fast - conv2d_valid(x.astype(np.float64), bank, s))
+        bound = conv2d_error_bound(x, bank, s)
+        assert bound.dtype == np.float64 and np.all(err <= bound)
+        worst = max(worst, float(np.max(err / bound)))
+        bank64 = FilterBank(bank.weights.astype(np.float64), bank.bias.astype(np.float64))
+        for args in ((x, bank64), (x.astype(np.float64), bank), (x.astype(np.float64), bank64)):
+            got, want = conv2d_im2col(*args, s), conv2d_optimized(*args, s)
+            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert 0 < worst < 1
+
+
+def test_gamma_is_the_float32_dot_product_constant():
+    assert gamma(1) == UNIT_ROUNDOFF / (1 - UNIT_ROUNDOFF)
+    assert gamma(190) == pytest.approx(190 * 2.0**-24, rel=2e-5)
+    with pytest.raises(ValueError):
+        gamma(2**24)
+
+
 def sliding_window_im2col(x, kernel_t, kernel_f, stride):
     """The reference unfold: numpy's sliding windows, strided, with the window
     axes moved from last, (..., out_t, out_f, c, kt, kf), to the filters' layout."""
@@ -113,7 +150,7 @@ def test_im2col_equals_the_sliding_window_unfold_bit_for_bit(rng, dtype, lead):
 def test_conv_counter_meters_actual_multiplies(rng):
     x = rng.standard_normal((9, 11, 2)).astype(np.float32)
     bank = _rand_bank(rng, 3, 4, 2, 5)
-    for conv in (conv2d_valid, conv2d_optimized):
+    for conv in (conv2d_valid, conv2d_optimized, conv2d_im2col):
         counter = MacCounter()
         out = conv(x, bank, Stride(2, 1), counter=counter)
         out_t, out_f, n = out.shape
@@ -131,6 +168,9 @@ def test_conv_errors_name_axis(rng):
     with pytest.raises(ShapeError) as info:
         conv2d_optimized(x, _rand_bank(rng, 2, 7, 2, 4))
     assert info.value.axis == "freq"
+    with pytest.raises(ShapeError) as info:
+        conv2d_im2col(x, _rand_bank(rng, 2, 2, 3, 4))
+    assert info.value.axis == "channels"
 
 
 def test_no_nan_from_finite_inputs(rng):
