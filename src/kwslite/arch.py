@@ -451,7 +451,7 @@ def conv_bound_fractions(
     arch: ArchSpec, weights: Mapping[str, np.ndarray], window: np.ndarray
 ) -> dict[str, float]:
     """Each conv layer's worst error on `window` as a fraction of its float32
-    bound, by layer name (Conv.bound_check): the optimized kernel against
+    bound, by layer name (Layer.bound_check): the optimized kernel against
     the exact float64 one, before pooling, with every layer fed the naive
     path's output of the layers before it, so errors do not compound. A
     fraction above 1, or NaN, means the optimized kernel broke the bound."""
@@ -459,10 +459,9 @@ def conv_bound_fractions(
     x = np.asarray(window).reshape(arch.input_t, arch.input_f, 1)
     fractions = {}
     for p, b in zip(arch.placed, plan.bound):
-        if isinstance(p.layer, Conv):
-            fractions[p.name], x = p.layer.bound_check(b, x)
-        else:
-            x = p.layer.forward(b, x, None, "naive")
+        fraction, x = p.layer.bound_check(b, x)
+        if fraction is not None:
+            fractions[p.name] = fraction
     return fractions
 
 

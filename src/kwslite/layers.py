@@ -32,12 +32,12 @@ the float64 copies of its tensors, on which `linear` and `dense` sum in
 float64, and the stored weights' dtype, to which it rounds its output, the
 dtype the kernels give on the stored tensors; softmax runs in float64 too.
 The naive conv path sums in float64 and is the oracle.
-Training's forward and backward passes run over a leading example axis,
-and every product in them (im2col and col2im, the pool scatter, the outer
-products and input gradients) runs in the dtype of the weights they are
-given: float32 in `train`, float64 in `grad_check`. Per-example gradients
-are summed in example order into float64 totals, given as a tuple like the
-tensors.
+Training's passes run over a leading example axis; a conv's forward is
+`tensor.conv2d_im2col` on the chunk, the kernel inference runs. Every
+product in them (that conv, col2im, the pool scatter, the outer products
+and input gradients) runs in the dtype of the weights they are given:
+float32 in `train`, float64 in `grad_check`. Per-example gradients are
+summed in example order into float64 totals, a tuple like the tensors.
 """
 
 from __future__ import annotations
@@ -130,6 +130,11 @@ class Layer:
     def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
         """forward() on every row of a chunk at once."""
         return [lambda x, counter: self.forward(bound, x, counter)]
+
+    def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float | None, np.ndarray]:
+        """The optimized step's worst error on x as a fraction of its stated
+        bound, None for a kind without one, and forward()'s naive-path output."""
+        return None, self.forward(bound, x, None, "naive")
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
@@ -353,14 +358,8 @@ class Conv(Layer):
         return float(fraction.max()), tensor.maxpool(y, self.pool) if self.pool.active else y
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
-        """im2col over the (B, T, F, C) chunk, then one stacked product with the filters."""
-        weights, bias = tensors
-        out_t, out_f = self._out(x.shape[1:])
-        cols = tensor.im2col(x, self.kernel_t, self.kernel_f, self.stride)[0]
-        pre = np.matmul(cols, weights.reshape(-1, self.maps))
-        del cols  # the chunk's patch matrix is not held through pooling
-        pre += bias
-        pre = pre.reshape(len(x), out_t, out_f, self.maps)
+        """tensor.conv2d_im2col on the (B, T, F, C) chunk: the kernel inference runs."""
+        pre = tensor.conv2d_im2col(x, FilterBank(*tensors), self.stride)
         cache["x"] = x
         if not self.pool.active:
             return pre

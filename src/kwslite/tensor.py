@@ -9,9 +9,9 @@ weights accumulate in float32, and each output is then held to the a-priori
 float32 bound ``conv2d_error_bound`` of the exact sums, gamma(K + 1) times
 the sum of the magnitudes of its K products and bias (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 3), not to a relative tolerance,
-which a float32 sum cannot meet near cancellation. ``conv2d_optimized`` is
-the same product on float64 operands, cast back like ``conv2d_valid``, so
-their float32 results agree to within rounding. The float64 kernels cast
+which a float32 sum cannot meet near cancellation. ``conv2d_optimized``,
+``conv2d_im2col`` on float64 copies, is cast back like ``conv2d_valid``,
+so their float32 results agree to within rounding. The float64 kernels cast
 their operands to float64 only when they are not float64 already: weights
 held in float64 are used without a copy, and a float64 result is returned
 without one. ``linear`` and ``dense`` also sum in float64. Every kernel
@@ -20,9 +20,9 @@ caller can meter either conv path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
-a batch of windows is classified at once. ``im2col`` also takes any leading
-axes, so training unfolds a (batch, time, freq, channels) chunk with the
-same function that the optimized conv path uses on one map.
+a batch of windows is classified at once. ``conv2d_im2col`` and ``im2col``
+also take any leading axes, so training's conv forward on a (batch, time,
+freq, channels) chunk is the kernel inference runs on one map.
 
 Conv and pool geometry is stated once, here: ``conv_output_shape`` and
 ``pool_output_shape`` raise ShapeError naming the axis on which a kernel or
@@ -171,13 +171,13 @@ def pool_output_shape(in_t: int, in_f: int, pool: Pool) -> tuple[int, int]:
 
 
 def _check_conv_args(x: np.ndarray, filters: FilterBank, stride: Stride) -> tuple[int, int]:
-    """Check the channels, then the kernel's fit; returns the output size."""
-    if x.shape[2] != filters.in_channels:
+    """Check the channels of x (..., time, freq, channels), then the kernel's fit; returns the output size."""
+    if x.shape[-1] != filters.in_channels:
         raise ShapeError(
-            f"input has {x.shape[2]} channels but filters expect {filters.in_channels}",
+            f"input has {x.shape[-1]} channels but filters expect {filters.in_channels}",
             axis="channels",
         )
-    return conv_output_shape(x.shape[0], x.shape[1], filters.kernel_t, filters.kernel_f, stride)
+    return conv_output_shape(x.shape[-3], x.shape[-2], filters.kernel_t, filters.kernel_f, stride)
 
 
 def conv2d_valid(
@@ -250,32 +250,18 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple
     return patches.reshape(*lead, out_t * out_f, -1), out_t, out_f
 
 
-def _im2col_product(
-    x: np.ndarray, weights: np.ndarray, bias: np.ndarray, stride: Stride, counter: MacCounter | None
-) -> np.ndarray:
-    """One im2col matrix product plus bias, in the dtype of its operands."""
-    kt, kf, _, maps = weights.shape
-    cols, out_t, out_f = im2col(x, kt, kf, stride)
-    if counter is not None:
-        counter.add(cols.size * maps)
-    out = cols @ weights.reshape(-1, maps)
-    out += bias  # in place: no second (rows, maps) array
-    return out.reshape(out_t, out_f, maps)
-
-
 def conv2d_optimized(
     x: np.ndarray,
     filters: FilterBank,
     stride: Stride = Stride(),
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """Same contract as conv2d_valid, counter included, lowered to one im2col
-    matrix product on float64 operands."""
+    """Same contract as conv2d_valid, counter included: conv2d_im2col on
+    float64 copies of its operands, cast back to the promoted dtype."""
     x = _require_tensor3(x, "conv2d_optimized")
-    _check_conv_args(x, filters, stride)
     out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
-    f64 = [filters.weights.astype(np.float64, copy=False), filters.bias.astype(np.float64, copy=False)]
-    return _im2col_product(x.astype(np.float64), *f64, stride, counter).astype(out_dtype, copy=False)
+    f64 = FilterBank(*(t.astype(np.float64, copy=False) for t in (filters.weights, filters.bias)))
+    return conv2d_im2col(x.astype(np.float64), f64, stride, counter).astype(out_dtype, copy=False)
 
 
 def conv2d_im2col(
@@ -284,19 +270,29 @@ def conv2d_im2col(
     stride: Stride = Stride(),
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """The production conv: conv2d_optimized's product, counter included, run
-    in the promoted input/weight dtype, so float32 inputs and weights
-    accumulate in float32.
+    """The production conv: one im2col matrix product plus bias, counter
+    included, run in the promoted input/weight dtype, so float32 inputs and
+    weights accumulate in float32.
 
-    Each output is then within conv2d_error_bound(x, filters, stride) of the
-    exact value: the float32 dot product of length K = kernel_t*kernel_f*
+    Leading axes of x, a batch of maps, are kept: one stacked product of
+    per-map shapes, so a map's output does not depend on its batch. Each
+    output is within conv2d_error_bound(x, filters, stride) of the exact
+    value: the float32 dot product of length K = kernel_t*kernel_f*
     in_channels, plus its bias, errs by at most gamma(K + 1)*(sum|w*x| + |b|).
     """
-    x = _require_tensor3(x, "conv2d_im2col")
-    _check_conv_args(x, filters, stride)
+    x = np.asarray(x)
+    if x.ndim < 3:
+        raise ShapeError(f"conv2d_im2col expects (..., time, freq, channels) maps, got {x.shape}")
+    out_t, out_f = _check_conv_args(x, filters, stride)
     dtype = np.promote_types(x.dtype, filters.weights.dtype)
-    weights, bias = filters.weights.astype(dtype, copy=False), filters.bias.astype(dtype, copy=False)
-    return _im2col_product(x.astype(dtype, copy=False), weights, bias, stride, counter)
+    weights = filters.weights.astype(dtype, copy=False)
+    kt, kf, _, maps = weights.shape
+    cols = im2col(x.astype(dtype, copy=False), kt, kf, stride)[0]
+    if counter is not None:
+        counter.add(cols.size * maps)
+    out = cols @ weights.reshape(-1, maps)
+    out += filters.bias.astype(dtype, copy=False)  # in place: no second (rows, maps) array
+    return out.reshape(x.shape[:-3] + (out_t, out_f, maps))
 
 
 UNIT_ROUNDOFF = 2.0**-24  # u of float32: half the gap between 1 and the next float32

@@ -157,6 +157,24 @@ def test_conv_counter_meters_actual_multiplies(rng):
         assert counter.count == out_t * out_f * 3 * 4 * 2 * n, conv.__name__
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_production_conv_on_a_batch_is_its_maps_stacked_bit_for_bit(rng, dtype):
+    # one stacked product over (B, T, F, C) runs each map's own shapes, so a
+    # map's output does not depend on the batch it comes in
+    for t, f, c, kt, kf, n in ((9, 11, 2, 3, 4, 5), (32, 40, 1, 21, 8, 16)):
+        bank = _rand_bank(rng, kt, kf, c, n)
+        bank = FilterBank(bank.weights.astype(dtype), bank.bias.astype(dtype))
+        for batch in (1, 3, 8):
+            for s in (Stride(1, 1), Stride(2, 1), Stride(1, 2), Stride(2, 2)):
+                x = rng.standard_normal((batch, t, f, c)).astype(dtype)
+                counter, singles = MacCounter(), [MacCounter() for _ in range(batch)]
+                got = conv2d_im2col(x, bank, s, counter)
+                want = np.stack([conv2d_im2col(m, bank, s, one) for m, one in zip(x, singles)])
+                assert got.dtype == want.dtype == dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (t, kt, batch, s)
+                assert counter.count == sum(one.count for one in singles)
+
+
 def test_conv_errors_name_axis(rng):
     x = rng.standard_normal((5, 6, 2)).astype(np.float32)
     with pytest.raises(ShapeError) as info:
@@ -171,6 +189,15 @@ def test_conv_errors_name_axis(rng):
     with pytest.raises(ShapeError) as info:
         conv2d_im2col(x, _rand_bank(rng, 2, 2, 3, 4))
     assert info.value.axis == "channels"
+    with pytest.raises(ShapeError) as info:
+        conv2d_im2col(np.stack([x, x]), _rand_bank(rng, 2, 2, 3, 4))
+    assert info.value.axis == "channels"
+    with pytest.raises(ShapeError) as info:
+        conv2d_im2col(np.stack([x, x]), _rand_bank(rng, 6, 2, 2, 4))
+    assert info.value.axis == "time"
+    with pytest.raises(ShapeError) as info:
+        conv2d_im2col(x[:, :, 0], _rand_bank(rng, 2, 2, 1, 4))
+    assert info.value.axis is None  # no channels axis to name: a map needs all three
 
 
 def test_no_nan_from_finite_inputs(rng):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kwslite.arch
+import kwslite.tensor
 from kwslite import (
     ARCHITECTURES,
     ArchSpec,
@@ -166,6 +167,20 @@ def test_window_dtype_does_not_change_gradients(rng):
     assert loss == loss_mixed
     for key in plain:
         npt.assert_array_equal(plain[key], mixed[key])
+
+
+def test_training_runs_the_production_conv_kernel(rng, monkeypatch):
+    # a 1e-4 relative error in the kernel inference runs moves training's
+    # loss and conv gradients too: there is no second conv product to miss it
+    arch = build_cnn_trad(4)
+    weights = init_weights(arch, 3, init_scale=0.2)
+    batch = [LabeledExample(random_window(rng, arch), label) for label in (0, 2, 3)]
+    grads, loss, _ = loss_and_grads(arch, weights, batch)
+    honest = kwslite.tensor.conv2d_im2col
+    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
+    off_grads, off_loss, _ = loss_and_grads(arch, weights, batch)
+    assert off_loss != loss
+    assert not np.array_equal(off_grads["conv1.weights"], grads["conv1.weights"])
 
 
 def stock_batch(name, size, seed=5):
