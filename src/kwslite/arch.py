@@ -10,8 +10,8 @@ Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 serialization deterministic. Weights are any mapping from those names to
 arrays, checked against the spec's manifest and bound into a plan (_plan):
 every layer's binding of its own tensors (a conv's tensors as they are, a
-flat layer's float64 copies) and the stream stages on them. A plain dict
-gets a new plan on every call. A FrozenWeights, which load_model returns,
+flat layer's float64 copies), which the spec's stream stages take. A plain
+dict gets a new plan on every call. A FrozenWeights, which load_model returns,
 cannot change, so its plan is built once per spec and kept, one plan in
 the process, with its stream: forward() on it continues the stream of the
 window it classified last, and a window that is that one advanced by one
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError, check_counts
 from .frontend import Context
-from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, SoftmaxOut, Stage, TraceEntry
+from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, SoftmaxOut, TraceEntry
 from .tensor import MacCounter, Pool, Stride
 
 __all__ = [
@@ -95,7 +95,8 @@ class ArchSpec:
     @cached_property
     def placed(self) -> tuple[Placed, ...]:
         """validate()'s one walk of the stack: every layer with its name,
-        shapes, weight tensors and place in the stream of forward_frames.
+        shapes, weight tensors and stages in the stream of forward_frames
+        (Layer.stream), which every model run under the spec shares.
         A layer's stream time step is the product of the time strides and
         time pools before it. Raises ShapeError if the stack is invalid."""
         softmax_positions = [i for i, l in enumerate(self.layers) if isinstance(l, SoftmaxOut)]
@@ -109,9 +110,9 @@ class ArchSpec:
             counts[layer.kind] = counts.get(layer.kind, 0) + 1
             name = layer.layer_name(counts[layer.kind])
             trace = layer.trace(name, shape)
-            keeps, next_step = layer.stream_keeps(step, window_rows)
-            placed.append(Placed(name, layer, shape, trace, layer.manifest(name, shape), step, keeps))
-            shape, step, window_rows = trace[-1].shape, next_step, window_rows - sum(keeps)
+            stages, step = layer.stream(shape, step, window_rows)
+            placed.append(Placed(name, layer, shape, trace, layer.manifest(name, shape), stages))
+            shape, window_rows = trace[-1].shape, window_rows - sum(keep for keep, _ in stages)
         return tuple(placed)
 
     @cached_property
@@ -168,18 +169,17 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
 
 class _Plan(NamedTuple):
     """What inference runs one mapping of weights under one spec with: the
-    spec, every layer's binding (Layer.bind) and the stream stages on them,
-    each with the rows it keeps; a weak reference to the FrozenWeights it
-    was built for (None for a plain dict, whose plan is never kept); and
-    that model's stream, the window forward() classified last and the stage
-    carries after it (None until a continued call primes them). A plan is
-    never changed: a hop publishes a new one whole (_replace), so concurrent
-    callers can at worst miss a continuation or rebuild a plan. The stages
-    take the MacCounter at call time."""
+    spec, whose placed layers hold the stream stages; every layer's binding
+    (Layer.bind), which the stages take at call time; a weak reference to
+    the FrozenWeights it was built for (None for a plain dict, whose plan is
+    never kept); and that model's stream, the window forward() classified
+    last and the stage carries after it (None until a continued call primes
+    them). A plan is never changed: a hop publishes a new one whole
+    (_replace), so concurrent callers can at worst miss a continuation or
+    rebuild a plan."""
 
     arch: ArchSpec
     bound: tuple[tuple, ...]
-    stages: tuple[tuple[int, Stage], ...]
     weights: weakref.ref | None
     last: np.ndarray | None = None
     carries: tuple[np.ndarray | None, ...] | None = None
@@ -291,31 +291,28 @@ def _forget(ref: weakref.ref) -> None:
 
 def _build(arch: ArchSpec, weights: Mapping[str, np.ndarray], ref: weakref.ref | None) -> _Plan:
     """A plan with every layer bound to its own tensors (Layer.bind), in the
-    order of arch.placed, and every stage of the stream on them, with the
-    rows it keeps for the next chunk."""
-    bound = tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed)
-    stages = tuple(
-        pair for p, b in zip(arch.placed, bound) for pair in zip(p.keeps, p.layer.stages(p, b), strict=True)
-    )
-    return _Plan(arch, bound, stages, ref)
+    order of arch.placed."""
+    return _Plan(arch, tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed), ref)
 
 
 def _run_stages(
-    stages: tuple[tuple[int, Stage], ...],
-    carries: tuple[np.ndarray | None, ...],
+    plan: _Plan,
+    carries: tuple[np.ndarray | None, ...] | None,
     x: np.ndarray,
     counter: MacCounter | None,
 ) -> tuple[np.ndarray, tuple[np.ndarray | None, ...]]:
-    """Push the (rows, input_f, 1) stream rows x through every stage, each
-    after the rows its carry holds, metering on `counter`. Returns the output
-    rows, one per window the rows complete, and the carries after them;
-    `carries` is not changed."""
+    """Push the (rows, input_f, 1) stream rows x through every stage, on its
+    layer's binding, each after the rows its carry holds (None: a new
+    stream), metering on `counter`. Returns the output rows, one per window
+    the rows complete, and the carries after them, which are new."""
     kept = []
-    for (keep, run), carry in zip(stages, carries):
-        if carry is not None:
-            x = np.concatenate((carry, x))
-        kept.append(x[len(x) - keep :].copy() if keep else None)  # a view would hold the whole buffer
-        x = run(x, counter)
+    for p, b in zip(plan.arch.placed, plan.bound):
+        for keep, run in p.stages:
+            carry = carries[len(kept)] if carries else None
+            if carry is not None:
+                x = np.concatenate((carry, x))
+            kept.append(x[len(x) - keep :].copy() if keep else None)  # a view would hold the whole buffer
+            x = run(b, x, counter)
     return x, tuple(kept)
 
 
@@ -368,14 +365,8 @@ def forward(
     global _kept
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
+    window = _checked_window(arch, window)
     plan = _plan(arch, weights)
-    window = np.asarray(window)
-    if window.shape != (arch.input_t, arch.input_f):
-        raise ShapeError(
-            f"window shape {window.shape} does not match the "
-            f"{(arch.input_t, arch.input_f)} input of {arch.name}",
-            axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
-        )
     kept = plan.weights is not None and arch.streams_cheaper
     streams = kept and conv_path == "optimized" and window.dtype == np.float32
     if streams and plan.advanced_by(window):
@@ -388,15 +379,26 @@ def forward(
     return x
 
 
+def _checked_window(arch: ArchSpec, window: np.ndarray) -> np.ndarray:
+    """`window` as an array, checked against the (input_t, input_f) input of arch."""
+    window = np.asarray(window)
+    if window.shape != (arch.input_t, arch.input_f):
+        raise ShapeError(
+            f"window shape {window.shape} does not match the "
+            f"{(arch.input_t, arch.input_f)} input of {arch.name}",
+            axis="time" if window.shape[:1] != (arch.input_t,) else "freq",
+        )
+    return window
+
+
 def _continue(plan: _Plan, window: np.ndarray, counter: MacCounter | None) -> np.ndarray:
     """forward() of `window`, plan.last advanced by one frame, from the
     carries after plan.last (primed here first if it has none)."""
     global _kept
-    stages = plan.stages
     carries = plan.carries
     if carries is None:
-        _, carries = _run_stages(stages, (None,) * len(stages), plan.last[:, :, None], counter)
-    row, carries = _run_stages(stages, carries, window[-1:, :, None], counter)
+        _, carries = _run_stages(plan, None, plan.last[:, :, None], counter)
+    row, carries = _run_stages(plan, carries, window[-1:, :, None], counter)
     _kept = plan._replace(last=window.copy(), carries=carries)
     return row[0]
 
@@ -423,7 +425,6 @@ def forward_frames(
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """
-    stages = _plan(arch, weights).stages
     frames = np.asarray(frames)
     if frames.ndim != 2 or frames.shape[1] != arch.input_f:
         raise ShapeError(
@@ -432,7 +433,8 @@ def forward_frames(
     n = frames.shape[0]
     if n == 0:
         raise InsufficientAudioError("cannot classify zero frames")
-    carries: tuple[np.ndarray | None, ...] = (None,) * len(stages)
+    plan = _plan(arch, weights)
+    carries = None
     out = None
     fed = 0  # padded-stream rows streamed so far
     for j0 in range(0, n, BLOCK_WINDOWS):
@@ -440,7 +442,7 @@ def forward_frames(
         rows = np.clip(np.arange(fed, j1 + arch.input_t - 1) - arch.context.left, 0, n - 1)
         fed = j1 + arch.input_t - 1
         chunk = frames[rows].astype(np.float32, copy=False)[:, :, None]
-        x, carries = _run_stages(stages, carries, chunk, counter)
+        x, carries = _run_stages(plan, carries, chunk, counter)
         if out is None:
             out = np.empty((n, x.shape[-1]), dtype=x.dtype)
         out[j0:j1] = x
@@ -455,8 +457,8 @@ def conv_bound_fractions(
     the exact float64 one, before pooling, with every layer fed the naive
     path's output of the layers before it, so errors do not compound. A
     fraction above 1, or NaN, means the optimized kernel broke the bound."""
+    x = _checked_window(arch, window).reshape(arch.input_t, arch.input_f, 1)
     plan = _plan(arch, weights)
-    x = np.asarray(window).reshape(arch.input_t, arch.input_f, 1)
     fractions = {}
     for p, b in zip(arch.placed, plan.bound):
         fraction, x = p.layer.bound_check(b, x)

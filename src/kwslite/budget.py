@@ -98,18 +98,18 @@ def streamed_multiplies(arch: ArchSpec, n_frames: int) -> int:
 
     The stack runs once over the edge-padded stream of n_frames + input_t - 1
     rows. Each stage of a layer turns r rows into r minus the rows it keeps
-    (see `Layer.stream_keeps`), and the layer's first stage does its
-    multiplies: the layer's per-frame count for each row it outputs. After
-    flatten there is one row per frame.
+    (its `keep` in `Placed.stages`, from `Layer.stream`), and the layer's
+    first stage does its multiplies: the layer's per-frame count for each
+    row it outputs. After flatten there is one row per frame.
     """
     if n_frames < 1:
         raise ValueError(f"need at least one frame, got {n_frames}")
     rows, total = n_frames + arch.input_t - 1, 0
     for p in arch.placed:
-        first, *rest = p.keeps
+        (first, _), *rest = p.stages
         rows -= first
         total += rows * p.layer.frame_multiplies(p.in_shape)
-        rows -= sum(rest)
+        rows -= sum(keep for keep, _ in rest)
     return total
 
 

@@ -9,14 +9,15 @@ rules; `manifest` names its weight tensors, the one method that does: the
 others take them as a tuple in manifest order; `cost` and
 `frame_multiplies` count it per window and per streamed frame; `bind` makes
 inference's form of that tuple and `forward` is its inference step, on the
-conv path the caller names; `stream_keeps` and `stages` place that step in
-the carried stream of `forward_frames` and of a loaded model's continued
-`forward`, where a stage runs the kind's own `forward` path and adds only
-row bookkeeping (the rows it carries, the interleaving by time step,
-flatten's gather, the time pool); `train_forward` and `train_backward` are
-its batched training passes, and a layer that routes (a pool's argmax, a
-relu's mask) keeps that routing under its cache's "route" key; `to_dict`
-and `Layer.from_dict` are its model-header form.
+conv path the caller names; `stream` places that step in the carried
+stream of `forward_frames` and of a loaded model's continued `forward`,
+once per spec, as stages that take the binding when they run, run the
+kind's own `forward` path and add only row bookkeeping (the rows each
+carries, the interleaving by time step, flatten's gather, the time pool);
+`train_forward` and `train_backward` are its batched training passes, and
+a layer that routes (a pool's argmax, a relu's mask) keeps that routing
+under its cache's "route" key; `to_dict` and `Layer.from_dict` are its
+model-header form.
 Adding a kind means one class here and its entry in `_KINDS` (a new output
 kind also needs the stack rule in `ArchSpec.placed`).
 
@@ -56,10 +57,10 @@ Shape = tuple[int, ...]
 Tensors = tuple[np.ndarray, ...]  # a layer's tensors (or their gradients) in manifest order
 Counter = MacCounter | None  # a multiply meter the kernels add to, if any
 
-# One step of the carried stream: what it does to its rows, metering its
-# kernels on the counter it is called with. A stage given r rows returns
-# r - keep rows, where keep is its entry in Placed.keeps.
-Stage = Callable[[np.ndarray, Counter], np.ndarray]
+# One step of the carried stream, (keep, run): run(binding, rows, counter)
+# runs it on its layer's binding, metering on the counter, and turns r rows
+# into r - keep; the last keep rows are carried into the next chunk.
+Stage = tuple[int, Callable[[tuple, np.ndarray, Counter], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,7 @@ class Placed(NamedTuple):
     in_shape: Shape  # one window's input to the layer
     trace: tuple[TraceEntry, ...]  # its outputs; the last one feeds the next layer
     manifest: tuple[tuple[str, Shape], ...]
-    step: int  # stream rows between consecutive input rows of one window
-    keeps: tuple[int, ...]  # rows each of its stream stages carries to the next chunk
+    stages: tuple[Stage, ...]  # its steps in the carried stream (Layer.stream)
 
     def tensors(self, mapping: Mapping[str, np.ndarray]) -> Tensors:
         """The layer's tensors in `mapping`, in manifest order."""
@@ -114,11 +114,12 @@ class Layer:
     def frame_multiplies(self, shape: Shape) -> int:
         return self.cost(shape).multiplies  # one window per frame
 
-    def stream_keeps(self, step: int, window_rows: int) -> tuple[tuple[int, ...], int]:
-        """Rows each of the layer's stream stages keeps for the next chunk, at
-        time step `step` with a window spanning `window_rows` rows of the
-        stream, and the time step after the layer."""
-        return (0,), step
+    def stream(self, shape: Shape, step: int, window_rows: int) -> tuple[tuple[Stage, ...], int]:
+        """The layer's stages for input `shape` at time step `step` (stream rows
+        between a window's consecutive input rows), a window spanning
+        `window_rows` stream rows, and the step after the layer. By default
+        forward() on every row of a chunk at once."""
+        return ((0, self.forward),), step
 
     def bind(self, tensors: Tensors) -> tuple:
         """Inference's form of a flat layer's tensors: their float64 copies,
@@ -126,10 +127,6 @@ class Layer:
         (A conv binds its tensors as they are.)"""
         copies = tuple(np.asarray(t, dtype=np.float64) for t in tensors)
         return (*copies, np.asarray(tensors[0]).dtype) if tensors else ()
-
-    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
-        """forward() on every row of a chunk at once."""
-        return [lambda x, counter: self.forward(bound, x, counter)]
 
     def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float | None, np.ndarray]:
         """The optimized step's worst error on x as a fraction of its stated
@@ -279,56 +276,47 @@ class Conv(Layer):
         """One output row of the stream: the per-window cost over its pre-pool rows."""
         return self.cost(shape).multiplies // self._out(shape)[0]
 
-    def stream_keeps(self, step: int, window_rows: int) -> tuple[tuple[int, ...], int]:
-        """A conv of kernel_t rows at time step d keeps d*(kernel_t - 1) rows; a
-        time stride or pool of s does not drop rows but multiplies the step of
-        every later layer by s, and a time pool of p keeps (p - 1) steps."""
-        keeps = (step * (self.kernel_t - 1),)
-        step *= self.stride.time
-        if self.pool.time > 1:
-            keeps += (step * (self.pool.time - 1),)
-            step *= self.pool.time
-        return keeps, step
-
     def bind(self, tensors: Tensors) -> tuple:
         """The stored tensors as they are, as one validated FilterBank."""
         return (FilterBank(*tensors),)
 
-    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
+    def stream(self, shape: Shape, step: int, window_rows: int) -> tuple[tuple[Stage, ...], int]:
         """forward()'s step at time stride 1 over rows u, u+step, ...: `step`
         interleaved calls on rows[p::step], each pooled in frequency, which
         pools within a row; then a time pool, a max over rows u, u+d, ...,
-        u+(pool.time-1)*d at the step d after the stride."""
-        step, keep = placed.step, placed.keeps[0]
+        u+(pool.time-1)*d at the step d after the stride. A time stride or
+        pool of s drops no rows but multiplies every later step by s."""
+        keep = step * (self.kernel_t - 1)
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
-        def phase(rows: np.ndarray, counter: Counter) -> np.ndarray:
+        def phase(bound: tuple, rows: np.ndarray, counter: Counter) -> np.ndarray:
             return self._step(tensor.conv2d_im2col, bound, rows, freq_only, freq_pool, counter)
 
-        def conv(x: np.ndarray, counter: Counter) -> np.ndarray:
+        def conv(bound: tuple, x: np.ndarray, counter: Counter) -> np.ndarray:
             if step == 1:
-                return phase(x, counter)
+                return phase(bound, x, counter)
             n = len(x) - keep
             y = None
             for p in range(min(step, n)):
-                part = phase(x[p::step], counter)
+                part = phase(bound, x[p::step], counter)
                 if y is None:
                     y = np.empty((n,) + part.shape[1:], part.dtype)
                 y[p::step] = part
             return y
 
+        d = step * self.stride.time
         if self.pool.time == 1:
-            return [conv]
-        d, pool_keep = step * self.stride.time, placed.keeps[1]
+            return ((keep, conv),), d
+        pool_keep = d * (self.pool.time - 1)
 
-        def time_pool(x: np.ndarray, counter: Counter) -> np.ndarray:
+        def time_pool(bound: tuple, x: np.ndarray, counter: Counter) -> np.ndarray:
             n = len(x) - pool_keep
             y = x[:n]
             for k in range(1, self.pool.time):
                 y = np.maximum(y, x[k * d : k * d + n])
             return y
 
-        return [conv, time_pool]
+        return ((keep, conv), (pool_keep, time_pool)), d * self.pool.time
 
     def _step(
         self, kernel: Callable, bound: tuple, x: np.ndarray, stride: Stride, pool: Pool, counter: Counter
@@ -398,20 +386,17 @@ class Flatten(Layer):
             raise ShapeError(f"{name}: input is already flat: {shape}", layer=name)
         return (TraceEntry(name, (shape[0] * shape[1] * shape[2],)),)
 
-    def stream_keeps(self, step: int, window_rows: int) -> tuple[tuple[int, ...], int]:
-        # the rows after a window's last read row, which no window of a valid
-        # stack reads, are kept too, so each stream row becomes one window
-        return (window_rows - 1,), 1
+    def stream(self, shape: Shape, step: int, window_rows: int) -> tuple[tuple[Stage, ...], int]:
+        """Window j reads rows j, j+step, ... of the stream, one per row of its
+        map. The rows after a window's last read row, which no window of a
+        valid stack reads, are kept too, so each stream row becomes one window."""
+        keep = window_rows - 1
+        offsets = step * np.arange(shape[0])
 
-    def stages(self, placed: Placed, bound: tuple) -> list[Stage]:
-        """Window j reads rows j, j+step, ... of the stream, one per row of its map."""
-        keep = placed.keeps[0]
-        offsets = placed.step * np.arange(placed.in_shape[0])
-
-        def gather(x: np.ndarray, counter: Counter) -> np.ndarray:
+        def gather(bound: tuple, x: np.ndarray, counter: Counter) -> np.ndarray:
             return self.forward(bound, x[np.arange(len(x) - keep)[:, None] + offsets], counter)
 
-        return [gather]
+        return ((keep, gather),), 1
 
     def forward(
         self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
@@ -526,7 +511,7 @@ class Dense(_Affine):
 
     def _activate(self, z: np.ndarray, cache: dict) -> np.ndarray:
         cache["route"] = z > 0
-        return np.where(cache["route"], z, 0.0)
+        return np.maximum(z, 0.0)  # as inference's relu: NaN stays NaN
 
     def _activation_grad(self, delta: np.ndarray, cache: dict) -> np.ndarray:
         return delta * cache["route"]

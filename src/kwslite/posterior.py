@@ -163,8 +163,8 @@ class StreamingDetector:
     stacking, and the threshold test runs in the pushed row's dtype, the
     dtype of smooth()'s output that detect() tests. push() returns the event
     fired at this frame, if any; a row that is not finite raises NumericError
-    and changes nothing. A filler_index that is not one of the first row's
-    label columns raises ShapeError at the first push.
+    and changes nothing. A first row of fewer than two labels, or a
+    filler_index that is not one of its label columns, raises ShapeError.
     """
 
     def __init__(self, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0):
@@ -182,6 +182,8 @@ class StreamingDetector:
         if not np.isfinite(frame_probs).all():
             raise NumericError(f"posterior of frame {self._frame + 1} is not finite")
         if self._raw is None:
+            if frame_probs.shape[0] < 2:
+                raise ShapeError("push needs at least two labels per row", axis="labels")
             _check_filler(self.filler_index, frame_probs.shape[0])
             self._raw = np.empty((2 * self.cfg.w_smooth, frame_probs.shape[0]))
             self._smoothed = np.empty((2 * self.cfg.w_max, frame_probs.shape[0]))

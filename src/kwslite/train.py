@@ -21,7 +21,7 @@ import numpy as np
 
 from . import arch as _arch
 from .arch import ArchSpec
-from .errors import DivergenceError, ShapeError, check_counts
+from .errors import DivergenceError, NumericError, ShapeError, check_counts
 
 __all__ = [
     "LabeledExample",
@@ -141,6 +141,8 @@ def _check_examples(arch: ArchSpec, examples: list[LabeledExample]) -> None:
     for i, ex in enumerate(examples):
         if np.shape(ex.window) != shape:
             raise ShapeError(f"example {i}: window shape {np.shape(ex.window)} is not {shape}", axis="window")
+        if not np.isfinite(ex.window).all():
+            raise NumericError(f"example {i}: window is not finite")
         if not 0 <= ex.label < arch.labels:
             raise ValueError(f"example {i}: label {ex.label} out of range for {arch.labels} classes")
 
@@ -156,7 +158,8 @@ def loss_and_grads(
     example order, and returned in the dtype of the corresponding weight
     tensor, so they do not depend on `CHUNK`. Averaging over b identical
     examples yields exactly the single-example gradient. Weights that do
-    not match the manifest raise ManifestMismatchError.
+    not match the manifest raise ManifestMismatchError, and a window that
+    is not finite NumericError.
     """
     if not batch:
         raise ValueError("empty batch")
@@ -255,9 +258,10 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
     Weights start from init_weights(arch, cfg.seed); the per-epoch shuffle
     has its own stream derived from the same seed. History records the
     running mean loss, accuracy and gradient norm over each epoch's batches,
-    and the epoch's wall time. Every example's window shape and label are
-    checked before the first update (ShapeError, ValueError). A non-finite
-    batch loss raises DivergenceError naming the epoch.
+    and the epoch's wall time. Every example's window shape, values and
+    label are checked before the first update (ShapeError, NumericError,
+    ValueError). A batch whose loss or gradient norm is not finite raises
+    DivergenceError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -275,13 +279,15 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
         for start in range(0, n, cfg.batch_size):
             batch = [examples[i] for i in order[start : start + cfg.batch_size]]
             grads, batch_loss, batch_correct = loss_and_grads(arch, weights, batch)
-            if not math.isfinite(batch_loss):
+            norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
+            if not (math.isfinite(batch_loss) and math.isfinite(norm)):
                 raise DivergenceError(
-                    f"training diverged at epoch {epoch}: loss {batch_loss!r}", epoch=epoch
+                    f"training diverged at epoch {epoch}: loss {batch_loss!r}, gradient norm {norm!r}",
+                    epoch=epoch,
                 )
             epoch_loss += batch_loss * len(batch)
             epoch_correct += batch_correct
-            norms.append(math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values())))
+            norms.append(norm)
             lr = np.asarray(cfg.learning_rate, dtype=np.float32)
             for name in weights:
                 weights[name] = weights[name] - lr * grads[name]
@@ -293,9 +299,11 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
 def evaluate(
     arch: ArchSpec, weights: Mapping[str, np.ndarray], examples: list[LabeledExample]
 ) -> tuple[float, float]:
-    """Mean cross-entropy and accuracy of a fixed model over examples."""
+    """Mean cross-entropy and accuracy of a fixed model over examples, whose
+    windows and labels are checked first, as in train()."""
     if not examples:
         raise ValueError("no examples to evaluate")
+    _check_examples(arch, examples)
     total_loss = 0.0
     correct = 0
     for ex in examples:

@@ -1,6 +1,6 @@
-"""Loaded weights: read-only tensors whose plan (manifest check, every
-layer's binding and the stream stages) is built once per spec and
-kept for one model at a time, with outputs bit-identical to plain dicts,
+"""Loaded weights: read-only tensors whose plan (manifest check and every
+layer's binding, on which the spec's stream stages run) is built once per
+spec and kept for one model at a time, with outputs bit-identical to plain dicts,
 and whose forward continues the stream of a window advanced by one frame."""
 
 import gc
@@ -33,7 +33,7 @@ from kwslite import (
 from kwslite.arch import FrozenWeights, build_cnn_tstride, conv_bound_fractions
 from kwslite.audio import Waveform
 from kwslite.budget import report, streamed_multiplies
-from kwslite.errors import ManifestMismatchError
+from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.layers import Layer
 from kwslite.tensor import FilterBank, MacCounter
 
@@ -109,10 +109,11 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
     window = random_window(rng, TINY)
 
     def held(weights):
-        """Weak references to a float64 copy and a stream stage of the kept plan."""
+        """Weak references to a float64 copy and to conv1's binding in the kept
+        plan (the spec's stages hold no model's tensors)."""
         plan = kwslite.arch._plan(TINY, weights)
         dense1 = [p.name for p in TINY.placed].index("dense1")
-        return weakref.ref(plan.bound[dense1][0]), weakref.ref(plan.stages[0][1])
+        return weakref.ref(plan.bound[dense1][0]), weakref.ref(plan.bound[0][0])
 
     forward(TINY, a, window)
     plan_a = kwslite.arch._plan(TINY, a)
@@ -122,16 +123,16 @@ def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
     copied = [p.name for p, b in zip(TINY.placed, plan_a.bound)
               if any(isinstance(t, np.ndarray) and t.dtype == np.float64 for t in b)]
     assert copied == ["dense1", "softmax"]  # only the flat layers hold float64 copies
-    del plan_a
-    copy_a, stage_a = held(a)
+    del plan_a, bank
+    copy_a, bank_a = held(a)
     forward(TINY, b, window)
     gc.collect()
-    assert copy_a() is None and stage_a() is None  # b's plan replaced a's
+    assert copy_a() is None and bank_a() is None  # b's plan replaced a's
     assert kwslite.arch._kept.weights() is b
-    copy_b, stage_b = held(b)
+    copy_b, bank_b = held(b)
     del b
     gc.collect()
-    assert copy_b() is None and stage_b() is None  # freed with their weights
+    assert copy_b() is None and bank_b() is None  # freed with their weights
 
 
 def test_loaded_tensors_cannot_be_changed(tmp_path):
@@ -249,29 +250,59 @@ def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(
             assert count == (streamed_multiplies(arch, 2) if j == 1 else budget.per_frame), (arch, j)
 
 
-def test_continued_hops_build_the_stages_once_per_weights_and_spec(tmp_path, monkeypatch, rng):
-    built = []
-    for kind in (Layer, Conv, Flatten):  # every kind's stages() is one of these
-        def counted(self, placed, weights, stages=kind.__dict__["stages"]):
-            built.append(placed.name)
-            return stages(self, placed, weights)
+def test_the_stages_are_built_once_per_spec_whatever_runs_on_it(tmp_path, monkeypatch, rng):
+    arch = get_arch("cnn-tpool2", 4)  # validated, so its stages are built
+    plain, loaded_a = saved_and_loaded(tmp_path, arch, 7, "a.kwsm")
+    _, loaded_b = saved_and_loaded(tmp_path, arch, 8, "b.kwsm")
+    built = []  # the layers whose stream() ran
+    for kind in (Layer, Conv, Flatten):  # every kind's stream() is one of these
+        def counted(self, shape, step, window_rows, stream=kind.__dict__["stream"]):
+            built.append(self)
+            return stream(self, shape, step, window_rows)
 
-        monkeypatch.setattr(kind, "stages", counted)
-    arch = get_arch("cnn-tpool2", 4)
-    _, loaded = saved_and_loaded(tmp_path, arch, 7)
+        monkeypatch.setattr(kind, "stream", counted)
     frames = rng.standard_normal((24, arch.input_f)).astype(np.float32)
     windows = stack_context(frames, arch.context)
-    names = [p.name for p in arch.placed]
-    for j, window in enumerate(windows):
-        count = metered(arch, loaded, window)[1]
-        if j >= 2:  # continued, from primed carries
-            assert count == report(arch).per_frame
-    forward_frames(arch, loaded, frames)
-    assert built == names  # once for 24 hops and a whole-clip stream
+    for loaded in (loaded_a, loaded_b):  # the second model takes the kept slot
+        for j, window in enumerate(windows):
+            count = metered(arch, loaded, window)[1]
+            if j >= 2:  # continued, from primed carries
+                assert count == report(arch).per_frame
+        forward_frames(arch, loaded, frames)
+    forward_frames(arch, plain, frames)
+    assert built == []  # 48 hops, two models and three whole-clip streams built none
     same = get_arch("cnn-tpool2", 4)  # an equal spec, but another object: built again
-    forward(same, loaded, windows[0])
-    forward(same, loaded, windows[1])
-    assert built == names * 2
+    assert built == list(same.layers)  # once per layer
+    forward(same, loaded_a, windows[0])
+    forward(same, loaded_a, windows[1])
+    forward_frames(same, loaded_b, frames)
+    assert built == list(same.layers)
+
+
+def test_a_wrong_shape_call_leaves_the_kept_stream_in_place(tmp_path, rng):
+    # shapes are checked before the kept plan is touched: otherwise a wrong
+    # shape on b evicts a's plan, and a's next advanced window meters a whole
+    # window, not one frame's rows
+    arch = get_arch("cnn-tpool2", 4)
+    _, a = saved_and_loaded(tmp_path, arch, 1, "a.kwsm")
+    _, b = saved_and_loaded(tmp_path, arch, 2, "b.kwsm")
+    frames = rng.standard_normal((6, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    for window in windows[:3]:
+        forward(arch, a, window)  # primes a's carries
+    kept = kwslite.arch._kept
+    calls = {
+        "forward short": (lambda: forward(arch, b, windows[0][:-1]), ShapeError),
+        "forward_frames narrow": (lambda: forward_frames(arch, b, frames[:, :-1]), ShapeError),
+        "forward_frames empty": (lambda: forward_frames(arch, b, frames[:0]), InsufficientAudioError),
+        "bound narrow": (lambda: conv_bound_fractions(arch, b, windows[0][:, :-1]), ShapeError),
+        "bound transposed": (lambda: conv_bound_fractions(arch, b, windows[0].T), ShapeError),
+    }
+    for case, (call, error) in calls.items():
+        with pytest.raises(error):
+            call()
+        assert kwslite.arch._kept is kept, case
+    assert metered(arch, a, windows[3])[1] == report(arch).per_frame
 
 
 def test_a_plan_validates_each_conv_filter_bank_once(tmp_path, monkeypatch, rng):

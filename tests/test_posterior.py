@@ -288,6 +288,17 @@ def test_streaming_rejects_matrix_push():
         detector.push(np.zeros((3, 4), dtype=np.float32))
 
 
+@pytest.mark.parametrize("row", [np.array([1.0]), np.zeros(0)])
+def test_streaming_refuses_fewer_than_two_labels_as_detect_does(row):
+    with pytest.raises(ShapeError) as batch:
+        detect(row[None], DetectorConfig())
+    detector = StreamingDetector(DetectorConfig())
+    with pytest.raises(ShapeError) as streamed:
+        detector.push(row)
+    assert batch.value.axis == streamed.value.axis == "labels"
+    assert detector.push(np.full(3, 1 / 3)) is None  # the refused row primed nothing
+
+
 def stream_events(detector, probs):
     return [e for e in (detector.push(row) for row in probs) if e is not None]
 

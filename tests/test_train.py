@@ -44,7 +44,7 @@ from kwslite.data import (
     center_window_examples,
     load_dataset_dir,
 )
-from kwslite.errors import DivergenceError, KwsError, ManifestMismatchError, ShapeError
+from kwslite.errors import DivergenceError, KwsError, ManifestMismatchError, NumericError, ShapeError
 from kwslite.layers import _col2im, _maxpool_argmax, _maxpool_scatter
 from kwslite.tensor import Pool, Stride, im2col
 from kwslite.train import CHUNK
@@ -430,6 +430,51 @@ def test_divergence_reports_epoch(tiny_corpus):
         train(arch, examples, TrainConfig(learning_rate=1e9, epochs=10, seed=0))
     assert info.value.epoch is not None
     assert 1 <= info.value.epoch <= 10
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_window_that_is_not_finite_is_refused_by_name(bad):
+    # unchecked, a NaN window gives a finite loss with NaN gradients, and
+    # train() returns NaN weights without raising
+    arch = get_arch("cnn-one", 4)
+    rng = np.random.default_rng(5)
+    examples = [LabeledExample(random_window(rng, arch), i % 4) for i in range(8)]
+    examples[5].window[3, 7] = bad
+    weights = init_weights(arch, 0)
+    calls = {
+        "train": lambda: train(arch, examples, TrainConfig(epochs=1, batch_size=8)),
+        "loss_and_grads": lambda: loss_and_grads(arch, weights, examples),
+        "evaluate": lambda: evaluate(arch, weights, examples),
+    }
+    for name, call in calls.items():
+        with pytest.raises(NumericError, match="example 5"):
+            call()
+
+
+def test_a_gradient_that_is_not_finite_stops_training(tiny_corpus, monkeypatch):
+    arch, examples = tiny_corpus
+    real = train_module.loss_and_grads
+
+    def nan_gradient(*args):
+        grads, loss, correct = real(*args)
+        name = next(iter(grads))
+        grads[name] = np.full_like(grads[name], np.nan)
+        return grads, loss, correct  # the loss stays finite
+
+    monkeypatch.setattr(train_module, "loss_and_grads", nan_gradient)
+    with pytest.raises(DivergenceError) as info:
+        train(arch, examples, TrainConfig(epochs=3, seed=0))
+    assert info.value.epoch == 1
+
+
+def test_training_relu_keeps_nan_as_inference_does():
+    layer = Dense(1)
+    tensors = (np.ones((1, 1), dtype=np.float32), np.zeros(1, dtype=np.float32))
+    x = np.array([[np.nan], [-1.0]], dtype=np.float32)  # two examples
+    trained = layer.train_forward(tensors, x, {})[:, 0]
+    inferred = [layer.forward(layer.bind(tensors), row, None)[0] for row in x]
+    for y in (trained, inferred):
+        assert np.isnan(y[0]) and y[1] == 0.0
 
 
 def test_evaluate_matches_history_scale(tiny_corpus):
