@@ -35,10 +35,12 @@ dtype the kernels give on the stored tensors; softmax runs in float64 too.
 The naive conv path sums in float64 and is the oracle.
 Training's passes run over a leading example axis; a conv's forward is
 `tensor.conv2d_im2col` on the chunk, the kernel inference runs. Every
-product in them (that conv, col2im, the pool scatter, the outer products
-and input gradients) runs in the dtype of the weights they are given:
-float32 in `train`, float64 in `grad_check`. Per-example gradients are
-summed in example order into float64 totals, a tuple like the tensors.
+product in them (that conv, col2im, the pool scatter, the input gradients)
+runs in the dtype of the weights they are given: float32 in `train`,
+float64 in `grad_check`. Gradients are summed into float64 totals, a tuple
+like the tensors: a conv's per example, in example order; a flat layer's
+as one float64 product (and bias column sum) per chunk, whose products of
+float32 factors are exact.
 """
 
 from __future__ import annotations
@@ -445,10 +447,9 @@ class _Flat(Layer):
     def train_backward(
         self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
-        total, x = grads[0], cache["x"]
-        # every example's outer product is written here, not allocated
-        buf = np.empty(total.shape, np.result_type(delta, x))
-        _accumulate(total, (np.outer(d, row, out=buf) for d, row in zip(delta, x)))
+        # one float64 product per chunk: a float32 product is exact in float64
+        total = grads[0]
+        total += delta.astype(np.float64).T @ cache["x"].astype(np.float64)
         if not input_grad:
             return None
         return np.matmul(tensors[0].T, delta[..., None])[..., 0]
@@ -491,7 +492,8 @@ class _Affine(_Flat):
         self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
         delta = self._activation_grad(delta, cache)
-        _accumulate(grads[1], delta)
+        total = grads[1]
+        total += delta.astype(np.float64).sum(axis=0)
         return super().train_backward(tensors, cache, delta, grads, input_grad)
 
 

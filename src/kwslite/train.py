@@ -4,10 +4,11 @@ finite-difference gradient oracle.
 Everything here is desk-scale by design: full analytic gradients through the
 im2col convolution path, plain (mini-batch) gradient descent, no momentum, no
 regularization. Forward and backward products run in the weights' dtype
-(float32 weights in `train`) and gradients are summed in float64, products in
-the narrow type and sums in the wide one, as in mixed-precision training.
-Given the same architecture, examples, and config, two runs produce
-bit-identical weights.
+(float32 weights in `train`) and gradients are summed in float64, as in
+mixed-precision training; a flat layer's weight gradient widens its
+products too, to one float64 product per chunk, where a product of two
+float32 values is exact. Given the same architecture, examples, and config,
+two runs produce bit-identical weights.
 """
 
 from __future__ import annotations
@@ -93,9 +94,14 @@ def cross_entropy(posterior: np.ndarray, label: int) -> float:
 # Forward / backward over a leading example axis, in chunks of CHUNK examples
 # to bound memory. The caches keep each layer's input and, under "route", its
 # routing decision (pool argmax, relu mask), the kink signature used by
-# grad_check. Every per-example product has per-example shapes that do not
-# depend on the chunk size, and per-example gradients are added in example
-# order, so a gradient does not depend on how the batch is split.
+# grad_check. Every conv product has per-example shapes that do not depend on
+# the chunk size, and a conv's per-example gradients are added in example
+# order. A flat layer's weight and bias gradients are one float64 product and
+# one column sum per chunk: exact products, but sums grouped by chunk, so
+# their float64 totals can differ in the last bits between chunk sizes, each
+# within gamma(N)*sum|delta*x| of the exact sum at float64's unit roundoff.
+# That the float32 gradients do not depend on how a batch is split is checked
+# on the tests' data, not guaranteed.
 
 CHUNK = 8
 
@@ -147,6 +153,11 @@ def _check_examples(arch: ArchSpec, examples: list[LabeledExample]) -> None:
             raise ValueError(f"example {i}: label {ex.label} out of range for {arch.labels} classes")
 
 
+class _Checked(list):
+    """A batch `train` drew from examples it has checked, for weights it made
+    from the manifest: `loss_and_grads` does not check it again."""
+
+
 def loss_and_grads(
     arch: ArchSpec, weights: dict[str, np.ndarray], batch: list[LabeledExample]
 ) -> tuple[dict[str, np.ndarray], float, int]:
@@ -154,17 +165,20 @@ def loss_and_grads(
 
     The forward and backward passes run in the weights' dtype, whatever the
     windows': d loss / d logits is rounded to it once, and every backward
-    product stays in it. Per-example gradients are summed in float64, in
-    example order, and returned in the dtype of the corresponding weight
-    tensor, so they do not depend on `CHUNK`. Averaging over b identical
-    examples yields exactly the single-example gradient. Weights that do
-    not match the manifest raise ManifestMismatchError, and a window that
-    is not finite NumericError.
+    product but a flat layer's weight gradient stays in it. That one is a
+    float64 product per chunk, exact for float32 factors. Gradients are
+    summed in float64 (a conv's in example order, a flat layer's grouped by
+    chunk, each total within gamma(N)*sum|delta*x| of the exact sum) and
+    returned in the dtype of the corresponding weight tensor. With float32
+    weights, averaging over b <= 32 identical examples yields exactly the
+    single-example gradient. Weights that do not match the manifest raise
+    ManifestMismatchError, and a window that is not finite NumericError.
     """
     if not batch:
         raise ValueError("empty batch")
-    _check_examples(arch, batch)
-    _arch.check_weights(arch, weights)
+    if not isinstance(batch, _Checked):
+        _check_examples(arch, batch)
+        _arch.check_weights(arch, weights)
     grads64 = {name: np.zeros(w.shape, dtype=np.float64) for name, w in weights.items()}
     dtype = np.result_type(*weights.values())
     total_loss = 0.0
@@ -259,9 +273,9 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
     has its own stream derived from the same seed. History records the
     running mean loss, accuracy and gradient norm over each epoch's batches,
     and the epoch's wall time. Every example's window shape, values and
-    label are checked before the first update (ShapeError, NumericError,
-    ValueError). A batch whose loss or gradient norm is not finite raises
-    DivergenceError naming the epoch.
+    label are checked once, before the first update (ShapeError,
+    NumericError, ValueError), and not again per batch. A batch whose loss
+    or gradient norm is not finite raises DivergenceError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -277,7 +291,7 @@ def train(arch: ArchSpec, examples: list[LabeledExample], cfg: TrainConfig = Tra
         epoch_correct = 0
         norms = []
         for start in range(0, n, cfg.batch_size):
-            batch = [examples[i] for i in order[start : start + cfg.batch_size]]
+            batch = _Checked(examples[i] for i in order[start : start + cfg.batch_size])
             grads, batch_loss, batch_correct = loss_and_grads(arch, weights, batch)
             norm = math.sqrt(sum(float(np.square(g, dtype=np.float64).sum()) for g in grads.values()))
             if not (math.isfinite(batch_loss) and math.isfinite(norm)):

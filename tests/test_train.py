@@ -3,6 +3,7 @@ differences, pooling gradient routing, determinism, divergence, and the
 synthetic dataset."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +21,7 @@ from kwslite import (
     DetectorConfig,
     Flatten,
     LabeledExample,
+    LowRank,
     SoftmaxOut,
     TrainConfig,
     Waveform,
@@ -203,6 +205,44 @@ def test_float32_gradients_do_not_depend_on_chunk_size(monkeypatch, name):
         for key in first:
             assert grads[key].dtype == np.float32
             assert grads[key].tobytes() == first[key].tobytes(), key
+
+
+def gamma64(n):
+    """Higham's gamma(n) at float64's unit roundoff: n float64 terms summed
+    in any order lie within gamma(n - 1) * sum|term| of the exact sum."""
+    nu = n * 2.0**-53
+    return nu / (1 - nu)
+
+
+@pytest.mark.parametrize("layer", [Dense(6), LowRank(5)], ids=["dense", "lowrank"])
+def test_flat_gradient_totals_are_held_to_a_stated_bound(layer):
+    # a flat layer's float64 totals are summed in an order that depends on
+    # the chunk size; each entry must stay within gamma64(N) * sum_b|d_b*x_b|
+    # of the exactly rounded sum of its N = 17 exact float32 products
+    rng = np.random.default_rng(11)
+    n, width = 17, 40
+    shapes = [shape for _, shape in layer.manifest("flat", (width,))]
+    tensors = tuple(rng.standard_normal(shape).astype(np.float32) for shape in shapes)
+    x = rng.standard_normal((n, width)).astype(np.float32)
+    delta = rng.standard_normal((n, layer.width)).astype(np.float32)
+    for chunk in (1, 3, 8, 17):
+        totals = tuple(np.zeros(shape) for shape in shapes)
+        seen = []  # each example's delta after the activation, as the layer used it
+        for start in range(0, n, chunk):
+            cache = {}
+            layer.train_forward(tensors, x[start : start + chunk], cache)
+            d = delta[start : start + chunk]
+            seen.append(d * cache["route"] if "route" in cache else d)
+            layer.train_backward(tensors, cache, d, totals, input_grad=False)
+        d64 = np.concatenate(seen).astype(np.float64)
+        terms = [d64[:, :, None] * x.astype(np.float64)[:, None, :]]  # exact in float64
+        if len(totals) == 2:
+            terms.append(d64)
+        for total, term in zip(totals, terms):
+            flat = term.reshape(n, -1)
+            exact = np.array([math.fsum(flat[:, i]) for i in range(flat.shape[1])]).reshape(total.shape)
+            excess = np.abs(total - exact) - gamma64(n) * np.abs(term).sum(axis=0)
+            assert excess.max() <= 0, f"chunk {chunk}: {excess.max()} past the bound"
 
 
 @pytest.mark.parametrize("name", ARCHITECTURES)
@@ -421,6 +461,27 @@ def test_history_records_time_and_gradient_norm(tiny_corpus):
     expected = np.sqrt(sum(np.sum(g.astype(np.float64) ** 2) for g in grads.values()))
     for stats in frozen.history:
         assert stats.grad_norm == pytest.approx(expected, rel=1e-6)
+
+
+def test_train_checks_its_examples_once(tiny_corpus, monkeypatch):
+    arch, examples = tiny_corpus
+    calls = {"_check_examples": 0, "check_weights": 0}
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, call)
+
+    counted(train_module, "_check_examples")
+    counted(kwslite.arch, "check_weights")
+    train(arch, examples, TrainConfig(epochs=3, batch_size=4, seed=0))
+    assert calls == {"_check_examples": 1, "check_weights": 0}
+    loss_and_grads(arch, init_weights(arch, 0), examples[:4])  # the public call keeps both checks
+    assert calls == {"_check_examples": 2, "check_weights": 1}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
