@@ -45,9 +45,9 @@ weights = init_weights(arch, 0)
 rng = np.random.default_rng(0)
 window = rng.standard_normal((arch.input_t, arch.input_f)).astype(np.float32)
 
-# the naive path is the oracle: explicit loops, one multiply per counted
-# multiply, summed in float64; the optimized path lowers conv to a single
-# matrix multiply, in float32 for these float32 weights
+# the naive path is the oracle: each conv is its definition, one float64
+# sum of products over the sliding windows of its input; the optimized path
+# lowers conv to a single matrix multiply, in float32 for these float32 weights
 naive = forward(arch, weights, window, conv_path="naive")
 fast = forward(arch, weights, window, conv_path="optimized")
 print(f"max |naive - optimized| = {np.max(np.abs(naive - fast)):.3e}")
@@ -140,7 +140,7 @@ for name in ARCHITECTURES:
     if events != [e for e in map(streamer.push, probs) if e is not None]:
         mismatched.append(name)
     # two windows of the clip, the second in a burst; the naive kernel takes
-    # up to half a second per window
+    # a few milliseconds per window
     worst = {}
     windows = stack_context(features, clf.context)
     for j in (0, 60):

@@ -87,9 +87,7 @@ def report(arch: ArchSpec) -> BudgetReport:
         cost, per_frame = p.layer.cost(p.in_shape), p.layer.frame_multiplies(p.in_shape)
         rows.append(LayerBudget(p.name, out.shape, cost, per_frame))
         rows += [LayerBudget(entry.name, entry.shape, ZERO_COST, 0) for entry in pooled]
-    total = ZERO_COST
-    for row in rows:
-        total = total + row.cost
+    total = sum((row.cost for row in rows), ZERO_COST)
     return BudgetReport(arch.name, tuple(rows), total, sum(row.per_frame for row in rows))
 
 
@@ -115,15 +113,9 @@ def streamed_multiplies(arch: ArchSpec, n_frames: int) -> int:
 
 def compare(a: ArchSpec, b: ArchSpec) -> CompareResult:
     """Cost ratios total(a)/total(b), computed as exact rationals."""
-    ra, rb = report(a), report(b)
-    return CompareResult(
-        a.name,
-        b.name,
-        ra.total,
-        rb.total,
-        float(Fraction(ra.total.multiplies, rb.total.multiplies)),
-        float(Fraction(ra.total.params, rb.total.params)),
-    )
+    ta, tb = report(a).total, report(b).total
+    ratios = (float(Fraction(ta.multiplies, tb.multiplies)), float(Fraction(ta.params, tb.params)))
+    return CompareResult(a.name, b.name, ta, tb, *ratios)
 
 
 def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
@@ -169,7 +161,8 @@ def instrumented_forward(
     """Run the reference path with a multiply meter; returns (posterior, count).
 
     The count comes from the kernels themselves, not the formulas, so it is
-    an independent check on `report`.
+    an independent check on `report`: the naive conv reads its count off the
+    windows it contracts, not off conv_output_shape.
     """
     counter = MacCounter()
     probs = _arch.forward(arch, weights, window, conv_path="naive", counter=counter)

@@ -157,13 +157,6 @@ class Layer:
         return cls._from_fields(entry)
 
 
-def _accumulate(total: np.ndarray, per_example) -> None:
-    """Add per-example gradients into `total` in example order."""
-    for part in per_example:
-        total += part
-        del part  # free it before the next example's product is formed
-
-
 def _col2im(
     grad_cols: np.ndarray, in_shape: Shape, kernel_t: int, kernel_f: int, stride: Stride
 ) -> np.ndarray:
@@ -364,15 +357,14 @@ class Conv(Layer):
             delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"], self.pool)
         dmat = delta.reshape(len(delta), -1, self.maps)
         # im2col is redone one example at a time from the cached input: no
-        # chunk of patch matrices is held from forward to backward
+        # chunk of patch matrices is held from forward to backward; per-example
+        # gradients are added in example order
         x = cache["x"]
         kt, kf, stride = self.kernel_t, self.kernel_f, self.stride
-        grad_weights, grad_bias = grads
-        _accumulate(
-            grad_weights.reshape(-1, self.maps),
-            (tensor.im2col(x[i], kt, kf, stride)[0].T @ dmat[i] for i in range(len(dmat))),
-        )
-        _accumulate(grad_bias, dmat.sum(axis=1))
+        grad_weights, grad_bias = grads[0].reshape(-1, self.maps), grads[1]
+        for i, d in enumerate(dmat):
+            grad_weights += tensor.im2col(x[i], kt, kf, stride)[0].T @ d
+            grad_bias += d.sum(axis=0)
         if not input_grad:
             return None
         wmat = tensors[0].reshape(-1, self.maps)

@@ -1,8 +1,9 @@
 """Dense forward kernels over (time, freq, channels) feature tensors.
 
 Two convolution paths are provided on purpose. ``conv2d_valid`` is the
-reference: explicit loops, one inner product per output element, summed in
-float64 and cast back to the promoted input/weight dtype at the end.
+reference, written as its definition: one float64 einsum, no BLAS, over
+the sliding windows of the input, cast back to the promoted input/weight
+dtype at the end; it shares neither unfold nor product with the fast path.
 ``conv2d_im2col``, the production conv, lowers the same computation to one
 im2col matrix product run in the promoted dtype itself: float32 inputs and
 weights accumulate in float32, and each output is then held to the a-priori
@@ -186,38 +187,32 @@ def conv2d_valid(
     stride: Stride = Stride(),
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """Reference valid cross-correlation.
+    """Reference valid cross-correlation, written as its definition: the
+    kernel placements numpy's sliding-window view lists, taken every stride,
+    contracted with the weights by one float64 einsum (numpy's own
+    sum-of-products loop, no BLAS), plus bias, cast to the promoted dtype.
 
     Args:
         x: input tensor (time, freq, channels).
         filters: FilterBank whose in_channels matches x.
         stride: step between filter placements.
-        counter: optional MacCounter; incremented by the patch size for every
-            inner product this call executes (bias adds are not multiplies).
+        counter: optional MacCounter; incremented once per call by the
+            multiplies the einsum executes, read off the unfold: placements *
+            kernel_t*kernel_f*channels * maps (bias adds are not multiplies).
 
     Returns:
         (out_t, out_f, maps) tensor in the promoted input/weight dtype.
     """
     x = _require_tensor3(x, "conv2d_valid")
-    out_t, out_f = _check_conv_args(x, filters, stride)
-    out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
-
-    x64 = x.astype(np.float64)
-    w64 = filters.weights.astype(np.float64, copy=False)
-    b64 = filters.bias.astype(np.float64, copy=False)
-    kt, kf = filters.kernel_t, filters.kernel_f
-
-    out = np.empty((out_t, out_f, filters.maps), dtype=np.float64)
-    for ti in range(out_t):
-        t0 = ti * stride.time
-        for fi in range(out_f):
-            f0 = fi * stride.freq
-            patch = x64[t0 : t0 + kt, f0 : f0 + kf, :]
-            for k in range(filters.maps):
-                out[ti, fi, k] = np.sum(patch * w64[:, :, :, k]) + b64[k]
-                if counter is not None:
-                    counter.add(patch.size)
-    return out.astype(out_dtype, copy=False)
+    _check_conv_args(x, filters, stride)
+    x64, w64, b64 = (t.astype(np.float64, copy=False) for t in (x, filters.weights, filters.bias))
+    # (out_t, out_f, channels, kernel_t, kernel_f): the placements, strided
+    windows = np.lib.stride_tricks.sliding_window_view(x64, w64.shape[:2], axis=(0, 1))
+    windows = windows[:: stride.time, :: stride.freq]
+    if counter is not None:
+        counter.add(windows.size * filters.maps)
+    out = np.einsum("tfcij,ijcm->tfm", windows, w64) + b64
+    return out.astype(np.promote_types(x.dtype, filters.weights.dtype), copy=False)
 
 
 def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple[np.ndarray, int, int]:

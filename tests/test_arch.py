@@ -34,7 +34,14 @@ from kwslite import (
 from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, conv_bound_fractions, layer_names
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.frontend import stack_context
-from kwslite.tensor import FilterBank, conv2d_optimized, conv_output_shape, maxpool, pool_output_shape
+from kwslite.tensor import (
+    FilterBank,
+    conv2d_optimized,
+    conv2d_valid,
+    conv_output_shape,
+    maxpool,
+    pool_output_shape,
+)
 
 from conftest import STEPS_ARCH, in_reverse_order, random_arch, random_window
 
@@ -132,9 +139,11 @@ def test_geometry_rules_agree_with_kernels_and_validate(t, f, kt, kf, st_t, st_f
     bank = FilterBank(np.zeros((kt, kf, 1, 2), dtype=np.float32))
     x = np.zeros((t, f, 1), dtype=np.float32)
     # the output-size rules give the kernels' shapes, and raise where they raise
-    assert _shape_or_axis(lambda: conv2d_optimized(x, bank, stride).shape[:2]) == _shape_or_axis(
-        lambda: conv_output_shape(t, f, kt, kf, stride)
-    )
+    # conv2d_valid's shape is the placements its sliding-window view lists,
+    # conv2d_optimized's comes from conv_output_shape itself
+    rule = _shape_or_axis(lambda: conv_output_shape(t, f, kt, kf, stride))
+    assert _shape_or_axis(lambda: conv2d_valid(x, bank, stride).shape[:2]) == rule
+    assert _shape_or_axis(lambda: conv2d_optimized(x, bank, stride).shape[:2]) == rule
     assert _shape_or_axis(lambda: maxpool(x, pool).shape[:2]) == _shape_or_axis(
         lambda: pool_output_shape(t, f, pool)
     )
@@ -361,20 +370,25 @@ def test_forward_frames_matches_per_window_on_stock_archs(rng):
         weights = init_weights(arch, 5, init_scale=0.2)
         for n in EDGE_LENGTHS:
             assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
-        # the naive oracle costs up to half a second per stock window
         assert_within_bound(arch, weights, rng.standard_normal((2, 40)).astype(np.float32))
 
 
 def test_conv_layers_keep_the_float32_bound(rng):
     stock = [get_arch(name, 4) for name in ARCHITECTURES if name != "dnn"]
     stacks = stock + [random_arch(rng, max_convs=3) for _ in range(12)] + [STEPS_ARCH]
+    frames = rng.standard_normal((40, 40)).astype(np.float32)
+    # both edges and the interior of a short clip, each on both phases of
+    # cnn-tstride2's time stride and cnn-tpool2's time pool
+    picks = [0, 1, 2, 19, 20, 37, 38, 39]
     worst = 0.0
     for trial, arch in enumerate(stacks):
         weights = init_weights(arch, trial, init_scale=0.2 if arch in stock else 0.5)
-        fractions = conv_bound_fractions(arch, weights, random_window(rng, arch))
-        assert list(fractions) == [p.name for p in arch.placed if isinstance(p.layer, Conv)]
-        assert all(f <= 1 for f in fractions.values()), (arch.name, fractions)
-        worst = max(worst, *fractions.values())
+        windows = stack_context(frames, arch.context)[picks] if arch in stock else [random_window(rng, arch)]
+        for j, window in enumerate(windows):
+            fractions = conv_bound_fractions(arch, weights, window)
+            assert list(fractions) == [p.name for p in arch.placed if isinstance(p.layer, Conv)]
+            assert all(f <= 1 for f in fractions.values()), (arch.name, j, fractions)
+            worst = max(worst, *fractions.values())
         if arch not in stock:  # float64 weights accumulate in float64, far inside the float32 bound
             wide = {k: w.astype(np.float64) for k, w in weights.items()}
             assert all(f < 1e-6 for f in conv_bound_fractions(arch, wide, random_window(rng, arch)).values())

@@ -105,6 +105,47 @@ def test_production_conv_accumulates_in_the_promoted_dtype_within_the_bound(rng)
     assert 0 < worst < 1
 
 
+def loop_conv(x, filters, stride, counter):
+    """The written-out definition conv2d_valid once ran: one float64 inner
+    product per output position and map, each metered as it runs."""
+    kt, kf = filters.kernel_t, filters.kernel_f
+    out_t, out_f = conv_output_shape(x.shape[0], x.shape[1], kt, kf, stride)
+    x64, w64, b64 = (a.astype(np.float64) for a in (x, filters.weights, filters.bias))
+    out = np.empty((out_t, out_f, filters.maps))
+    for ti in range(out_t):
+        for fi in range(out_f):
+            patch = x64[ti * stride.time : ti * stride.time + kt, fi * stride.freq : fi * stride.freq + kf]
+            for k in range(filters.maps):
+                out[ti, fi, k] = np.sum(patch * w64[:, :, :, k]) + b64[k]
+                counter.add(patch.size)
+    return out.astype(np.promote_types(x.dtype, filters.weights.dtype))
+
+
+def test_reference_conv_is_the_per_output_loop(rng):
+    # float32 results equal the loop's bit for bit; float64 results, whose
+    # sums the two order differently, lie within gamma_64(K + 1) * (sum|w*x| + |b|)
+    u64 = 2.0**-53
+    for trial in range(120):
+        t, f, c = int(rng.integers(1, 12)), int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        full = trial % 4 == 0  # a kernel as large as its input
+        kt, kf = (t, f) if full else (int(rng.integers(1, t + 1)), int(rng.integers(1, f + 1)))
+        s = Stride(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        bank = _rand_bank(rng, kt, kf, c, int(rng.integers(1, 6)))
+        x = rng.standard_normal((t, f, c)).astype(np.float32)
+        got_count, want_count = MacCounter(), MacCounter()
+        got, want = conv2d_valid(x, bank, s, got_count), loop_conv(x, bank, s, want_count)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (t, f, c, kt, kf, s)
+        assert got_count.count == want_count.count
+        bank64 = FilterBank(bank.weights.astype(np.float64), bank.bias.astype(np.float64))
+        x64 = rng.standard_normal((t, f, c))
+        got, want = conv2d_valid(x64, bank64, s), loop_conv(x64, bank64, s, MacCounter())
+        magnitudes = FilterBank(np.abs(bank64.weights), np.abs(bank64.bias))
+        n = kt * kf * c + 1
+        bound = n * u64 / (1 - n * u64) * loop_conv(np.abs(x64), magnitudes, s, MacCounter())
+        assert got.dtype == np.float64 and np.all(np.abs(got - want) <= bound), (t, f, c, kt, kf, s)
+
+
 def test_gamma_is_the_float32_dot_product_constant():
     assert gamma(1) == UNIT_ROUNDOFF / (1 - UNIT_ROUNDOFF)
     assert gamma(190) == pytest.approx(190 * 2.0**-24, rel=2e-5)
