@@ -6,12 +6,12 @@ each stacked window on its own, and its exact streamed multiply count. Last,
 the stage split of `detect` on a seeded 10 s clip for every stock
 architecture: median ms of the frontend, the classifier and detection, with
 the classifier's exact streamed multiplies and the rate it achieves on them,
-and beside it each conv layer's worst error against the naive kernel as a
-fraction of its float32 bound. A float32 model's convs run as float32
-products, so they are held to that bound, gamma(K + 1) times the sum of the
-magnitudes of each output's K products and bias, not to a relative
-tolerance. It exits with status 1 if a count or an event list disagrees, or
-a conv layer breaks its bound.
+and beside it each weighted layer's worst error against the naive path as
+a fraction of its float32 bound. A float32 model's convs and flat layers run
+as float32 products, so they are held to that bound, gamma(K + 1) times the
+sum of the magnitudes of each output's K products and bias, not to a
+relative tolerance. It exits with status 1 if a count or an event list
+disagrees, or a layer breaks its bound.
 
 Run with: python3 demos/04_conv_paths.py
 """
@@ -38,7 +38,7 @@ from kwslite import (
     stack_context,
     streamed_multiplies,
 )
-from kwslite.arch import conv_bound_fractions
+from kwslite.arch import bound_fractions
 
 arch = get_arch("cnn-one", 4)
 weights = init_weights(arch, 0)
@@ -46,8 +46,9 @@ rng = np.random.default_rng(0)
 window = rng.standard_normal((arch.input_t, arch.input_f)).astype(np.float32)
 
 # the naive path is the oracle: each conv is its definition, one float64
-# sum of products over the sliding windows of its input; the optimized path
-# lowers conv to a single matrix multiply, in float32 for these float32 weights
+# sum of products over the sliding windows of its input, and each flat layer
+# its kernel on float64 operands; the optimized path lowers conv to a single
+# matrix multiply, and runs every product in float32 for these float32 weights
 naive = forward(arch, weights, window, conv_path="naive")
 fast = forward(arch, weights, window, conv_path="optimized")
 print(f"max |naive - optimized| = {np.max(np.abs(naive - fast)):.3e}")
@@ -126,7 +127,7 @@ detector_cfg = DetectorConfig(threshold=0.4)
 print(f"stage split of a 10 s clip ({n} frames), median ms of 5 runs: "
       f"log_mel_frames {median_ms(lambda: log_mel_frames(clip)):.2f}")
 print(f"{'arch':<13}{'forward_frames':>15}{'detect':>8}{'streamed multiplies':>21}{'GMAC/s':>8}  events"
-      f"  worst conv error / float32 bound")
+      f"  worst layer error / float32 bound")
 mismatched, over_bound = [], []
 for name in ARCHITECTURES:
     clf = get_arch(name, 4)
@@ -144,15 +145,15 @@ for name in ARCHITECTURES:
     worst = {}
     windows = stack_context(features, clf.context)
     for j in (0, 60):
-        for layer, fraction in conv_bound_fractions(clf, clf_weights, windows[j]).items():
+        for layer, fraction in bound_fractions(clf, clf_weights, windows[j]).items():
             worst[layer] = float(np.maximum(worst.get(layer, 0.0), fraction))  # NaN propagates
     over_bound += [f"{name} {layer}" for layer, fraction in worst.items() if not fraction <= 1]
     print(f"{name:<13}{classify_ms:>15.2f}{detect_ms:>8.2f}{multiplies:>21,}"
           f"{multiplies / classify_ms / 1e6:>8.2f}  {len(events):>6}  "
-          + (", ".join(f"{layer} {fraction:.2e}" for layer, fraction in worst.items()) or "no conv"))
+          + ", ".join(f"{layer} {fraction:.2e}" for layer, fraction in worst.items()))
 if mismatched:
     print(f"detect and StreamingDetector disagree for {', '.join(mismatched)}")
 if over_bound:
-    print(f"conv layers over their float32 bound: {', '.join(over_bound)}")
+    print(f"layers over their float32 bound: {', '.join(over_bound)}")
 if mismatched or over_bound:
     sys.exit(1)

@@ -9,10 +9,9 @@ Weight tensors are addressed by stable names (conv1.weights, dense2.bias,
 ...) in a fixed manifest order, which is what makes initialization and
 serialization deterministic. Weights are any mapping from those names to
 arrays, checked against the spec's manifest and bound into a plan (_plan):
-every layer's binding of its own tensors (a conv's tensors as they are, a
-flat layer's float64 copies), which the spec's stream stages take. A plain
-dict gets a new plan on every call. A FrozenWeights, which load_model returns,
-cannot change, so its plan is built once per spec and kept, one plan in
+every layer's tensors as they are, which the spec's stream stages take. A
+plain dict gets a new plan on every call. A FrozenWeights, which load_model
+returns, cannot change, so its plan is built once per spec and kept, one plan in
 the process, with its stream: forward() on it continues the stream of the
 window it classified last, and a window that is that one advanced by one
 frame costs one frame's stream rows, not a whole window.
@@ -49,7 +48,7 @@ __all__ = [
     "init_weights",
     "forward",
     "forward_frames",
-    "conv_bound_fractions",
+    "bound_fractions",
     "BLOCK_WINDOWS",
     "ARCHITECTURES",
     "build_dnn_baseline",
@@ -250,9 +249,9 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
 
 
 # The one kept plan in the process, of one FrozenWeights under one spec, so
-# the extra memory stays that of one model's float64 flat-layer copies. Only
-# building a plan takes the lock; a hop replaces the slot whole without it,
-# since one slot cannot hold two models' copies.
+# one model's stream state is kept, and its bindings, which share the
+# weights' memory. Only building a plan takes the lock; a hop replaces the
+# slot whole without it, since one slot cannot hold two models' streams.
 _kept: _Plan | None = None
 _lock = threading.Lock()
 
@@ -276,7 +275,6 @@ def _plan(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> _Plan:
         plan = _kept
         if plan is None or plan.arch is not arch or plan.weights() is not weights:
             check_weights(arch, weights)
-            plan = _kept = None  # the kept copies are freed before these are made
             plan = _kept = _build(arch, weights, weakref.ref(weights, _forget))
     return plan
 
@@ -317,17 +315,14 @@ def _run_stages(
 
 
 # Windows classified per chunk by forward_frames. Every conv position is
-# computed once whatever the chunk size; larger chunks only save per-call
-# overhead, and hold larger im2col matrices. On a 10 s clip, 48-window chunks
-# ran cnn-tpool2 1.3x faster than 32 but raised the tracemalloc peak by 1.3 MB
-# (cnn-trad: 2.4 MB, no faster), both measured with float64 patch matrices;
-# in a process that scans 10 s clips with all five stock architectures (the
-# repository benchmark's scan workload), rises of that size have cost
-# several MB of peak RSS (2-vCPU x86 VM, one BLAS thread). With float32
-# weights the patch matrix is float32: the tracemalloc peak of a warm call
-# on a 998-frame clip, plain-dict weights, is 2.37 MB (dnn), 3.07 (cnn-trad),
-# 2.22 (cnn-one), 2.58 (cnn-tstride2) and 2.58 (cnn-tpool2), against 2.37,
-# 7.04, 3.84, 5.93 and 5.93 with float64 patch matrices and conv copies.
+# computed once whatever the chunk size; larger chunks save per-call
+# overhead and hold larger im2col matrices, and in a process that scans
+# 10 s clips with all five stock models (the repository benchmark's scan
+# workload) a few MB more tracemalloc peak has cost several MB of peak RSS.
+# The peak of a warm call on a 998-frame clip (plain-dict float32 weights,
+# 2-vCPU x86 VM, one BLAS thread) is one chunk's patch matrix and products:
+# 0.25 MB (dnn), 2.68 (cnn-trad), 1.52 (cnn-one), 1.96 (cnn-tstride2) and
+# 1.96 (cnn-tpool2) at 32 windows, and 0.37, 3.90, 2.25, 2.52 and 2.51 at 48.
 BLOCK_WINDOWS = 32
 
 
@@ -340,14 +335,14 @@ def forward(
 ) -> np.ndarray:
     """Posterior over labels for one (input_t, input_f) feature window.
 
-    conv_path selects "optimized" (im2col matmul) or "naive" (reference
-    loops). Either path meters on `counter` every scalar multiply it
-    executes, which is report(arch).total.multiplies. Every layer's output
-    takes promote_types(its input, its stored weights). On the optimized
-    path a conv is one im2col product in that dtype, so float32 weights
-    accumulate in float32, within the per-layer bound conv_bound_fractions
-    checks; the flat layers and softmax sum in float64 on float64 copies.
-    The naive path sums every layer in float64: it is the oracle.
+    conv_path selects "optimized" or "naive", the oracle. Either path
+    meters on `counter` every scalar multiply it executes, which is
+    report(arch).total.multiplies. Every layer's output takes
+    promote_types(its input, its stored weights). The optimized path runs
+    every product in that dtype, a conv as one im2col product, so float32
+    weights accumulate in float32, each layer within the bound
+    bound_fractions checks; softmax's exp and normalisation run in float64.
+    The naive path sums every layer in float64 and rounds to that dtype.
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is
     cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
@@ -418,10 +413,11 @@ def forward_frames(
     position of the clip is computed exactly once: window j reads rows j,
     j+step, ... of a stage's output, where `step` is the stage's time step
     (see ArchSpec.placed). Each stage runs its layer's forward() step on
-    the same binding, a conv's as one im2col product per call (float32 for
-    float32 weights), and adds only row bookkeeping: the rows it carries,
-    the interleaving by time step, flatten's gather and the time pool.
-    Agrees with forward() on each stacked window to float32 rounding.
+    the same binding, one product per call (float32 for float32 weights),
+    and adds only row bookkeeping: the rows it carries, the interleaving by
+    time step, flatten's gather and the time pool. Agrees with forward() on
+    each stacked window to float32 rounding, which depends on a product's
+    row count, so on the chunk size too.
     `counter` meters the multiplies the stream executes, which is
     budget.streamed_multiplies(arch, n_frames).
     """
@@ -449,14 +445,15 @@ def forward_frames(
     return out
 
 
-def conv_bound_fractions(
+def bound_fractions(
     arch: ArchSpec, weights: Mapping[str, np.ndarray], window: np.ndarray
 ) -> dict[str, float]:
-    """Each conv layer's worst error on `window` as a fraction of its float32
-    bound, by layer name (Layer.bound_check): the optimized kernel against
-    the exact float64 one, before pooling, with every layer fed the naive
-    path's output of the layers before it, so errors do not compound. A
-    fraction above 1, or NaN, means the optimized kernel broke the bound."""
+    """Each weighted layer's worst error on `window` as a fraction of its
+    float32 bound, by layer name (Layer.bound_check): the optimized step
+    against its float64 oracle, a conv before pooling and the output layer
+    on its logits, with every layer fed the naive path's output of the
+    layers before it, so errors do not compound. A fraction above 1, or NaN,
+    means the optimized step broke the bound."""
     x = _checked_window(arch, window).reshape(arch.input_t, arch.input_f, 1)
     plan = _plan(arch, weights)
     fractions = {}

@@ -23,16 +23,12 @@ kind also needs the stack rule in `ArchSpec.placed`).
 
 Inference calls the kernels through the `tensor` module at call time, so
 tracers that wrap them see every call, and a MacCounter passed in meters
-every multiply they execute. A layer reads its binding. A conv's is its
-stored tensors as they are, as one FilterBank: its optimized path is one
-im2col product per call (per chunk in a stream) in the promoted dtype of
-its input and weights, so float32 models accumulate their convs in float32,
-each output within the float32 bound of `tensor.conv2d_error_bound`, which
-`bound_check` measures against the naive kernel. A flat layer's binding is
-the float64 copies of its tensors, on which `linear` and `dense` sum in
-float64, and the stored weights' dtype, to which it rounds its output, the
-dtype the kernels give on the stored tensors; softmax runs in float64 too.
-The naive conv path sums in float64 and is the oracle.
+every multiply they execute. A layer's binding is its stored tensors as
+they are, a conv's as one FilterBank. The optimized path runs every product
+in the promoted dtype of its input and weights, so float32 models
+accumulate in float32, each output within the float32 bound that
+`bound_check` measures against the naive path, the oracle: the naive conv
+kernel, and the flat kernels on float64 operands.
 Training's passes run over a leading example axis; a conv's forward is
 `tensor.conv2d_im2col` on the chunk, the kernel inference runs. Every
 product in them (that conv, col2im, the pool scatter, the input gradients)
@@ -124,11 +120,8 @@ class Layer:
         return ((0, self.forward),), step
 
     def bind(self, tensors: Tensors) -> tuple:
-        """Inference's form of a flat layer's tensors: their float64 copies,
-        then the stored weights' dtype, to which forward() rounds its output.
-        (A conv binds its tensors as they are.)"""
-        copies = tuple(np.asarray(t, dtype=np.float64) for t in tensors)
-        return (*copies, np.asarray(tensors[0]).dtype) if tensors else ()
+        """Inference's form of the layer's tensors: as they are."""
+        return tuple(map(np.asarray, tensors))
 
     def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float | None, np.ndarray]:
         """The optimized step's worst error on x as a fraction of its stated
@@ -175,9 +168,12 @@ def _col2im(
     return grad_x
 
 
-def _rounded(y: np.ndarray, x: np.ndarray, stored: np.dtype) -> np.ndarray:
-    """A float64 output y on input x, rounded to promote_types(x, stored weights)."""
-    return y.astype(np.promote_types(x.dtype, stored), copy=False)
+def _fraction(got: np.ndarray, exact: np.ndarray, bound: np.ndarray) -> float:
+    """The worst |got - exact| as a fraction of `bound`: at most 1 where got
+    keeps it, inf or NaN where it does not."""
+    err = np.abs(got - exact)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(np.where(err == 0, 0.0, err / bound).max())
 
 
 def _maxpool_argmax(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
@@ -334,11 +330,10 @@ class Conv(Layer):
         naive-path output on x, rounded and pooled from the same exact sums."""
         bank = bound[0]
         exact = tensor.conv2d_valid(x.astype(np.float64), bank, self.stride)
-        err = np.abs(tensor.conv2d_im2col(x, bank, self.stride) - exact)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            fraction = np.where(err == 0, 0.0, err / tensor.conv2d_error_bound(x, bank, self.stride))
+        got = tensor.conv2d_im2col(x, bank, self.stride)
+        fraction = _fraction(got, exact, tensor.conv2d_error_bound(x, bank, self.stride))
         y = exact.astype(np.promote_types(x.dtype, bank.weights.dtype), copy=False)
-        return float(fraction.max()), tensor.maxpool(y, self.pool) if self.pool.active else y
+        return fraction, tensor.maxpool(y, self.pool) if self.pool.active else y
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         """tensor.conv2d_im2col on the (B, T, F, C) chunk: the kernel inference runs."""
@@ -411,6 +406,8 @@ class _Flat(Layer):
     """Bias-free (width, in) projection of one vector or a batch of rows; the
     base of every layer after flatten."""
 
+    activation = "none"
+
     def trace(self, name: str, shape: Shape) -> tuple[TraceEntry, ...]:
         if len(shape) != 1:
             raise ShapeError(
@@ -426,11 +423,30 @@ class _Flat(Layer):
     def cost(self, shape: Shape) -> LayerCost:
         return LayerCost(shape[0] * self.width, shape[0] * self.width)
 
+    def _kernel(self, tensors: Tensors, x: np.ndarray, counter: Counter, activation: str) -> np.ndarray:
+        return tensor.linear(x, *tensors, counter=counter)
+
     def forward(
         self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        weights, stored = bound
-        return _rounded(tensor.linear(x, weights, counter=counter), x, stored)
+        """The kernel; on the naive path, the kernel on float64 operands, rounded."""
+        if conv_path != "naive":
+            return self._kernel(bound, x, counter, self.activation)
+        wide = tuple(t.astype(np.float64, copy=False) for t in bound)
+        exact = self._kernel(wide, x.astype(np.float64, copy=False), counter, self.activation)
+        return exact.astype(np.promote_types(x.dtype, bound[0].dtype), copy=False)
+
+    def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """The worst error on x as a fraction of gamma(K + 1)*(sum|w*x| + |b|),
+        K the input width (the output layer on its logits, a relu, 1-Lipschitz,
+        after it), and forward()'s naive-path output on x."""
+        activation = "none" if self.activation == "softmax" else self.activation
+        wide, x64 = tuple(t.astype(np.float64) for t in bound), x.astype(np.float64)
+        exact = self._kernel(wide, x64, None, activation)
+        magnitudes = self._kernel(tuple(map(np.abs, wide)), np.abs(x64), None, "none")
+        got = self._kernel(bound, x, None, activation)
+        fraction = _fraction(got, exact, tensor.gamma(x.shape[-1] + 1) * magnitudes)
+        return fraction, self.forward(bound, x, None, "naive")
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         cache["x"] = x
@@ -470,11 +486,8 @@ class _Affine(_Flat):
     def cost(self, shape: Shape) -> LayerCost:
         return super().cost(shape) + LayerCost(self.width, 0)
 
-    def forward(
-        self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
-    ) -> np.ndarray:
-        weights, bias, stored = bound
-        return _rounded(tensor.dense(x, weights, bias, self.activation, counter=counter), x, stored)
+    def _kernel(self, tensors: Tensors, x: np.ndarray, counter: Counter, activation: str) -> np.ndarray:
+        return tensor.dense(x, *tensors, activation, counter=counter)
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
         z = super().train_forward(tensors, x, cache) + tensors[1]

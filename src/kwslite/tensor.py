@@ -3,21 +3,18 @@
 Two convolution paths are provided on purpose. ``conv2d_valid`` is the
 reference, written as its definition: one float64 einsum, no BLAS, over
 the sliding windows of the input, cast back to the promoted input/weight
-dtype at the end; it shares neither unfold nor product with the fast path.
+dtype; it shares neither unfold nor product with the fast path.
 ``conv2d_im2col``, the production conv, lowers the same computation to one
-im2col matrix product run in the promoted dtype itself: float32 inputs and
-weights accumulate in float32, and each output is then held to the a-priori
-float32 bound ``conv2d_error_bound`` of the exact sums, gamma(K + 1) times
-the sum of the magnitudes of its K products and bias (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 3), not to a relative tolerance,
-which a float32 sum cannot meet near cancellation. ``conv2d_optimized``,
-``conv2d_im2col`` on float64 copies, is cast back like ``conv2d_valid``,
-so their float32 results agree to within rounding. The float64 kernels cast
-their operands to float64 only when they are not float64 already: weights
-held in float64 are used without a copy, and a float64 result is returned
-without one. ``linear`` and ``dense`` also sum in float64. Every kernel
-takes an optional MacCounter and adds the multiplies it executes, so a
-caller can meter either conv path exactly.
+im2col matrix product run in the promoted dtype itself, as ``linear`` and
+``dense`` run their product, bias and ReLU: float32 inputs and weights
+accumulate in float32, and each output is held to the a-priori float32
+bound gamma(K + 1) times the sum of the magnitudes of its K products and
+bias (``conv2d_error_bound``; Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 3), not to a relative tolerance, which a float32 sum cannot
+meet near cancellation. Softmax takes its exp and normalisation in float64.
+``conv2d_optimized``, ``conv2d_im2col`` on float64 copies, is cast back
+like ``conv2d_valid``. Every kernel takes an optional MacCounter and adds
+the multiplies it executes, so a caller can meter either path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
@@ -305,11 +302,12 @@ def gamma(n: int) -> float:
 
 def conv2d_error_bound(x: np.ndarray, filters: FilterBank, stride: Stride = Stride()) -> np.ndarray:
     """Float64 (out_t, out_f, maps) bound on a float32 conv's error per
-    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being conv2d_valid run
-    on |x|, |w| and |b|."""
-    magnitudes = FilterBank(np.abs(filters.weights), np.abs(filters.bias))
+    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being conv2d_im2col
+    run in float64 on |x|, |w| and |b|: sums of terms of one sign, whose own
+    float64 rounding is far below the bound."""
+    magnitudes = FilterBank(*(np.abs(t).astype(np.float64) for t in (filters.weights, filters.bias)))
     k = filters.kernel_t * filters.kernel_f * filters.in_channels
-    return gamma(k + 1) * conv2d_valid(np.abs(x).astype(np.float64), magnitudes, stride)
+    return gamma(k + 1) * conv2d_im2col(np.abs(x).astype(np.float64), magnitudes, stride)
 
 
 def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:
@@ -333,8 +331,10 @@ def flatten(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x).reshape(x.shape[:-3] + (-1,))
 
 
-def _check_flat_input(x: np.ndarray, weights: np.ndarray, who: str) -> int:
-    """Validate a vector or (windows, features) input; returns the row count."""
+def _product(x: np.ndarray, weights: np.ndarray, who: str, counter: MacCounter | None) -> np.ndarray:
+    """W x for one vector, (W X^T)^T for a (windows, features) batch, in
+    promote_types(x, W), after checking both shapes; meters rows * W.size."""
+    x, weights = np.asarray(x), np.asarray(weights)
     if x.ndim not in (1, 2):
         raise ShapeError(f"{who} expects a flat vector or a (windows, features) matrix, got shape {x.shape}")
     if weights.ndim != 2 or weights.shape[1] != x.shape[-1]:
@@ -342,26 +342,19 @@ def _check_flat_input(x: np.ndarray, weights: np.ndarray, who: str) -> int:
             f"weight shape {weights.shape} does not accept input of length {x.shape[-1]}",
             axis="in",
         )
-    return 1 if x.ndim == 1 else x.shape[0]
-
-
-def _project(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    # W x for a vector and (W X^T)^T for a batch: one float64 product either way
-    return (weights.astype(np.float64, copy=False) @ x.astype(np.float64).T).T
+    if counter is not None:
+        counter.add((1 if x.ndim == 1 else len(x)) * weights.size)
+    return (weights @ x.T).T
 
 
 def linear(x: np.ndarray, weights: np.ndarray, counter: MacCounter | None = None) -> np.ndarray:
     """Bias-free projection y = W x, the low-rank bottleneck primitive.
 
-    x is one vector or a (windows, features) batch, projected row by row;
-    the counter meters rows * weights.size multiplies.
+    x is one vector or a (windows, features) batch, projected row by row
+    in promote_types(x, weights); the counter meters rows * weights.size
+    multiplies.
     """
-    x = np.asarray(x)
-    weights = np.asarray(weights)
-    rows = _check_flat_input(x, weights, "linear")
-    if counter is not None:
-        counter.add(rows * weights.size)
-    return _project(x, weights).astype(np.promote_types(x.dtype, weights.dtype), copy=False)
+    return _product(x, weights, "linear", counter)
 
 
 def dense(
@@ -374,29 +367,23 @@ def dense(
     """Fully connected layer y = act(W x + b).
 
     activation is one of "none", "relu", "softmax". x is one vector or a
-    (windows, features) batch, each row mapped on its own. Multiplies metered
-    on the counter equal rows * weights.size (one per weight per row); bias
+    (windows, features) batch, each row mapped on its own. The product, bias
+    and ReLU run in promote_types(x, weights); softmax's exp and
+    normalisation run in float64 and are cast back. Multiplies metered on
+    the counter equal rows * weights.size (one per weight per row); bias
     adds are not counted.
     """
-    x = np.asarray(x)
-    weights = np.asarray(weights)
-    bias = np.asarray(bias)
-    rows = _check_flat_input(x, weights, "dense")
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError(
-            f"bias shape {bias.shape} does not match {weights.shape[0]} output units",
-            axis="out",
-        )
+    weights, bias = np.asarray(weights), np.asarray(bias)
+    if bias.shape != weights.shape[:1]:
+        raise ShapeError(f"bias shape {bias.shape} does not match weights {weights.shape}", axis="out")
     if activation not in ("none", "relu", "softmax"):
         raise ValueError(f"unknown activation {activation!r}")
-    if counter is not None:
-        counter.add(rows * weights.size)
-
-    out_dtype = np.promote_types(x.dtype, weights.dtype)
-    z = _project(x, weights) + bias.astype(np.float64, copy=False)
+    z = _product(x, weights, "dense", counter)
+    z += bias  # in place: the bias is rounded into the product's dtype
     if activation == "relu":
-        z = np.maximum(z, 0.0)
-    elif activation == "softmax":
-        e = np.exp(z - z.max(axis=-1, keepdims=True))
-        z = e / e.sum(axis=-1, keepdims=True)
-    return z.astype(out_dtype, copy=False)
+        return np.maximum(z, 0.0, out=z)  # NaN stays NaN
+    if activation == "softmax":
+        wide = z.astype(np.float64)
+        e = np.exp(wide - wide.max(axis=-1, keepdims=True))
+        return (e / e.sum(axis=-1, keepdims=True)).astype(z.dtype, copy=False)
+    return z

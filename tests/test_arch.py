@@ -31,7 +31,7 @@ from kwslite import (
     validate,
     weight_manifest,
 )
-from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, conv_bound_fractions, layer_names
+from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, bound_fractions, layer_names
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.frontend import stack_context
 from kwslite.tensor import (
@@ -343,19 +343,32 @@ def per_window(arch, weights, frames, conv_path="optimized"):
     return np.stack([forward(arch, weights, w, conv_path=conv_path) for w in windows])
 
 
+def float64_copies(weights):
+    return {k: w.astype(np.float64) for k, w in weights.items()}
+
+
 def assert_frames_match(arch, weights, frames, oracle_path="optimized"):
+    """forward_frames against the per-window oracle, in two legs. A float32
+    product's bits depend on its row count, so the structure leg runs on
+    float64 copies of the weights, where only a misplaced row (a carry one
+    row off, a wrong gather) moves a posterior past rounding; the numerics
+    leg holds every weighted layer to its float32 bound on every window."""
     got = forward_frames(arch, weights, frames)
     assert got.shape == (len(frames), arch.labels)
     assert got.dtype == np.float32
-    npt.assert_allclose(got, per_window(arch, weights, frames, oracle_path), rtol=1e-5, atol=1e-12)
+    wide = float64_copies(weights)
+    npt.assert_allclose(
+        forward_frames(arch, wide, frames), per_window(arch, wide, frames, oracle_path), rtol=1e-10, atol=1e-12
+    )
+    assert_within_bound(arch, weights, frames)
 
 
 def assert_within_bound(arch, weights, frames):
-    """Every conv layer keeps its float32 error bound on every stacked window:
-    the per-layer oracle gate, which a float32 product meets where a
+    """Every weighted layer keeps its float32 error bound on every stacked
+    window: the per-layer oracle gate, which a float32 product meets where a
     per-posterior rtol cannot (near cancellation)."""
     for j, window in enumerate(stack_context(frames, arch.context)):
-        fractions = conv_bound_fractions(arch, weights, window)
+        fractions = bound_fractions(arch, weights, window)
         assert all(f <= 1 for f in fractions.values()), (arch.name, j, fractions)
 
 
@@ -370,29 +383,30 @@ def test_forward_frames_matches_per_window_on_stock_archs(rng):
         weights = init_weights(arch, 5, init_scale=0.2)
         for n in EDGE_LENGTHS:
             assert_frames_match(arch, weights, rng.standard_normal((n, 40)).astype(np.float32))
-        assert_within_bound(arch, weights, rng.standard_normal((2, 40)).astype(np.float32))
 
 
-def test_conv_layers_keep_the_float32_bound(rng):
-    stock = [get_arch(name, 4) for name in ARCHITECTURES if name != "dnn"]
+def test_weighted_layers_keep_the_float32_bound(rng):
+    stock = [get_arch(name, 4) for name in ARCHITECTURES]
     stacks = stock + [random_arch(rng, max_convs=3) for _ in range(12)] + [STEPS_ARCH]
     frames = rng.standard_normal((40, 40)).astype(np.float32)
     # both edges and the interior of a short clip, each on both phases of
     # cnn-tstride2's time stride and cnn-tpool2's time pool
     picks = [0, 1, 2, 19, 20, 37, 38, 39]
-    worst = 0.0
+    worst = {"conv": 0.0, "flat": 0.0}
     for trial, arch in enumerate(stacks):
         weights = init_weights(arch, trial, init_scale=0.2 if arch in stock else 0.5)
         windows = stack_context(frames, arch.context)[picks] if arch in stock else [random_window(rng, arch)]
         for j, window in enumerate(windows):
-            fractions = conv_bound_fractions(arch, weights, window)
-            assert list(fractions) == [p.name for p in arch.placed if isinstance(p.layer, Conv)]
+            fractions = bound_fractions(arch, weights, window)
+            assert list(fractions) == [p.name for p in arch.placed if p.manifest]  # every weighted layer
             assert all(f <= 1 for f in fractions.values()), (arch.name, j, fractions)
-            worst = max(worst, *fractions.values())
-        if arch not in stock:  # float64 weights accumulate in float64, far inside the float32 bound
-            wide = {k: w.astype(np.float64) for k, w in weights.items()}
-            assert all(f < 1e-6 for f in conv_bound_fractions(arch, wide, random_window(rng, arch)).values())
-    assert worst > 1e-3  # float32 weights do run float32 products
+            for name, fraction in fractions.items():
+                kind = "conv" if name.startswith("conv") else "flat"
+                worst[kind] = max(worst[kind], fraction)
+        # float64 weights accumulate in float64, far inside the float32 bound
+        wide = bound_fractions(arch, float64_copies(weights), windows[0])
+        assert all(f < 1e-6 for f in wide.values()), (arch.name, wide)
+    assert min(worst.values()) > 1e-3, worst  # float32 weights do run float32 products
 
 
 def test_a_conv_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypatch):
@@ -402,9 +416,33 @@ def test_a_conv_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypat
     honest = kwslite.tensor.conv2d_im2col
     monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
     # conv1 sums K = 189 products: its bound is gamma(190), about 1.1e-5 of their magnitudes
-    assert conv_bound_fractions(arch, weights, window)["conv1"] > 1
+    assert bound_fractions(arch, weights, window)["conv1"] > 1
     monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * np.nan)
-    assert all(np.isnan(f) for f in conv_bound_fractions(arch, weights, window).values())
+    fractions = bound_fractions(arch, weights, window)
+    assert all(np.isnan(fractions[name]) for name in ("conv1", "conv2"))
+
+
+def test_a_flat_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypatch):
+    # dense1 sums K = 1440 products: its bound is gamma(1441), about 8.6e-5 of
+    # their magnitudes. With every weight and input positive nothing cancels,
+    # so an error of 1e-4 of the output is more than the bound allows.
+    arch = get_arch("dnn", 4)
+    weights = {k: np.abs(w) for k, w in init_weights(arch, 0, init_scale=0.2).items()}
+    window = np.abs(random_window(rng, arch))
+    assert max(bound_fractions(arch, weights, window).values()) <= 1
+    honest = kwslite.tensor.dense
+
+    def off_by(factor):
+        # only the float32 product is off: the oracle is the same kernel on float64 operands
+        def dense(x, *args, **kw):
+            y = honest(x, *args, **kw)
+            return y * factor if y.dtype == np.float32 else y
+
+        monkeypatch.setattr(kwslite.tensor, "dense", dense)
+        return bound_fractions(arch, weights, window)
+
+    assert off_by(np.float32(1 + 1e-4))["dense1"] > 1
+    assert all(np.isnan(f) for f in off_by(np.float32(np.nan)).values())
 
 
 def test_forward_frames_matches_per_window_on_random_archs(rng):
@@ -419,17 +457,22 @@ def test_forward_frames_matches_per_window_on_random_archs(rng):
 
 def test_forward_frames_does_not_depend_on_chunk_size(rng, monkeypatch):
     # each chunk carries every stage's last rows into the next; a carry one
-    # row short or long shifts whole windows, far beyond float32 rounding
+    # row short or long shifts whole windows, far beyond rounding. A float32
+    # product's bits depend on its row count, so the chunk sizes are compared
+    # on float64 copies of the weights, and the float32 model is held to each
+    # layer's bound on every window
     stacks = [get_arch(name, 4) for name in ARCHITECTURES] + [random_arch(rng, max_convs=3) for _ in range(6)]
     frames = rng.standard_normal((75, 40)).astype(np.float32)
     for trial, arch in enumerate(stacks):
         weights = init_weights(arch, trial, init_scale=0.2)
+        wide = float64_copies(weights)
         got = {}
         for size in (1, 2, 7, 32):
             monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", size)
-            got[size] = forward_frames(arch, weights, frames)
+            got[size] = forward_frames(arch, wide, frames)
         for size in (1, 2, 7):
-            npt.assert_allclose(got[size], got[32], rtol=1e-6, atol=1e-12, err_msg=f"{arch} chunk {size}")
+            npt.assert_allclose(got[size], got[32], rtol=1e-10, atol=1e-12, err_msg=f"{arch} chunk {size}")
+        assert_within_bound(arch, weights, frames)
 
 
 def test_forward_frames_compound_time_steps_end_mid_chunk(rng, monkeypatch):
@@ -483,7 +526,7 @@ def test_float32_conv_weights_round_conv_outputs_to_float32(rng):
         got, want = run(mixed), run(all64)
         assert got.dtype == want.dtype == np.float64
         assert not np.array_equal(got, want)
-    assert all(f <= 1 for f in conv_bound_fractions(arch, mixed, window).values())
+    assert all(f <= 1 for f in bound_fractions(arch, mixed, window).values())
 
 
 def test_forward_frames_rejects_bad_streams():

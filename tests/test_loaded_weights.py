@@ -30,7 +30,7 @@ from kwslite import (
     save_model,
     stack_context,
 )
-from kwslite.arch import FrozenWeights, build_cnn_tstride, conv_bound_fractions
+from kwslite.arch import FrozenWeights, build_cnn_tstride, bound_fractions
 from kwslite.audio import Waveform
 from kwslite.budget import report, streamed_multiplies
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
@@ -61,7 +61,7 @@ def check_loaded_equals_plain(tmp_path, arch, seed, rng):
     window = random_window(rng, arch)
     for conv_path in ("optimized", "naive"):
         outputs, counts = [], []
-        for weights in (loaded, plain, loaded):  # the second loaded call reuses the copies
+        for weights in (loaded, plain, loaded):  # the second loaded call reuses the kept plan
             counter = MacCounter()
             outputs.append(forward(arch, weights, window, conv_path=conv_path, counter=counter))
             counts.append(counter.count)
@@ -103,36 +103,40 @@ def test_interleaved_models_of_one_arch_keep_their_own_outputs(tmp_path, rng):
     assert_same_bits(forward_frames(arch, loaded_b, frames), want_b[-1])
 
 
-def test_float64_copies_are_kept_for_one_model_and_freed_with_it(tmp_path, rng):
+def assert_bound_without_copies(arch, weights):
+    """Every array the kept plan binds shares memory with its stored tensor."""
+    plan = kwslite.arch._plan(arch, weights)
+    for p, binding in zip(arch.placed, plan.bound):
+        arrays = [t for b in binding for t in ((b.weights, b.bias) if isinstance(b, FilterBank) else (b,))]
+        assert len(arrays) == len(p.manifest), p.name
+        for (key, _), array in zip(p.manifest, arrays):
+            assert np.shares_memory(array, weights[key]), key
+
+
+def test_the_kept_plan_binds_no_copies_and_is_freed_with_its_weights(tmp_path, rng):
     _, a = saved_and_loaded(tmp_path, TINY, 1, "a.kwsm")
     _, b = saved_and_loaded(tmp_path, TINY, 2, "b.kwsm")
     window = random_window(rng, TINY)
 
     def held(weights):
-        """Weak references to a float64 copy and to conv1's binding in the kept
-        plan (the spec's stages hold no model's tensors)."""
-        plan = kwslite.arch._plan(TINY, weights)
-        dense1 = [p.name for p in TINY.placed].index("dense1")
-        return weakref.ref(plan.bound[dense1][0]), weakref.ref(plan.bound[0][0])
+        """A weak reference to conv1's FilterBank, which only the kept plan holds
+        (the spec's stages hold no model's tensors)."""
+        return weakref.ref(kwslite.arch._plan(TINY, weights).bound[0][0])
 
     forward(TINY, a, window)
     plan_a = kwslite.arch._plan(TINY, a)
     assert kwslite.arch._plan(TINY, a) is plan_a and kwslite.arch._kept is plan_a  # kept between calls
-    (bank,) = plan_a.bound[0]  # conv1 is bound to the stored tensors as they are
-    assert np.shares_memory(bank.weights, a["conv1.weights"]) and np.shares_memory(bank.bias, a["conv1.bias"])
-    copied = [p.name for p, b in zip(TINY.placed, plan_a.bound)
-              if any(isinstance(t, np.ndarray) and t.dtype == np.float64 for t in b)]
-    assert copied == ["dense1", "softmax"]  # only the flat layers hold float64 copies
-    del plan_a, bank
-    copy_a, bank_a = held(a)
+    del plan_a
+    assert_bound_without_copies(TINY, a)
+    bank_a = held(a)
     forward(TINY, b, window)
     gc.collect()
-    assert copy_a() is None and bank_a() is None  # b's plan replaced a's
+    assert bank_a() is None  # b's plan replaced a's
     assert kwslite.arch._kept.weights() is b
-    copy_b, bank_b = held(b)
+    bank_b = held(b)
     del b
     gc.collect()
-    assert copy_b() is None and bank_b() is None  # freed with their weights
+    assert bank_b() is None and kwslite.arch._kept is None  # freed with its weights
 
 
 def test_loaded_tensors_cannot_be_changed(tmp_path):
@@ -170,15 +174,15 @@ def test_loaded_dnn_forward_makes_no_weight_sized_temporary(tmp_path, rng):
     arch = get_arch("dnn", 4)
     _, weights = saved_and_loaded(tmp_path, arch, 1)
     window = random_window(rng, arch)
-    forward(arch, weights, window)  # warm-up: the float64 copies are made here
-    dense1_float64 = 8 * weights["dense1.weights"].size  # 1.47 MB
+    forward(arch, weights, window)  # warm-up: the plan is bound here
+    dense1 = weights["dense1.weights"].nbytes  # 0.74 MB of float32
     tracemalloc.start()
     try:
         forward(arch, weights, window)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < dense1_float64, f"forward peaked at {peak} bytes"
+    assert peak < dense1, f"forward peaked at {peak} bytes"
 
 
 def test_threads_sharing_loaded_models_get_their_own_outputs(tmp_path, rng):
@@ -238,7 +242,7 @@ def check_continued_stream(tmp_path, monkeypatch, arch, seed, rng, n=12, naive=(
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-12, err_msg=f"{arch} window {j}")
         if j in naive:
-            fractions = conv_bound_fractions(arch, plain, window)
+            fractions = bound_fractions(arch, plain, window)
             assert all(f <= 1 for f in fractions.values()), (arch, j, fractions)
         if not arch.streams_cheaper:
             assert_same_bits(got, want)
@@ -295,8 +299,8 @@ def test_a_wrong_shape_call_leaves_the_kept_stream_in_place(tmp_path, rng):
         "forward short": (lambda: forward(arch, b, windows[0][:-1]), ShapeError),
         "forward_frames narrow": (lambda: forward_frames(arch, b, frames[:, :-1]), ShapeError),
         "forward_frames empty": (lambda: forward_frames(arch, b, frames[:0]), InsufficientAudioError),
-        "bound narrow": (lambda: conv_bound_fractions(arch, b, windows[0][:, :-1]), ShapeError),
-        "bound transposed": (lambda: conv_bound_fractions(arch, b, windows[0].T), ShapeError),
+        "bound narrow": (lambda: bound_fractions(arch, b, windows[0][:, :-1]), ShapeError),
+        "bound transposed": (lambda: bound_fractions(arch, b, windows[0].T), ShapeError),
     }
     for case, (call, error) in calls.items():
         with pytest.raises(error):
