@@ -31,7 +31,6 @@ from .budget import (
     BudgetReport,
     LayerCost,
     compare,
-    count_layer,
     fit_to_budget,
     format_report,
     instrumented_forward,

@@ -11,16 +11,14 @@ serialization deterministic. Weights are any mapping from those names to
 arrays, checked against the spec's manifest and bound into a plan (_plan):
 every layer's tensors as they are, which the spec's stream stages take. A
 plain dict gets a new plan on every call. A FrozenWeights, which load_model
-returns, cannot change, so its plan is built once per spec and kept, one plan in
-the process, with its stream: forward() on it continues the stream of the
-window it classified last, and a window that is that one advanced by one
-frame costs one frame's stream rows, not a whole window.
+returns, cannot change, so its plan is built once per spec and kept on the
+model itself, freed with it, with its stream: forward() on it continues the
+stream of the window it classified last, and a window that is that one
+advanced by one frame costs one frame's stream rows, not a whole window.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -169,9 +167,8 @@ def init_weights(arch: ArchSpec, seed: int, init_scale: float = 0.05) -> dict[st
 class _Plan(NamedTuple):
     """What inference runs one mapping of weights under one spec with: the
     spec, whose placed layers hold the stream stages; every layer's binding
-    (Layer.bind), which the stages take at call time; a weak reference to
-    the FrozenWeights it was built for (None for a plain dict, whose plan is
-    never kept); and that model's stream, the window forward() classified
+    (Layer.bind), which the stages take at call time; and, for a plan a
+    FrozenWeights keeps, that model's stream, the window forward() classified
     last and the stage carries after it (None until a continued call primes
     them). A plan is never changed: a hop publishes a new one whole
     (_replace), so concurrent callers can at worst miss a continuation or
@@ -179,7 +176,6 @@ class _Plan(NamedTuple):
 
     arch: ArchSpec
     bound: tuple[tuple, ...]
-    weights: weakref.ref | None
     last: np.ndarray | None = None
     carries: tuple[np.ndarray | None, ...] | None = None
 
@@ -199,11 +195,12 @@ class FrozenWeights(Mapping[str, np.ndarray]):
     numpy refuses to make a view of `bytes` writeable again, and item
     assignment raises TypeError, so whatever forward() and forward_frames()
     derive from the tensors holds for as long as they do: their plan (see
-    _plan()) is built once per spec and kept while no other model or spec
-    takes its place.
+    _plan()) is built once per spec and kept in `_plan`, stream included,
+    until another spec object takes its place. Nothing refers back to the
+    weights, so the plan is freed with them.
     """
 
-    __slots__ = ("_tensors", "__weakref__")
+    __slots__ = ("_tensors", "_plan")
 
     def __init__(self, buffer: bytes, manifest: Iterable[tuple[str, tuple[int, ...]]], offset: int = 0):
         """Views of the little-endian float32 tensors that follow one another
@@ -220,6 +217,7 @@ class FrozenWeights(Mapping[str, np.ndarray]):
             tensors[name] = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
         self._tensors = tensors
+        self._plan: _Plan | None = None
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._tensors[name]
@@ -248,49 +246,24 @@ def check_weights(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> None:
         )
 
 
-# The one kept plan in the process, of one FrozenWeights under one spec, so
-# one model's stream state is kept, and its bindings, which share the
-# weights' memory. Only building a plan takes the lock; a hop replaces the
-# slot whole without it, since one slot cannot hold two models' streams.
-_kept: _Plan | None = None
-_lock = threading.Lock()
-
-
 def _plan(arch: ArchSpec, weights: Mapping[str, np.ndarray]) -> _Plan:
     """The plan forward() and forward_frames() run `weights` under `arch`.
 
     A plain dict, which could change between calls, is checked against the
     manifest and bound on every call, and its plan is never kept. A
     FrozenWeights' plan is built on the first call under that spec object
-    and kept; a failed manifest check keeps nothing and leaves the kept plan
-    in place, so it fails again on every call."""
-    global _kept
-    if not isinstance(weights, FrozenWeights):
-        check_weights(arch, weights)
-        return _build(arch, weights, None)
-    plan = _kept
-    if plan is not None and plan.arch is arch and plan.weights() is weights:
+    and kept in its `_plan`, replacing the plan of another spec; a failed
+    manifest check keeps nothing and leaves the kept plan in place, so it
+    fails again on every call."""
+    frozen = isinstance(weights, FrozenWeights)
+    plan = weights._plan if frozen else None
+    if plan is not None and plan.arch is arch:
         return plan
-    with _lock:
-        plan = _kept
-        if plan is None or plan.arch is not arch or plan.weights() is not weights:
-            check_weights(arch, weights)
-            plan = _kept = _build(arch, weights, weakref.ref(weights, _forget))
+    check_weights(arch, weights)
+    plan = _Plan(arch, tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed))
+    if frozen:
+        weights._plan = plan
     return plan
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Empty the slot when the weights of its plan are freed. It takes no
-    lock, as weights can be freed during a build, which holds it."""
-    global _kept
-    if _kept is not None and _kept.weights is ref:
-        _kept = None
-
-
-def _build(arch: ArchSpec, weights: Mapping[str, np.ndarray], ref: weakref.ref | None) -> _Plan:
-    """A plan with every layer bound to its own tensors (Layer.bind), in the
-    order of arch.placed."""
-    return _Plan(arch, tuple(p.layer.bind(p.tensors(weights)) for p in arch.placed), ref)
 
 
 def _run_stages(
@@ -346,31 +319,31 @@ def forward(
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is
     cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
-    path that is the window the kept plan classified last advanced by one
+    path that is the window the model's plan classified last advanced by one
     finite frame, bit for bit, pushes only its new row through the stages
     forward_frames runs, from the carries after the last window, and meters
     report(arch).per_frame. The first such call primes the carries by
     streaming the last window's rows, metering streamed_multiplies(arch, 2).
     The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
     for bit. Every other call runs per window and restarts the stream. The
-    stream lives and dies with its plan (see _plan()): it ends when another
-    model or another spec object takes the kept slot. A plain dict of
+    stream lives and dies with its plan (see _plan()): each loaded model
+    keeps its own, so models that alternate hops each continue theirs, and
+    it ends when another spec object replaces the plan. A plain dict of
     weights, which could change between calls, never continues.
     """
-    global _kept
     if conv_path not in ("optimized", "naive"):
         raise ValueError(f"conv_path must be 'optimized' or 'naive', got {conv_path!r}")
     window = _checked_window(arch, window)
     plan = _plan(arch, weights)
-    kept = plan.weights is not None and arch.streams_cheaper
+    kept = isinstance(weights, FrozenWeights) and arch.streams_cheaper
     streams = kept and conv_path == "optimized" and window.dtype == np.float32
     if streams and plan.advanced_by(window):
-        return _continue(plan, window, counter)
+        return _continue(weights, plan, window, counter)
     x = window.reshape(arch.input_t, arch.input_f, 1)
     for p, b in zip(arch.placed, plan.bound):
         x = p.layer.forward(b, x, counter, conv_path)
     if kept:
-        _kept = plan._replace(last=window.copy() if streams else None, carries=None)
+        weights._plan = plan._replace(last=window.copy() if streams else None, carries=None)
     return x
 
 
@@ -386,15 +359,17 @@ def _checked_window(arch: ArchSpec, window: np.ndarray) -> np.ndarray:
     return window
 
 
-def _continue(plan: _Plan, window: np.ndarray, counter: MacCounter | None) -> np.ndarray:
+def _continue(
+    weights: FrozenWeights, plan: _Plan, window: np.ndarray, counter: MacCounter | None
+) -> np.ndarray:
     """forward() of `window`, plan.last advanced by one frame, from the
-    carries after plan.last (primed here first if it has none)."""
-    global _kept
+    carries after plan.last (primed here first if it has none), published
+    to the model's `_plan`."""
     carries = plan.carries
     if carries is None:
         _, carries = _run_stages(plan, None, plan.last[:, :, None], counter)
     row, carries = _run_stages(plan, carries, window[-1:, :, None], counter)
-    _kept = plan._replace(last=window.copy(), carries=carries)
+    weights._plan = plan._replace(last=window.copy(), carries=carries)
     return row[0]
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "LayerBudget",
     "BudgetReport",
     "CompareResult",
-    "count_layer",
     "report",
     "compare",
     "fit_to_budget",
@@ -72,11 +71,6 @@ class CompareResult:
     total_b: LayerCost
     multiply_ratio: float
     param_ratio: float
-
-
-def count_layer(layer, in_shape: tuple[int, ...]) -> LayerCost:
-    """Closed-form cost of one layer given its input shape (see its `cost`)."""
-    return layer.cost(in_shape)
 
 
 def report(arch: ArchSpec) -> BudgetReport:

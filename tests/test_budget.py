@@ -19,7 +19,6 @@ from kwslite import (
     build_cnn_tstride,
     build_dnn_baseline,
     compare,
-    count_layer,
     fit_to_budget,
     forward,
     forward_frames,
@@ -47,16 +46,16 @@ EXPECTED = {
 def test_count_layer_hand_values():
     # first conv of the two-conv stack: 21*9*1*64+64 params,
     # 12*32 placements * 189 weights * 64 maps multiplies
-    cost = count_layer(Conv(21, 9, 64, Stride(1, 1), Pool(1, 3)), (32, 40, 1))
+    cost = Conv(21, 9, 64, Stride(1, 1), Pool(1, 3)).cost((32, 40, 1))
     assert cost.params == 12_160
     assert cost.multiplies == 4_644_864
-    cost = count_layer(Dense(128), (32,))
+    cost = Dense(128).cost((32,))
     assert cost.params == 4_224
     assert cost.multiplies == 4_096
-    cost = count_layer(LowRank(32), (1344,))
+    cost = LowRank(32).cost((1344,))
     assert cost.params == cost.multiplies == 43_008
-    assert count_layer(Flatten(), (3, 7, 64)).params == 0
-    assert count_layer(SoftmaxOut(4), (128,)).multiplies == 512
+    assert Flatten().cost((3, 7, 64)).params == 0
+    assert SoftmaxOut(4).cost((128,)).multiplies == 512
 
 
 def test_frozen_totals():

@@ -1,9 +1,9 @@
 """Loaded weights: read-only tensors whose plan (manifest check and every
 layer's binding, on which the spec's stream stages run) is built once per
-spec and kept for one model at a time, with outputs bit-identical to plain dicts,
-and whose forward continues the stream of a window advanced by one frame."""
+spec and kept on the model itself, freed with it, with outputs bit-identical
+to plain dicts, and whose forward continues the model's own stream of a
+window advanced by one frame."""
 
-import gc
 import sys
 import threading
 import tracemalloc
@@ -119,24 +119,22 @@ def test_the_kept_plan_binds_no_copies_and_is_freed_with_its_weights(tmp_path, r
     window = random_window(rng, TINY)
 
     def held(weights):
-        """A weak reference to conv1's FilterBank, which only the kept plan holds
-        (the spec's stages hold no model's tensors)."""
+        """A weak reference to conv1's FilterBank, which only the model's plan
+        holds (the spec's stages hold no model's tensors)."""
         return weakref.ref(kwslite.arch._plan(TINY, weights).bound[0][0])
 
     forward(TINY, a, window)
     plan_a = kwslite.arch._plan(TINY, a)
-    assert kwslite.arch._plan(TINY, a) is plan_a and kwslite.arch._kept is plan_a  # kept between calls
+    assert kwslite.arch._plan(TINY, a) is plan_a and a._plan is plan_a  # kept between calls
     del plan_a
     assert_bound_without_copies(TINY, a)
     bank_a = held(a)
     forward(TINY, b, window)
-    gc.collect()
-    assert bank_a() is None  # b's plan replaced a's
-    assert kwslite.arch._kept.weights() is b
+    assert bank_a() is not None and a._plan.bound[0][0] is bank_a()  # b's plan is b's own
+    assert b._plan is not None and b._plan.bound[0][0] is not bank_a()
     bank_b = held(b)
-    del b
-    gc.collect()
-    assert bank_b() is None and kwslite.arch._kept is None  # freed with its weights
+    del a, b  # no gc.collect(): nothing refers back to the weights
+    assert bank_a() is None and bank_b() is None  # freed with their weights
 
 
 def test_loaded_tensors_cannot_be_changed(tmp_path):
@@ -212,8 +210,9 @@ def test_threads_sharing_loaded_models_get_their_own_outputs(tmp_path, rng):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not errors, errors[:3]
-    kept = kwslite.arch._kept
-    assert kept is None or any(kept.weights() is loaded for _, loaded in models)
+    for _, loaded in models:  # each model's plan binds its own tensors
+        assert loaded._plan is not None and loaded._plan.arch is TINY
+        assert_bound_without_copies(TINY, loaded)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +266,7 @@ def test_the_stages_are_built_once_per_spec_whatever_runs_on_it(tmp_path, monkey
         monkeypatch.setattr(kind, "stream", counted)
     frames = rng.standard_normal((24, arch.input_f)).astype(np.float32)
     windows = stack_context(frames, arch.context)
-    for loaded in (loaded_a, loaded_b):  # the second model takes the kept slot
+    for loaded in (loaded_a, loaded_b):  # each model builds and keeps its own plan
         for j, window in enumerate(windows):
             count = metered(arch, loaded, window)[1]
             if j >= 2:  # continued, from primed carries
@@ -284,9 +283,9 @@ def test_the_stages_are_built_once_per_spec_whatever_runs_on_it(tmp_path, monkey
 
 
 def test_a_wrong_shape_call_leaves_the_kept_stream_in_place(tmp_path, rng):
-    # shapes are checked before the kept plan is touched: otherwise a wrong
-    # shape on b evicts a's plan, and a's next advanced window meters a whole
-    # window, not one frame's rows
+    # shapes are checked before a model's plan is touched: otherwise a wrong
+    # shape on a restarts a's stream, and a's next advanced window meters a
+    # whole window, not one frame's rows; b, which never ran, builds no plan
     arch = get_arch("cnn-tpool2", 4)
     _, a = saved_and_loaded(tmp_path, arch, 1, "a.kwsm")
     _, b = saved_and_loaded(tmp_path, arch, 2, "b.kwsm")
@@ -294,18 +293,19 @@ def test_a_wrong_shape_call_leaves_the_kept_stream_in_place(tmp_path, rng):
     windows = stack_context(frames, arch.context)
     for window in windows[:3]:
         forward(arch, a, window)  # primes a's carries
-    kept = kwslite.arch._kept
-    calls = {
-        "forward short": (lambda: forward(arch, b, windows[0][:-1]), ShapeError),
-        "forward_frames narrow": (lambda: forward_frames(arch, b, frames[:, :-1]), ShapeError),
-        "forward_frames empty": (lambda: forward_frames(arch, b, frames[:0]), InsufficientAudioError),
-        "bound narrow": (lambda: bound_fractions(arch, b, windows[0][:, :-1]), ShapeError),
-        "bound transposed": (lambda: bound_fractions(arch, b, windows[0].T), ShapeError),
-    }
-    for case, (call, error) in calls.items():
-        with pytest.raises(error):
-            call()
-        assert kwslite.arch._kept is kept, case
+    kept = a._plan
+    for model in (b, a):
+        calls = {
+            "forward short": (lambda: forward(arch, model, windows[0][:-1]), ShapeError),
+            "forward_frames narrow": (lambda: forward_frames(arch, model, frames[:, :-1]), ShapeError),
+            "forward_frames empty": (lambda: forward_frames(arch, model, frames[:0]), InsufficientAudioError),
+            "bound narrow": (lambda: bound_fractions(arch, model, windows[0][:, :-1]), ShapeError),
+            "bound transposed": (lambda: bound_fractions(arch, model, windows[0].T), ShapeError),
+        }
+        for case, (call, error) in calls.items():
+            with pytest.raises(error):
+                call()
+            assert a._plan is kept and b._plan is None, case
     assert metered(arch, a, windows[3])[1] == report(arch).per_frame
 
 
@@ -384,7 +384,7 @@ def test_dnn_and_cnn_one_never_continue(tmp_path, rng):
         frames = rng.standard_normal((4, arch.input_f)).astype(np.float32)
         for window in stack_context(frames, arch.context):
             assert metered(arch, loaded, window)[1] == report(arch).total.multiplies
-        assert kwslite.arch._kept.last is None
+        assert loaded._plan.last is None
 
 
 def _nan_last(window):
@@ -461,24 +461,28 @@ def test_a_stream_does_not_continue_under_another_spec(tmp_path, rng):
         assert count == report(arch).total.multiplies
 
 
-def test_the_stream_lives_and_dies_with_its_plan(tmp_path, rng):
+def test_models_that_alternate_hops_each_continue_their_own_stream(tmp_path, monkeypatch, rng):
     arch = get_arch("cnn-tpool2", 4)
     plain_a, a = saved_and_loaded(tmp_path, arch, 1, "a.kwsm")
-    _, b = saved_and_loaded(tmp_path, arch, 2, "b.kwsm")
-    frames = rng.standard_normal((5, arch.input_f)).astype(np.float32)
-    windows = stack_context(frames, arch.context)
+    plain_b, b = saved_and_loaded(tmp_path, arch, 2, "b.kwsm")
+    frames = [rng.standard_normal((8, arch.input_f)).astype(np.float32) for _ in range(2)]
+    monkeypatch.setattr(kwslite.arch, "BLOCK_WINDOWS", 1)
+    streamed = [forward_frames(arch, plain, f) for plain, f in zip((plain_a, plain_b), frames)]
     budget = report(arch)
-    forward(arch, a, windows[0])
-    assert metered(arch, a, windows[1])[1] == streamed_multiplies(arch, 2)
-    assert metered(arch, a, windows[2])[1] == budget.per_frame  # a continued two windows
-    forward(arch, b, windows[0])  # b's plan takes the slot, and a's stream ends with a's plan
-    got, count = metered(arch, a, windows[3])
-    assert_same_bits(got, forward(arch, plain_a, windows[3]))
-    assert count == budget.total.multiplies
-    assert kwslite.arch._kept.weights() is a and kwslite.arch._kept.last is not None
-    del a
-    gc.collect()
-    assert kwslite.arch._kept is None  # freed with its weights
+    windows = [stack_context(f, arch.context) for f in frames]
+    for j, pair in enumerate(zip(*windows)):
+        for k, (model, window) in enumerate(zip((a, b), pair)):  # a and b alternate hops
+            got, count = metered(arch, model, window)
+            if j == 0:
+                assert count == budget.total.multiplies
+                continue
+            assert_same_bits(got, streamed[k][j])
+            assert count == (streamed_multiplies(arch, 2) if j == 1 else budget.per_frame), (k, j)
+    bank_a = weakref.ref(a._plan.bound[0][0])  # conv1's FilterBank, held only by a's plan
+    plan_b = b._plan
+    del a  # no gc.collect(): nothing refers back to the weights
+    assert bank_a() is None
+    assert b._plan is plan_b and plan_b.carries is not None  # b's plan and stream stay
 
 
 def test_two_threads_streaming_one_loaded_model_get_their_own_posteriors(tmp_path):

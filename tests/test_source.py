@@ -24,6 +24,29 @@ def test_no_source_line_exceeds_max_columns():
     assert not long_lines, f"lines over {MAX_COLUMNS} columns: {long_lines}"
 
 
+def _run_at_import(node):
+    """`node` and every node under it outside a function body."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _run_at_import(child)
+
+
+def test_no_module_keeps_process_wide_state_behind_a_global_or_a_lock():
+    # inference state belongs to the objects it serves (a loaded model keeps
+    # its own plan), so no module rebinds a global or builds a lock at import
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{n.lineno} global" for n in ast.walk(tree) if isinstance(n, ast.Global)]
+        found += [
+            f"{path.name}:{node.lineno} {ast.unparse(node.func)}()"
+            for node in _run_at_import(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("Lock", "RLock")
+        ]
+    assert not found, found
+
+
 def _tracer():
     spec = importlib.util.spec_from_file_location("kwsbench_tracer", ROOT / "kwsbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
