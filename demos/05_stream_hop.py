@@ -83,7 +83,7 @@ for name in ARCHITECTURES:
     plain = init_weights(arch, 0, init_scale=0.3)
     path = Path(model_dir.name) / f"{name}.kwsm"
     save_model(path, arch, plain, ["_filler", "kw1", "kw2", "kw3"])
-    weights = load_model(path).weights  # read-only; bound to float64 once, on the first forward
+    weights = load_model(path).weights  # read-only; bound once, as they are, on the first forward
     left, right = arch.context.left, arch.context.right
     ring = deque(maxlen=arch.input_t)
     detector = StreamingDetector(detector_cfg)

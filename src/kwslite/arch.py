@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError, check_counts
-from .frontend import Context
+from .errors import InsufficientAudioError, ManifestMismatchError, ShapeError
+from .frontend import Context, FrameConfig
 from .layers import Conv, Dense, Flatten, Layer, LowRank, Placed, SoftmaxOut, TraceEntry
 from .tensor import MacCounter, Pool, Stride
 
@@ -62,20 +62,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ArchSpec:
-    """A named layer stack over (context.size, input_f, 1) feature windows."""
+    """A named layer stack over (context.size, input_f, 1) feature windows.
+
+    input_f is not a field: every model reads the frontend's one feature
+    width, `FrameConfig.mel_filters`."""
 
     name: str
     context: Context
     layers: tuple[Layer, ...]
-    input_f: int = 40
+    input_f: ClassVar[int] = FrameConfig.mel_filters
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if not isinstance(self.name, str):
             raise TypeError(f"architecture name must be a string, got {self.name!r}")
-        check_counts(self, 1, input_f=self.input_f)
-        if self.input_f != 40:
-            raise ValueError(f"feature dimension is fixed at 40, got {self.input_f}")
 
     @property
     def input_t(self) -> int:
@@ -548,6 +548,9 @@ def arch_to_dict(arch: ArchSpec) -> dict:
 
 
 def arch_from_dict(doc: dict) -> ArchSpec:
+    # a JSON integer only: neither 40.0 nor true may pass as the feature width
+    if type(doc["input_f"]) is not int or doc["input_f"] != ArchSpec.input_f:
+        raise ValueError(f"feature dimension is fixed at {ArchSpec.input_f}, got {doc['input_f']!r}")
     layers = tuple(Layer.from_dict(entry) for entry in doc["layers"])
     left, right = doc["context"]
-    return ArchSpec(doc["name"], Context(left, right), layers, doc["input_f"])
+    return ArchSpec(doc["name"], Context(left, right), layers)

@@ -21,22 +21,19 @@ __all__ = ["SAMPLE_RATE", "Waveform", "read_wav", "write_wav"]
 
 @dataclass(frozen=True)
 class Waveform:
-    """Mono signal, float32 samples in [-1, 1]."""
+    """Mono signal at SAMPLE_RATE, float32 samples in [-1, 1]."""
 
     samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float32)
         if s.ndim != 1:
             raise AudioFormatError(f"waveform must be 1-D, got shape {s.shape}")
-        if self.sample_rate <= 0:
-            raise AudioFormatError(f"sample rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", s)
 
     @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return len(self.samples) / SAMPLE_RATE
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -65,15 +62,15 @@ def read_wav(path: str | Path) -> Waveform:
     if len(raw) % width:
         raise AudioFormatError(f"{path}: the data chunk ends mid-sample ({len(raw)} bytes)")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
-    return Waveform(samples, rate)
+    return Waveform(samples)
 
 
-def write_wav(path: str | Path, samples: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
-    """Write float samples in [-1, 1] as mono 16-bit PCM."""
+def write_wav(path: str | Path, samples: np.ndarray) -> None:
+    """Write float samples in [-1, 1] as mono 16-bit PCM at SAMPLE_RATE."""
     x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
     ints = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(ints.tobytes())

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import budget as _budget
 from . import arch as _arch
-from .audio import read_wav
-from .data import center_window_examples, load_dataset_dir, make_synthetic_dataset, SyntheticSpec
+from .audio import SAMPLE_RATE, read_wav
+from .data import FILLER_NAME, center_window_examples, load_dataset_dir, make_synthetic_dataset, SyntheticSpec
 from .errors import AgreementError, KwsError, NumericError
 from .frontend import Context, FrameConfig, log_mel_frames, stack_context, write_feature_dump
 from .modelio import load_model, save_model
@@ -35,7 +35,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-FRAME_SECONDS = 0.010
+FRAME_SECONDS = FrameConfig.hop / SAMPLE_RATE
 
 __all__ = ["main"]
 
@@ -191,8 +191,8 @@ def cmd_featurize(args) -> int:
         "in": args.wav,
         "out": args.out,
         "context": f"{context.left},{context.right}",
-        "window_ms": 25,
-        "hop_ms": 10,
+        "window_ms": 1000 * FrameConfig.window_length // SAMPLE_RATE,
+        "hop_ms": 1000 * FrameConfig.hop // SAMPLE_RATE,
         "mel_filters": frames.shape[1],
     }
     doc = {
@@ -338,7 +338,7 @@ def cmd_detect(args) -> int:
     wave = read_wav(args.wav)
     cfg = DetectorConfig(threshold=args.threshold, w_smooth=args.smooth,
                          w_max=args.window, refractory=args.refractory)
-    filler = model.labels.index("_filler") if "_filler" in model.labels else 0
+    filler = model.labels.index(FILLER_NAME) if FILLER_NAME in model.labels else 0
     probs = posteriors_from_waveform(model.arch, model.weights, wave)
     events = detect(probs, cfg, filler)
     settings = {

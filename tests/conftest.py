@@ -139,7 +139,15 @@ def _set_label(index, value):
     return edit
 
 
-# model-header edits that once escaped load_model as a TypeError or loaded silently
+def _set_input_f(value):
+    def edit(doc):
+        doc["arch"]["input_f"] = value
+
+    return edit
+
+
+# model-header edits that load_model must refuse as malformed; all but the
+# input_f ones once escaped it as a TypeError or loaded silently
 CRAFTED_HEADERS = {
     "maps-float": _set_field("conv", "maps", float),
     "kernel_t-float": _set_field("conv", "kernel_t", float),
@@ -150,6 +158,9 @@ CRAFTED_HEADERS = {
     "label-number": _set_label(0, 3.5),
     "label-list": _set_label(0, ["x"]),
     "label-null": _set_label(-1, None),
+    "input_f-float": _set_input_f(40.0),
+    "input_f-true": _set_input_f(True),
+    "input_f-other": _set_input_f(41),
 }
 
 

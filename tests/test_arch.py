@@ -1,5 +1,6 @@
 """Architecture builders, shape traces, weight manifests, and inference."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from kwslite import (
 )
 from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, bound_fractions, layer_names
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
-from kwslite.frontend import stack_context
+from kwslite.frontend import FrameConfig, stack_context
 from kwslite.tensor import (
     FilterBank,
     conv2d_optimized,
@@ -326,6 +327,12 @@ def test_arch_dict_roundtrip(rng):
     for _ in range(20):
         arch = random_arch(rng)
         assert arch_from_dict(arch_to_dict(arch)) == arch
+
+
+def test_the_feature_width_is_the_frontends():
+    assert [f.name for f in dataclasses.fields(ArchSpec)] == ["name", "context", "layers"]
+    assert ArchSpec.input_f == FrameConfig().mel_filters == 40
+    assert arch_to_dict(get_arch("dnn", 4))["input_f"] == 40
 
 
 def test_random_archs_validate_and_run(rng):

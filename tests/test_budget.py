@@ -43,7 +43,7 @@ EXPECTED = {
 }
 
 
-def test_count_layer_hand_values():
+def test_layer_cost_hand_values():
     # first conv of the two-conv stack: 21*9*1*64+64 params,
     # 12*32 placements * 189 weights * 64 maps multiplies
     cost = Conv(21, 9, 64, Stride(1, 1), Pool(1, 3)).cost((32, 40, 1))

@@ -40,6 +40,17 @@ def tone(freq, seconds=1.0, amp=0.5):
 # --- framing ---------------------------------------------------------------
 
 
+def test_the_feature_format_takes_no_settings():
+    # 40 log-mel bins every 10 ms over 25 ms windows of 16 kHz audio
+    cfg = FrameConfig()
+    assert cfg == FrameConfig() and hash(cfg) == hash(FrameConfig())
+    assert (cfg.window_length, cfg.hop, cfg.mel_filters) == (400, 160, 40)
+    with pytest.raises(TypeError):
+        FrameConfig(hop=80)
+    with pytest.raises(TypeError):
+        Waveform(np.zeros(SR, dtype=np.float32), 8000)
+
+
 def test_one_second_gives_98_frames():
     frames = frame_signal(Waveform(np.zeros(SR, dtype=np.float32)))
     assert frames.shape == (98, 400)
@@ -83,15 +94,10 @@ def gather_frame_signal(samples, cfg):
 
 @given(data=st.data())
 def test_frame_signal_equals_gathered_frames_bit_for_bit(data):
-    window = data.draw(st.integers(1, 600))
-    cfg = FrameConfig(
-        window_length=window,
-        hop=data.draw(st.integers(1, window)),
-        fft_size=window,
-        preemphasis=data.draw(st.one_of(st.just(0.0), st.just(0.97), st.floats(0.0, 0.999))),
-    )
+    cfg = FrameConfig()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    x = data.draw(st.sampled_from([1e-3, 0.5, 1.0])) * rng.standard_normal(data.draw(st.integers(window, 20000)))
+    n = data.draw(st.integers(cfg.window_length, 20000))
+    x = data.draw(st.sampled_from([1e-3, 0.5, 1.0])) * rng.standard_normal(n)
     x[rng.random(x.size) < data.draw(st.sampled_from([0.0, 0.3]))] = 0.0  # exact zeros
     w = Waveform(x.astype(data.draw(st.sampled_from([np.float32, np.float64]))))
     got, expected = frame_signal(w, cfg), gather_frame_signal(w.samples, cfg)
@@ -132,14 +138,10 @@ def test_mel_centers_match_independent_formula():
     npt.assert_allclose(np.diff(to_mel(expected)), np.diff(to_mel(expected))[0], rtol=1e-9)
 
 
-def test_filters_too_many_for_fft():
-    with pytest.raises(KwsError):
-        build_mel_filterbank(FrameConfig(window_length=8, hop=4, fft_size=16, mel_filters=40))
-
-
 def test_melbank_is_shared_and_read_only():
-    bank = build_mel_filterbank(FrameConfig(), 16000)
-    assert build_mel_filterbank(FrameConfig(), 16000) is bank
+    bank = build_mel_filterbank()
+    assert build_mel_filterbank() is bank
+    assert build_mel_filterbank(FrameConfig()) is build_mel_filterbank(FrameConfig())
     assert not bank.flags.writeable
     with pytest.raises(ValueError):
         bank[0, 0] = 1.0
@@ -148,11 +150,6 @@ def test_melbank_is_shared_and_read_only():
 
 
 def test_melbank_per_config_equals_uncached_build():
-    cfg = FrameConfig(window_length=200, hop=80, fft_size=256, mel_filters=20, fmax=4000.0)
-    bank = build_mel_filterbank(cfg, 8000)
-    assert bank is not build_mel_filterbank()
-    assert bank.shape == (20, 129)
-    npt.assert_array_equal(bank, build_mel_filterbank.__wrapped__(cfg, 8000))
     npt.assert_array_equal(build_mel_filterbank(), build_mel_filterbank.__wrapped__())
 
 
@@ -282,7 +279,7 @@ def test_wav_roundtrip(tmp_path, rng):
     path = tmp_path / "x.wav"
     write_wav(path, x)
     back = read_wav(path)
-    assert back.sample_rate == SR
+    assert back.duration == 0.5
     npt.assert_allclose(back.samples, x, atol=1.0 / 32768.0)
 
 
@@ -349,7 +346,6 @@ def test_wav_header_fuzz_gives_format_error_or_valid_waveform(tmp_path_factory, 
         wav = read_wav(path)
     except KwsError:
         return
-    assert wav.sample_rate == SR
     assert wav.samples.dtype == np.float32 and wav.samples.ndim == 1
     assert len(wav.samples) <= len(_WAV_SAMPLES)
     assert np.all(np.abs(wav.samples) <= 1.0)

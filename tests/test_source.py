@@ -24,6 +24,36 @@ def test_no_source_line_exceeds_max_columns():
     assert not long_lines, f"lines over {MAX_COLUMNS} columns: {long_lines}"
 
 
+def _exported(tree) -> set[str]:
+    """The names a module lists in its `__all__`."""
+    return {
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for name in ast.literal_eval(node.value)
+    }
+
+
+def test_every_imported_name_is_used_or_exported():
+    # __init__.py only re-exports; any other module that imports a name it
+    # never reads is carrying a leftover of code that has gone
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in bound if name not in used]
+    assert not unused, f"imported but never used: {unused}"
+
+
 def _run_at_import(node):
     """`node` and every node under it outside a function body."""
     yield node
