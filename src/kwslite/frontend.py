@@ -12,7 +12,7 @@ All intermediate math is float64; emitted features are float32.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -114,7 +114,7 @@ def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     # np.ndarray over the buffer costs less per call than as_strided or sliding_window_view
     step = emphasized.itemsize
     frames = np.ndarray((n, cfg.window_length), np.float64, emphasized, strides=(cfg.hop * step, step))
-    window = _hamming(cfg.window_length)
+    window = _hamming()
     out = frames * window
     out[:, 0] = x[: n * cfg.hop : cfg.hop] * window[0]
     return out
@@ -125,12 +125,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=8)
-def _hamming(length: int) -> np.ndarray:
-    return _read_only(np.hamming(length))
+@cache
+def _hamming() -> np.ndarray:
+    return _read_only(np.hamming(FrameConfig.window_length))
 
 
-@lru_cache(maxsize=8)
 def build_mel_filterbank(cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     """Triangular filters, rows (mel_filters, fft_size // 2 + 1).
 
@@ -138,9 +137,16 @@ def build_mel_filterbank(cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     each triangle rises from the previous centre and falls to the next one,
     evaluated at the FFT bin frequencies.
 
-    Cached, and every FrameConfig is equal, so it is built once; the returned
-    array is shared and read-only, so a one-frame call costs no rebuild.
+    Every FrameConfig is equal, so every call returns the one bank a process
+    builds, whatever form the call takes; the array is shared and read-only,
+    so a one-frame call costs no rebuild.
     """
+    return _mel_filterbank()
+
+
+@cache
+def _mel_filterbank() -> np.ndarray:
+    cfg = FrameConfig()
     n_bins = cfg.fft_size // 2 + 1
     mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.mel_filters + 2)
     hz_points = mel_to_hz(mel_points)

@@ -15,9 +15,9 @@ once per spec, as stages that take the binding when they run, run the
 kind's own `forward` path and add only row bookkeeping (the rows each
 carries, the interleaving by time step, flatten's gather, the time pool);
 `train_forward` and `train_backward` are its batched training passes, and
-a layer that routes (a pool's argmax, a relu's mask) keeps that routing
-under its cache's "route" key; `to_dict` and `Layer.from_dict` are its
-model-header form.
+a layer that routes (a pool's first-maximum masks, built from comparisons;
+a relu's mask) keeps that routing under its cache's "route" key; `to_dict`
+and `Layer.from_dict` are its model-header form.
 Adding a kind means one class here and its entry in `_KINDS` (a new output
 kind also needs the stack rule in `ArchSpec.placed`).
 
@@ -176,29 +176,44 @@ def _fraction(got: np.ndarray, exact: np.ndarray, bound: np.ndarray) -> float:
         return float(np.where(err == 0, 0.0, err / bound).max())
 
 
-def _maxpool_argmax(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray, tuple[int, int]]:
-    """Max-pool over the last three axes (time, freq, channels) of x."""
+def _maxpool_route(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
+    """Max-pool over the last three axes (time, freq, channels) of x, and its route.
+
+    The route is a bool map laid out (..., t2, pool.time, f2, pool.freq, c)
+    that marks each window's first maximum, in (time, freq) order: argmax's
+    tie rule, built from comparisons of the window positions' strided views.
+    Pooled values and routes equal argmax's bit for bit, but for a window
+    holding a NaN, which pools to NaN and routes nowhere; such a route is
+    never used, as `train.loss_and_grads` stops before the backward whenever
+    a posterior is not finite.
+    """
     *lead, t, f, c = x.shape
+    pt, pf = pool.time, pool.freq
     t2, f2 = tensor.pool_output_shape(t, f, pool)
-    blocks = x[..., : t2 * pool.time, : f2 * pool.freq, :].reshape(*lead, t2, pool.time, f2, pool.freq, c)
-    windows = np.moveaxis(blocks, (-4, -2), (-2, -1)).reshape(*lead, t2, f2, c, pool.time * pool.freq)
-    # argmax takes the first maximum, i.e. ties break toward the earliest
-    # (time, freq) position inside the window
-    arg = windows.argmax(axis=-1)
-    pooled = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return pooled, arg, (t2, f2)
+    offsets = [(dt, df) for dt in range(pt) for df in range(pf)]
+    views = [x[..., dt : t2 * pt : pt, df : f2 * pf : pf, :] for dt, df in offsets]
+    # numpy's maximum returns its second operand on equal zeros, so the
+    # running maximum keeps the earliest zero's sign, as argmax does
+    pooled = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, pooled, out=pooled)
+    route = np.empty((*lead, t2, pt, f2, pf, c), dtype=bool)
+    free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum no earlier view took
+    for (dt, df), view in zip(offsets, views):
+        hit = np.equal(view, pooled, out=route[..., dt, :, df, :])
+        hit &= free
+        free ^= hit
+    return pooled, route
 
 
-def _maxpool_scatter(grad_pooled: np.ndarray, arg: np.ndarray, pre_shape: Shape, pool: Pool) -> np.ndarray:
-    """Route each pooled gradient to its argmax position; any leading axes."""
-    t2, f2 = grad_pooled.shape[-3:-1]
-    grad_pre = np.zeros(pre_shape, dtype=grad_pooled.dtype)
-    # one strided write per position inside the pool window
-    for k in range(pool.time * pool.freq):
-        dt, df = divmod(k, pool.freq)
-        grad_pre[..., dt : t2 * pool.time : pool.time, df : f2 * pool.freq : pool.freq, :] = np.where(
-            arg == k, grad_pooled, 0.0
-        )
+def _maxpool_scatter(grad_pooled: np.ndarray, route: np.ndarray, pre_shape: Shape) -> np.ndarray:
+    """Route each pooled gradient to its window's first maximum; any leading axes."""
+    *lead, t2, pt, f2, pf, c = route.shape
+    routed = np.where(route, grad_pooled[..., :, None, :, None, :], 0).reshape(*lead, t2 * pt, f2 * pf, c)
+    if routed.shape == pre_shape:
+        return routed
+    grad_pre = np.zeros(pre_shape, dtype=routed.dtype)  # the rows and columns no window covers
+    grad_pre[..., : t2 * pt, : f2 * pf, :] = routed
     return grad_pre
 
 
@@ -341,15 +356,15 @@ class Conv(Layer):
         cache["x"] = x
         if not self.pool.active:
             return pre
-        pooled, arg, _ = _maxpool_argmax(pre, self.pool)
-        cache.update(route=arg, pre_shape=pre.shape)
+        pooled, route = _maxpool_route(pre, self.pool)
+        cache.update(route=route, pre_shape=pre.shape)
         return pooled
 
     def train_backward(
         self, tensors: Tensors, cache: dict, delta: np.ndarray, grads: Tensors, input_grad: bool
     ) -> np.ndarray | None:
         if self.pool.active:
-            delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"], self.pool)
+            delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"])
         dmat = delta.reshape(len(delta), -1, self.maps)
         # im2col is redone one example at a time from the cached input: no
         # chunk of patch matrices is held from forward to backward; per-example

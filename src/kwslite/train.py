@@ -93,13 +93,14 @@ def cross_entropy(posterior: np.ndarray, label: int) -> float:
 # ---------------------------------------------------------------------------
 # Forward / backward over a leading example axis, in chunks of CHUNK examples
 # to bound memory. The caches keep each layer's input and, under "route", its
-# routing decision (pool argmax, relu mask), the kink signature used by
-# grad_check. Every conv product has per-example shapes that do not depend on
-# the chunk size, and a conv's per-example gradients are added in example
-# order. A flat layer's weight and bias gradients are one float64 product and
-# one column sum per chunk: exact products, but sums grouped by chunk, so
-# their float64 totals can differ in the last bits between chunk sizes, each
-# within gamma(N)*sum|delta*x| of the exact sum at float64's unit roundoff.
+# routing decision (a pool's first-maximum masks built from comparisons, a
+# relu mask), the kink signature used by grad_check. Every conv product has
+# per-example shapes that do not depend on the chunk size, and a conv's
+# per-example gradients are added in example order. A flat layer's weight and
+# bias gradients are one float64 product and one column sum per chunk: exact
+# products, but sums grouped by chunk, so their float64 totals can differ in
+# the last bits between chunk sizes, each within gamma(N)*sum|delta*x| of the
+# exact sum at float64's unit roundoff.
 # That the float32 gradients do not depend on how a batch is split is checked
 # on the tests' data, not guaranteed.
 
@@ -203,7 +204,7 @@ def loss_and_grads(
 
 
 def _routing(caches: list[dict]) -> list[bytes]:
-    """The pool argmaxes and relu masks of a forward pass, in layer order."""
+    """The pools' first-maximum masks and the relu masks of a forward pass, in layer order."""
     return [cache["route"].tobytes() for cache in caches if "route" in cache]
 
 
@@ -220,11 +221,12 @@ def grad_check(
     analytic gradient.
 
     A coordinate whose two perturbed evaluations change the activation
-    routing (a max-pool argmax or a ReLU sign) sits on a kink of the loss
-    surface, where the difference quotient does not estimate the derivative
-    of anything; such draws are discarded and resampled. The relative-error
-    denominator is floored at 1e-2, so near-zero gradient coordinates are
-    held to absolute rather than relative accuracy.
+    routing (a max-pool's first-maximum mask, built from comparisons, or a
+    ReLU sign) sits on a kink of the loss surface, where the difference
+    quotient does not estimate the derivative of anything; such draws are
+    discarded and resampled. The relative-error denominator is floored at
+    1e-2, so near-zero gradient coordinates are held to absolute rather than
+    relative accuracy.
     """
     _check_examples(arch, [example])
     w64 = {name: w.astype(np.float64) for name, w in _arch.init_weights(arch, seed).items()}

@@ -25,6 +25,7 @@ from kwslite import (
     write_wav,
 )
 from kwslite.errors import AudioFormatError, InsufficientAudioError, KwsError, NumericError
+from kwslite import frontend
 from kwslite.frontend import frame_count
 
 from conftest import hostile_wavs
@@ -149,8 +150,14 @@ def test_melbank_is_shared_and_read_only():
         bank += 1.0
 
 
+def test_every_call_form_returns_the_one_melbank():
+    cfg = FrameConfig()
+    bank = build_mel_filterbank()
+    assert build_mel_filterbank(cfg) is bank and build_mel_filterbank(cfg=cfg) is bank
+
+
 def test_melbank_per_config_equals_uncached_build():
-    npt.assert_array_equal(build_mel_filterbank(), build_mel_filterbank.__wrapped__())
+    npt.assert_array_equal(build_mel_filterbank(), frontend._mel_filterbank.__wrapped__())
 
 
 # --- log-mel ----------------------------------------------------------------

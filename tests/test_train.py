@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kwslite.arch
+import kwslite.layers
 import kwslite.tensor
 from kwslite import (
     ARCHITECTURES,
@@ -47,7 +48,7 @@ from kwslite.data import (
     load_dataset_dir,
 )
 from kwslite.errors import DivergenceError, KwsError, ManifestMismatchError, NumericError, ShapeError
-from kwslite.layers import _col2im, _maxpool_argmax, _maxpool_scatter
+from kwslite.layers import _col2im, _maxpool_route, _maxpool_scatter
 from kwslite.tensor import Pool, Stride, im2col
 from kwslite.train import CHUNK
 from kwslite.audio import write_wav
@@ -260,7 +261,7 @@ def test_float32_backward_tracks_the_float64_backward(name):
 
 # tracemalloc peaks of one warm 16-example call with float32 weights, MB:
 # the larger of the peaks measured on one and on two BLAS threads, plus 5%
-TRAIN_PEAK_MB = {"dnn": 4.23, "cnn-trad": 6.10, "cnn-one": 1.92, "cnn-tstride2": 7.27, "cnn-tpool2": 10.90}
+TRAIN_PEAK_MB = {"dnn": 4.23, "cnn-trad": 5.78, "cnn-one": 1.92, "cnn-tstride2": 6.71, "cnn-tpool2": 10.75}
 
 
 @pytest.mark.parametrize("name", ARCHITECTURES)
@@ -298,12 +299,38 @@ def test_training_finds_its_tensors_whatever_the_key_order(rng, monkeypatch, arc
         assert got_run.weights[key].tobytes() == w.tobytes(), key
 
 
+# --- max-pool routing -------------------------------------------------------
+
+
+def oracle_maxpool_argmax(x, pool):
+    """The reference for `_maxpool_route`: each window's positions moved to a
+    last axis, whose argmax (the first maximum) picks the pooled value."""
+    *lead, t, f, c = x.shape
+    t2, f2 = kwslite.tensor.pool_output_shape(t, f, pool)
+    blocks = x[..., : t2 * pool.time, : f2 * pool.freq, :].reshape(*lead, t2, pool.time, f2, pool.freq, c)
+    windows = np.moveaxis(blocks, (-4, -2), (-2, -1)).reshape(*lead, t2, f2, c, pool.time * pool.freq)
+    arg = windows.argmax(axis=-1)
+    return np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0], arg
+
+
+def oracle_maxpool_scatter(grad_pooled, arg, pre_shape, pool):
+    """The reference for `_maxpool_scatter`: one strided write per window position."""
+    t2, f2 = grad_pooled.shape[-3:-1]
+    grad_pre = np.zeros(pre_shape, dtype=grad_pooled.dtype)
+    for k in range(pool.time * pool.freq):
+        dt, df = divmod(k, pool.freq)
+        grad_pre[..., dt : t2 * pool.time : pool.time, df : f2 * pool.freq : pool.freq, :] = np.where(
+            arg == k, grad_pooled, 0.0
+        )
+    return grad_pre
+
+
 def test_maxpool_routing_conserves_gradient(rng):
     x = rng.standard_normal((6, 9, 3)).astype(np.float64)
     pool = Pool(2, 3)
-    pooled, arg, _ = _maxpool_argmax(x, pool)
+    pooled, route = _maxpool_route(x, pool)
     upstream = rng.standard_normal(pooled.shape)
-    routed = _maxpool_scatter(upstream, arg, x.shape, pool)
+    routed = _maxpool_scatter(upstream, route, x.shape)
     # every window's gradient lands on exactly one input position
     assert routed.shape == x.shape
     npt.assert_allclose(routed.sum(), upstream.sum(), rtol=1e-12)
@@ -320,8 +347,9 @@ def test_maxpool_routing_conserves_gradient(rng):
 
 def test_maxpool_ties_break_to_earliest():
     x = np.zeros((2, 2, 1), dtype=np.float64)  # all equal: earliest wins
-    pooled, arg, _ = _maxpool_argmax(x, Pool(2, 2))
-    assert arg[0, 0, 0] == 0
+    _, route = _maxpool_route(x, Pool(2, 2))
+    # the route is laid out (t2, pool.time, f2, pool.freq, c)
+    assert route[0, :, 0, :, 0].tolist() == [[True, False], [False, False]]
 
 
 @st.composite
@@ -350,24 +378,71 @@ def test_col2im_is_the_adjoint_of_im2col(case):
 def pool_cases(draw):
     pool = Pool(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     t, f = draw(st.integers(pool.time, 8)), draw(st.integers(pool.freq, 8))
-    shape = (draw(st.sampled_from([1, 3])), t, f, draw(st.integers(1, 3)))
-    return shape, pool, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+    shape = (*draw(st.sampled_from([(1,), (3,), (2, 3)])), t, f, draw(st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shape, pool, dtype, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def pool_map(shape, dtype, ties, rng):
+    # few distinct values, both zeros among them, make ties inside a window likely
+    x = rng.choice([-0.0, 0.0, 1.0, 2.0], shape) if ties else rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+@given(pool_cases())
+def test_maxpool_route_equals_the_argmax_oracle(case):
+    shape, pool, dtype, ties, seed = case
+    rng = np.random.default_rng(seed)
+    x = pool_map(shape, dtype, ties, rng)
+    want_pooled, arg = oracle_maxpool_argmax(x, pool)
+    pooled, route = _maxpool_route(x, pool)
+    assert (pooled.dtype, pooled.shape) == (want_pooled.dtype, want_pooled.shape)
+    assert pooled.tobytes() == want_pooled.tobytes()
+    upstream = rng.standard_normal(pooled.shape).astype(dtype)
+    want = oracle_maxpool_scatter(upstream, arg, shape, pool)
+    routed = _maxpool_scatter(upstream, route, shape)
+    assert (routed.dtype, routed.shape) == (want.dtype, want.shape)
+    assert routed.tobytes() == want.tobytes()
 
 
 @given(pool_cases())
 def test_batched_maxpool_equals_stacked_examples(case):
-    shape, pool, ties, seed = case
+    shape, pool, dtype, ties, seed = case
     rng = np.random.default_rng(seed)
-    # few distinct values make ties inside a window likely
-    x = rng.integers(0, 3, shape).astype(np.float64) if ties else rng.standard_normal(shape)
-    pooled, arg, _ = _maxpool_argmax(x, pool)
-    upstream = rng.standard_normal(pooled.shape)
-    routed = _maxpool_scatter(upstream, arg, x.shape, pool)
+    x = pool_map(shape, dtype, ties, rng)
+    pooled, route = _maxpool_route(x, pool)
+    upstream = rng.standard_normal(pooled.shape).astype(dtype)
+    routed = _maxpool_scatter(upstream, route, x.shape)
     for b in range(shape[0]):
-        pooled_b, arg_b, _ = _maxpool_argmax(x[b], pool)
+        pooled_b, route_b = _maxpool_route(x[b], pool)
         npt.assert_array_equal(pooled[b], pooled_b)
-        npt.assert_array_equal(arg[b], arg_b)
-        npt.assert_array_equal(routed[b], _maxpool_scatter(upstream[b], arg_b, x[b].shape, pool))
+        npt.assert_array_equal(route[b], route_b)
+        npt.assert_array_equal(routed[b], _maxpool_scatter(upstream[b], route_b, x[b].shape))
+
+
+@pytest.mark.parametrize("name", ["cnn-trad", "cnn-tpool2"])
+def test_training_with_the_argmax_oracle_gives_the_same_bytes(monkeypatch, name):
+    arch, examples = stock_batch(name, 6)
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=5)
+    want = train(arch, examples, cfg)
+    calls = []
+
+    def oracle_route(x, pool):
+        calls.append(pool)
+        pooled, arg = oracle_maxpool_argmax(x, pool)
+        return pooled, (arg, pool)
+
+    def oracle_scatter(grad_pooled, route, pre_shape):
+        arg, pool = route
+        return oracle_maxpool_scatter(grad_pooled, arg, pre_shape, pool)
+
+    monkeypatch.setattr(kwslite.layers, "_maxpool_route", oracle_route)
+    monkeypatch.setattr(kwslite.layers, "_maxpool_scatter", oracle_scatter)
+    got = train(arch, examples, cfg)
+    assert calls  # the oracle routed this run
+    assert [s.loss for s in got.history] == [s.loss for s in want.history]
+    for key, w in want.weights.items():
+        assert got.weights[key].tobytes() == w.tobytes(), key
 
 
 # --- training loop ----------------------------------------------------------
