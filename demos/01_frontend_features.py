@@ -14,9 +14,8 @@ from kwslite import (
     stack_context,
 )
 
-cfg = FrameConfig()
-print(f"frame window {cfg.window_length} samples, hop {cfg.hop} samples, "
-      f"{cfg.mel_filters} mel filters")
+print(f"frame window {FrameConfig.window_length} samples, hop {FrameConfig.hop} samples, "
+      f"{FrameConfig.mel_filters} mel filters")
 
 # one second of a two-tone chord, the same shape of signal the synthetic
 # keyword corpus uses
@@ -24,12 +23,12 @@ t = np.arange(16_000) / 16_000.0
 wave = Waveform((0.4 * np.sin(2 * np.pi * 700.0 * t)
                  + 0.4 * np.sin(2 * np.pi * 2100.0 * t)).astype(np.float32))
 
-frames = log_mel_frames(wave, cfg)
+frames = log_mel_frames(wave)
 print(f"1.00 s of audio -> {frames.shape[0]} frames x {frames.shape[1]} features")
 
 # the filterbank is laid out on the mel scale, so centers bunch up at low
 # frequencies and spread out toward Nyquist
-centers = mel_filter_centers(cfg)
+centers = mel_filter_centers()
 print(f"filter centers run {centers[0]:.0f} Hz .. {centers[-1]:.0f} Hz")
 
 # each tone shows up as a local peak at the filter nearest its frequency
@@ -41,7 +40,7 @@ for freq in (700.0, 2100.0):
           f"local peak: {is_peak}")
 
 # silence hits the log floor everywhere: log(power) is clamped at log(1e-10)
-silence = log_mel_frames(Waveform(np.zeros(16_000, dtype=np.float32)), cfg)
+silence = log_mel_frames(Waveform(np.zeros(16_000, dtype=np.float32)))
 print(f"silence floor: every value = {silence.min():.4f} (= ln 1e-10)")
 
 # models consume stacked context windows, not single frames; stacking

@@ -49,7 +49,7 @@ from kwslite import (
 from kwslite.tensor import MacCounter
 
 SR = 16000
-cfg = FrameConfig()
+HOP, WINDOW = FrameConfig.hop, FrameConfig.window_length
 # untrained weights drawn wide enough that posteriors move with the input,
 # and a threshold low enough that some events fire
 detector_cfg = DetectorConfig(threshold=0.5, w_smooth=10, w_max=30, refractory=20)
@@ -61,7 +61,7 @@ for start in (0.5, 1.6, 2.3):  # three 300 ms two-tone bursts
     burst = (t >= start) & (t < start + 0.3)
     samples[burst] += 0.4 * np.sin(2 * np.pi * 700 * t[burst]) + 0.3 * np.sin(2 * np.pi * 1900 * t[burst])
 samples = samples.astype(np.float32)
-batch_frames = log_mel_frames(Waveform(samples), cfg)
+batch_frames = log_mel_frames(Waveform(samples))
 n = len(batch_frames)
 
 
@@ -74,7 +74,7 @@ def timed(fn, *args):
 
 failures = []
 model_dir = tempfile.TemporaryDirectory()
-print(f"{n} hops of {1e3 * cfg.hop / SR:.0f} ms; median us per hop (total: the loaded weights), and the")
+print(f"{n} hops of {1e3 * HOP / SR:.0f} ms; median us per hop (total: the loaded weights), and the")
 print("loaded forward's median metered multiplies per hop against a whole window's, and its GMAC/s")
 print(f"{'arch':<13}{'frontend':>9}{'forward':>9}{'(plain)':>9}{'push':>9}{'total':>9}  events"
       f"{'MACs/hop':>12}{'window':>12}{'GMAC/s':>8}")
@@ -94,8 +94,8 @@ for name in ARCHITECTURES:
     # the last `right` hops bring no audio: they flush the right-context tail
     for hop in range(n + right):
         if hop < n:
-            hop_wave = Waveform(samples[hop * cfg.hop : hop * cfg.hop + cfg.window_length])
-            frame_rows, us = timed(log_mel_frames, hop_wave, cfg)
+            hop_wave = Waveform(samples[hop * HOP : hop * HOP + WINDOW])
+            frame_rows, us = timed(log_mel_frames, hop_wave)
             frame = frame_rows[0]
             stage_us["frontend"].append(us)
             frames.append(frame)

@@ -496,20 +496,14 @@ def build_cnn_one(labels: int) -> ArchSpec:
     )
 
 
-def build_cnn_tstride(labels: int, stride: int = 2, maps: int = DEFAULT_MAPS) -> ArchSpec:
-    """cnn-trad over a longer 48-frame window, first conv strided in time."""
-    if stride < 2:
-        raise ValueError(f"time stride must be >= 2, got {stride}")
-    return _cnn_trad_stack(
-        f"cnn-tstride{stride}", Context(39, 8), labels, maps, Stride(stride, 1), Pool(1, 3)
-    )
+def build_cnn_tstride(labels: int, maps: int = DEFAULT_MAPS) -> ArchSpec:
+    """cnn-trad over a longer 48-frame window, first conv strided by 2 in time."""
+    return _cnn_trad_stack("cnn-tstride2", Context(39, 8), labels, maps, Stride(2, 1), Pool(1, 3))
 
 
-def build_cnn_tpool(labels: int, pool: int = 2, maps: int = DEFAULT_MAPS) -> ArchSpec:
-    """cnn-trad over a longer 48-frame window, first conv pooled in time."""
-    if pool < 2:
-        raise ValueError(f"time pool must be >= 2, got {pool}")
-    return _cnn_trad_stack(f"cnn-tpool{pool}", Context(39, 8), labels, maps, Stride(1, 1), Pool(pool, 3))
+def build_cnn_tpool(labels: int, maps: int = DEFAULT_MAPS) -> ArchSpec:
+    """cnn-trad over a longer 48-frame window, first conv pooled by 2 in time."""
+    return _cnn_trad_stack("cnn-tpool2", Context(39, 8), labels, maps, Stride(1, 1), Pool(2, 3))
 
 
 def get_arch(name: str, labels: int, maps: int | None = None) -> ArchSpec:
@@ -528,9 +522,9 @@ def get_arch(name: str, labels: int, maps: int | None = None) -> ArchSpec:
             raise ValueError(f"{name} has a fixed layer stack; --maps does not apply")
         return fixed[name](labels)
     if name == "cnn-tstride2":
-        return build_cnn_tstride(labels, 2, DEFAULT_MAPS if maps is None else maps)
+        return build_cnn_tstride(labels, DEFAULT_MAPS if maps is None else maps)
     if name == "cnn-tpool2":
-        return build_cnn_tpool(labels, 2, DEFAULT_MAPS if maps is None else maps)
+        return build_cnn_tpool(labels, DEFAULT_MAPS if maps is None else maps)
     raise ValueError(f"unknown architecture {name!r}; choose from {', '.join(ARCHITECTURES)}")
 
 

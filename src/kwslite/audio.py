@@ -12,11 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import AudioFormatError
+from .errors import AudioFormatError, NumericError
 
 SAMPLE_RATE = 16000
 
-__all__ = ["SAMPLE_RATE", "Waveform", "read_wav", "write_wav"]
+__all__ = ["SAMPLE_RATE", "Waveform", "check_finite", "read_wav", "write_wav"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,13 @@ class Waveform:
     @property
     def duration(self) -> float:
         return len(self.samples) / SAMPLE_RATE
+
+
+def check_finite(samples: np.ndarray) -> None:
+    """Raise NumericError naming the first sample that is not finite."""
+    if not np.isfinite(samples).all():
+        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
+        raise NumericError(f"waveform sample {bad} is not finite ({samples[bad]})")
 
 
 def read_wav(path: str | Path) -> Waveform:
@@ -66,8 +73,11 @@ def read_wav(path: str | Path) -> Waveform:
 
 
 def write_wav(path: str | Path, samples: np.ndarray) -> None:
-    """Write float samples in [-1, 1] as mono 16-bit PCM at SAMPLE_RATE."""
-    x = np.clip(np.asarray(samples, dtype=np.float64), -1.0, 1.0)
+    """Write float samples in [-1, 1] as mono 16-bit PCM at SAMPLE_RATE.
+    A sample that is not finite raises NumericError, and nothing is written."""
+    x = np.asarray(samples, dtype=np.float64)
+    check_finite(x)
+    x = np.clip(x, -1.0, 1.0)
     ints = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)

@@ -271,6 +271,8 @@ def cmd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
+    # built first, so a bad flag fails before any data is read or generated
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, batch_size=args.batch_size, seed=seed)
     if args.data:
         dataset = load_dataset_dir(args.data)
     else:
@@ -280,8 +282,6 @@ def cmd_train(args) -> int:
         )
     arch = _arch.get_arch(args.arch, len(dataset.labels))
     examples = center_window_examples(dataset.train, arch.context)
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                      batch_size=args.batch_size, seed=seed)
     settings = {
         "arch": args.arch, "source": args.data or f"synthetic:{args.synthetic}",
         "labels": len(dataset.labels), "examples": len(examples), "seed": seed,

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform, read_wav
+from .audio import SAMPLE_RATE, Waveform, check_finite, read_wav
 from .errors import KwsError, check_counts
-from .frontend import Context, FrameConfig, _check_finite, frame_count, log_mel_frames
+from .frontend import Context, FrameConfig, frame_count, log_mel_frames
 from .train import LabeledExample
 
 FILLER_NAME = "_filler"
@@ -38,18 +39,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A seeded synthetic corpus whose clips all last `duration`, a one-second class constant."""
+
     keywords: int = 3
     examples_per_class: int = 20
     noise_level: float = 0.05
     seed: int = 0
-    duration: float = 1.0
+    duration: ClassVar[float] = 1.0
 
     def __post_init__(self):
         check_counts(self, 1, keywords=self.keywords, examples_per_class=self.examples_per_class)
         if not (0.0 <= self.noise_level < 1.0):
             raise ValueError(f"noise level must be in [0, 1), got {self.noise_level}")
-        if self.duration <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration}")
 
 
 @dataclass
@@ -147,11 +148,7 @@ def load_dataset_dir(root: str | Path) -> WaveformDataset:
     return dataset
 
 
-def center_window_examples(
-    pairs: list[tuple[np.ndarray, int]],
-    context: Context,
-    cfg: FrameConfig = FrameConfig(),
-) -> list[LabeledExample]:
+def center_window_examples(pairs: list[tuple[np.ndarray, int]], context: Context) -> list[LabeledExample]:
     """One training example per waveform: the context window at the centre frame.
 
     Each window is row n // 2 of `stack_context(log_mel_frames(w), context)`
@@ -168,14 +165,15 @@ def center_window_examples(
     shorter than one analysis window raises InsufficientAudioError.
     """
     offsets = np.arange(-context.left, context.right + 1)
+    hop, width = FrameConfig.hop, FrameConfig.window_length
     examples = []
     for samples, label in pairs:
         x = Waveform(samples).samples
-        _check_finite(x)
-        n = frame_count(len(x), cfg)
+        check_finite(x)
+        n = frame_count(len(x))
         rows = np.clip(n // 2 + offsets, 0, max(n - 1, 0))
         first, last = int(rows[0]), int(rows[-1])
         # with n == 0 the slice is the whole clip, which framing refuses
-        frames = log_mel_frames(Waveform(x[first * cfg.hop : last * cfg.hop + cfg.window_length]), cfg)
+        frames = log_mel_frames(Waveform(x[first * hop : last * hop + width]))
         examples.append(LabeledExample(frames[rows - first], label))
     return examples

@@ -6,6 +6,7 @@ project through a triangular mel filterbank, and log with a floor. Classifier
 inputs are context windows: each analysis frame stacked with its neighbours,
 replicating edge frames where the context runs off either end.
 
+Settings are FrameConfig's class constants; no function here takes them.
 All intermediate math is float64; emitted features are float32.
 """
 
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio import SAMPLE_RATE, Waveform
+from .audio import SAMPLE_RATE, Waveform, check_finite
 from .errors import InsufficientAudioError, KwsError, NumericError, ShapeError, check_counts
 
 __all__ = [
@@ -50,8 +51,9 @@ class FrameConfig:
     """The one feature format: 40 log-mel bins every 10 ms over 25 ms windows
     of 16 kHz audio, the input of Sainath & Parada (Interspeech 2015).
 
-    Its values are constants: FrameConfig() takes no arguments, and every
-    instance equals every other.
+    Its values are class constants, which the frontend reads: FrameConfig()
+    takes no arguments, and only frame_count accepts an instance, because
+    the benchmark passes it one.
     """
 
     window_length = 400
@@ -79,14 +81,15 @@ class Context:
         return self.left + 1 + self.right
 
 
-def frame_count(n_samples: int, cfg: FrameConfig) -> int:
-    """Number of full analysis windows that fit: floor((n - win) / hop) + 1."""
-    if n_samples < cfg.window_length:
+def frame_count(n_samples: int, cfg: FrameConfig = FrameConfig()) -> int:
+    """Number of full analysis windows that fit: floor((n - win) / hop) + 1.
+    `cfg` is unused: it stays for the benchmark, which passes FrameConfig()."""
+    if n_samples < FrameConfig.window_length:
         return 0
-    return (n_samples - cfg.window_length) // cfg.hop + 1
+    return (n_samples - FrameConfig.window_length) // FrameConfig.hop + 1
 
 
-def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
+def frame_signal(w: Waveform) -> np.ndarray:
     """Slice a waveform into pre-emphasized, Hamming-windowed frames.
 
     Returns a float64 array (n_frames, window_length). Trailing samples that
@@ -101,22 +104,21 @@ def frame_signal(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
     frame is bit-identical to gathering and emphasizing it separately.
     """
     x = np.asarray(w.samples, dtype=np.float64)
-    n = frame_count(len(x), cfg)
+    n = frame_count(len(x))
+    width, hop = FrameConfig.window_length, FrameConfig.hop
     if n == 0:
-        raise InsufficientAudioError(
-            f"insufficient audio: {len(x)} samples < one {cfg.window_length}-sample window"
-        )
+        raise InsufficientAudioError(f"insufficient audio: {len(x)} samples < one {width}-sample window")
     # x[k] - a·x[k-1] computed in place, with no signal-length temporary
     emphasized = np.empty(len(x))
     emphasized[0] = x[0]
-    np.multiply(x[:-1], cfg.preemphasis, out=emphasized[1:])
+    np.multiply(x[:-1], FrameConfig.preemphasis, out=emphasized[1:])
     np.subtract(x[1:], emphasized[1:], out=emphasized[1:])
     # np.ndarray over the buffer costs less per call than as_strided or sliding_window_view
     step = emphasized.itemsize
-    frames = np.ndarray((n, cfg.window_length), np.float64, emphasized, strides=(cfg.hop * step, step))
+    frames = np.ndarray((n, width), np.float64, emphasized, strides=(hop * step, step))
     window = _hamming()
     out = frames * window
-    out[:, 0] = x[: n * cfg.hop : cfg.hop] * window[0]
+    out[:, 0] = x[: n * hop : hop] * window[0]
     return out
 
 
@@ -130,30 +132,29 @@ def _hamming() -> np.ndarray:
     return _read_only(np.hamming(FrameConfig.window_length))
 
 
-def build_mel_filterbank(cfg: FrameConfig = FrameConfig()) -> np.ndarray:
+def _mel_points() -> np.ndarray:
+    """The mel_filters + 2 filter edges in Hz, equally spaced in mel from fmin to fmax."""
+    mel = np.linspace(hz_to_mel(FrameConfig.fmin), hz_to_mel(FrameConfig.fmax), FrameConfig.mel_filters + 2)
+    return mel_to_hz(mel)
+
+
+@cache
+def build_mel_filterbank() -> np.ndarray:
     """Triangular filters, rows (mel_filters, fft_size // 2 + 1).
 
     Filter centres are equally spaced on the mel scale between fmin and fmax;
     each triangle rises from the previous centre and falls to the next one,
     evaluated at the FFT bin frequencies.
 
-    Every FrameConfig is equal, so every call returns the one bank a process
-    builds, whatever form the call takes; the array is shared and read-only,
-    so a one-frame call costs no rebuild.
+    A process builds the bank once: every call returns the same shared,
+    read-only array, so a one-frame call costs no rebuild.
     """
-    return _mel_filterbank()
+    n_bins = FrameConfig.fft_size // 2 + 1
+    hz_points = _mel_points()
+    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / FrameConfig.fft_size
 
-
-@cache
-def _mel_filterbank() -> np.ndarray:
-    cfg = FrameConfig()
-    n_bins = cfg.fft_size // 2 + 1
-    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.mel_filters + 2)
-    hz_points = mel_to_hz(mel_points)
-    bin_freqs = np.arange(n_bins) * SAMPLE_RATE / cfg.fft_size
-
-    weights = np.zeros((cfg.mel_filters, n_bins), dtype=np.float64)
-    for m in range(cfg.mel_filters):
+    weights = np.zeros((FrameConfig.mel_filters, n_bins), dtype=np.float64)
+    for m in range(FrameConfig.mel_filters):
         lo, centre, hi = hz_points[m], hz_points[m + 1], hz_points[m + 2]
         rising = (bin_freqs - lo) / (centre - lo)
         falling = (hi - bin_freqs) / (hi - centre)
@@ -161,18 +162,17 @@ def _mel_filterbank() -> np.ndarray:
     return _read_only(weights)
 
 
-def mel_filter_centers(cfg: FrameConfig = FrameConfig()) -> np.ndarray:
+def mel_filter_centers() -> np.ndarray:
     """Centre frequency in Hz of each triangular filter."""
-    mel_points = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.mel_filters + 2)
-    return mel_to_hz(mel_points)[1:-1]
+    return _mel_points()[1:-1]
 
 
-def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -> np.ndarray:
-    """Log filterbank energies for pre-windowed frames.
+def log_mel(frames: np.ndarray) -> np.ndarray:
+    """Log mel filterbank energies for pre-windowed frames, (n_frames, mel_filters).
 
-    The FFT length is implied by the filterbank width: melbank has
-    fft_size // 2 + 1 columns. Energies are floored before the log so silence
-    maps to log(log_floor) instead of -inf.
+    Each frame is zero-padded to an fft_size-point FFT, and a frame longer
+    than fft_size raises ShapeError. Energies are floored at log_floor before
+    the log, so silence maps to log(log_floor) instead of -inf.
 
     Each row is projected by its own (1, bins) @ (bins, filters) product, so a
     frame's features do not depend on how many frames share the call: one
@@ -183,33 +183,24 @@ def log_mel(frames: np.ndarray, melbank: np.ndarray, log_floor: float = 1e-10) -
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ShapeError(f"frames must be 2-D (n_frames, window), got {frames.shape}")
-    fft_size = 2 * (melbank.shape[1] - 1)
-    if frames.shape[1] > fft_size:
+    if frames.shape[1] > FrameConfig.fft_size:
         raise ShapeError(
-            f"frame length {frames.shape[1]} exceeds FFT size {fft_size}", axis="time"
+            f"frame length {frames.shape[1]} exceeds FFT size {FrameConfig.fft_size}", axis="time"
         )
-    spectrum = np.fft.rfft(frames, n=fft_size, axis=1)
+    spectrum = np.fft.rfft(frames, n=FrameConfig.fft_size, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    energies = np.matmul(power[:, None, :], melbank.T)[:, 0]
-    return np.log(np.maximum(energies, log_floor)).astype(np.float32)
+    energies = np.matmul(power[:, None, :], build_mel_filterbank().T)[:, 0]
+    return np.log(np.maximum(energies, FrameConfig.log_floor)).astype(np.float32)
 
 
-def _check_finite(samples: np.ndarray) -> None:
-    """Raise NumericError naming the first sample that is not finite."""
-    if not np.isfinite(samples).all():
-        bad = int(np.flatnonzero(~np.isfinite(samples))[0])
-        raise NumericError(f"waveform sample {bad} is not finite ({samples[bad]})")
-
-
-def log_mel_frames(w: Waveform, cfg: FrameConfig = FrameConfig()) -> np.ndarray:
+def log_mel_frames(w: Waveform) -> np.ndarray:
     """Waveform straight to (n_frames, mel_filters) float32 features.
 
     Raises NumericError naming the first sample that is not finite: one NaN
     sample would otherwise turn every frame that covers it into NaN features.
     """
-    _check_finite(w.samples)
-    melbank = build_mel_filterbank(cfg)
-    return log_mel(frame_signal(w, cfg), melbank, cfg.log_floor)
+    check_finite(w.samples)
+    return log_mel(frame_signal(w))
 
 
 def stack_context(frames: np.ndarray, context: Context) -> np.ndarray:

@@ -49,6 +49,15 @@ def _header_bytes(arch: ArchSpec, labels: list[str]) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+def _check_labels(labels: list[str]) -> None:
+    """Raise TypeError unless `labels` is a list or tuple of str, the one form load_model reads."""
+    if not isinstance(labels, (list, tuple)):
+        raise TypeError(f"labels must be a list of strings, got {type(labels).__name__}")
+    for i, name in enumerate(labels):
+        if not isinstance(name, str):
+            raise TypeError(f"label {i} is {name!r}, not a str")
+
+
 def _check_finite(where: str, tensors: Mapping[str, np.ndarray]) -> None:
     for name, w in tensors.items():
         if not np.isfinite(w).all():
@@ -61,10 +70,11 @@ def save_model(
 ) -> None:
     """Write arch + labels + weights; same model in, same bytes out.
 
-    Raises NumericError, writing nothing, if a tensor holds a NaN or an
-    infinity as float32.
+    Writes nothing and raises NumericError if a tensor holds a NaN or an
+    infinity as float32, or TypeError if a label is not a str.
     """
     check_weights(arch, weights)  # validates the stack on its way
+    _check_labels(labels)
     if len(labels) != arch.labels:
         raise ManifestMismatchError(
             f"{len(labels)} label names for an architecture with {arch.labels} outputs"
@@ -106,8 +116,7 @@ def load_model(path: str | Path) -> LoadedModel:
         doc = json.loads(data[12 : 12 + header_len].decode("utf-8"))
         arch = arch_from_dict(doc["arch"])
         labels = doc["labels"]
-        if not isinstance(labels, list) or not all(isinstance(name, str) for name in labels):
-            raise ValueError(f"labels must be a list of strings, got {labels!r}")
+        _check_labels(labels)
         stored_manifest = []
         for name, shape in doc["manifest"]:
             # JSON integers only: neither 64.9 nor true may pass as a dimension

@@ -35,7 +35,7 @@ from . import arch as _arch
 from .arch import ArchSpec
 from .audio import Waveform
 from .errors import NumericError, ShapeError, check_counts
-from .frontend import FrameConfig, log_mel_frames
+from .frontend import log_mel_frames
 
 __all__ = [
     "DetectorConfig",
@@ -222,10 +222,7 @@ def _append(ring: np.ndarray, frame: int, row: np.ndarray) -> np.ndarray:
 
 
 def posteriors_from_waveform(
-    arch: ArchSpec,
-    weights: Mapping[str, np.ndarray],
-    waveform: Waveform,
-    cfg: FrameConfig = FrameConfig(),
+    arch: ArchSpec, weights: Mapping[str, np.ndarray], waveform: Waveform
 ) -> np.ndarray:
     """Classifier posteriors for every frame of a waveform, (frames, labels).
 
@@ -233,7 +230,7 @@ def posteriors_from_waveform(
     (for instance a model with a NaN weight), rather than letting detection
     report no events.
     """
-    probs = _arch.forward_frames(arch, weights, log_mel_frames(waveform, cfg))
+    probs = _arch.forward_frames(arch, weights, log_mel_frames(waveform))
     try:
         return _check_posteriors(probs)
     except NumericError as exc:

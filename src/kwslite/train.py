@@ -56,8 +56,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning rate must be >= 0, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0, got {self.learning_rate}")
         check_counts(self, 1, epochs=self.epochs, batch_size=self.batch_size)
 
 

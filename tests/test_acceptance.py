@@ -19,7 +19,6 @@ from kwslite import (
     ARCHITECTURES,
     Context,
     DetectorConfig,
-    FrameConfig,
     LabeledExample,
     SyntheticSpec,
     TrainConfig,
@@ -122,17 +121,16 @@ def test_analytic_counts_match_instrumented_macs():
 
 @criterion(4, budget_seconds=5.0)
 def test_frontend_contract():
-    cfg = FrameConfig()
     one_second = np.zeros(16_000, dtype=np.float32)
-    silence = log_mel_frames(Waveform(one_second), cfg)
+    silence = log_mel_frames(Waveform(one_second))
     assert silence.shape == (98, 40)
     assert np.all(np.abs(silence - np.log(1e-10)) <= 1e-6)
 
     t = np.arange(16_000) / 16_000.0
     tone = (0.5 * np.sin(2 * np.pi * 1000.0 * t)).astype(np.float32)
-    frames = log_mel_frames(Waveform(tone), cfg)
+    frames = log_mel_frames(Waveform(tone))
     assert frames.shape == (98, 40)
-    centers = mel_filter_centers(cfg)
+    centers = mel_filter_centers()
     nearest = int(np.argmin(np.abs(centers - 1000.0)))
     assert int(np.argmax(frames.mean(axis=0))) == nearest
 

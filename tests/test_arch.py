@@ -86,10 +86,6 @@ def test_tstride_and_tpool_traces():
 def test_builder_argument_validation():
     with pytest.raises(ValueError):
         build_dnn_baseline(1)
-    with pytest.raises(ValueError):
-        build_cnn_tstride(4, stride=1)
-    with pytest.raises(ValueError):
-        build_cnn_tpool(4, pool=1)
 
 
 def test_registry_names_and_lookup():

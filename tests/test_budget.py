@@ -91,8 +91,8 @@ def test_compare_ratios():
 
 
 def test_fit_to_budget_is_maximal():
-    for template in (lambda n: build_cnn_tstride(4, 2, n),
-                     lambda n: build_cnn_tpool(4, 2, n)):
+    for template in (lambda n: build_cnn_tstride(4, n),
+                     lambda n: build_cnn_tpool(4, n)):
         best = fit_to_budget(template, 250_000)
         maps = next(l.maps for l in best.layers if isinstance(l, Conv))
         assert report(best).total.params <= 250_000
@@ -109,13 +109,13 @@ def test_fit_default_maps_exceed_cap():
 
 def test_fit_infeasible_cap():
     with pytest.raises(InfeasibleBudgetError):
-        fit_to_budget(lambda n: build_cnn_tpool(4, 2, n), 100)
+        fit_to_budget(lambda n: build_cnn_tpool(4, n), 100)
 
 
 def test_params_monotone_in_maps():
     previous = -1
     for n in range(1, 129):
-        current = report(build_cnn_tstride(4, 2, n)).total.params
+        current = report(build_cnn_tstride(4, n)).total.params
         assert current > previous
         previous = current
 

@@ -239,6 +239,19 @@ def test_train_requires_exactly_one_source(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf", "-1"])
+def test_train_learning_rate_must_be_finite_and_non_negative(tmp_path, capsys, lr):
+    out = tmp_path / "m.kwsm"
+    code, _, err = run(capsys, "train", "--arch", "dnn", "--synthetic", "2", "--per-class", "4",
+                       "--epochs", "1", f"--lr={lr}", "--out", str(out), "--quiet")
+    assert (code, out.exists()) == (1, False)
+    assert "learning rate" in err
+    # the flag is checked before any data is read: no dataset directory error
+    code, _, err = run(capsys, "train", "--data", str(tmp_path / "nowhere"), f"--lr={lr}", "--out", str(out))
+    assert (code, out.exists()) == (1, False)
+    assert "learning rate" in err
+
+
 def test_train_seed_from_environment(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KWS_SEED", "7")
     doc = run_json(capsys, "train", "--arch", "dnn", "--synthetic", "2",

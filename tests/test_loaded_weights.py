@@ -332,7 +332,7 @@ def test_a_plan_validates_each_conv_filter_bank_once(tmp_path, monkeypatch, rng)
 def test_a_failed_manifest_check_is_never_kept(tmp_path, monkeypatch, rng):
     tstride = get_arch("cnn-tstride2", 4)
     _, loaded = saved_and_loaded(tmp_path, tstride, 5)
-    other_maps = build_cnn_tstride(4, 2, maps=32)
+    other_maps = build_cnn_tstride(4, maps=32)
     window = random_window(rng, tstride)
     frames = rng.standard_normal((3, tstride.input_f)).astype(np.float32)
     for _ in range(3):

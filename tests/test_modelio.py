@@ -161,6 +161,19 @@ def test_save_validates_label_count(tmp_path):
         save_model(tmp_path / "m.kwsm", arch, init_weights(arch, 0), LABELS[:3])
 
 
+@pytest.mark.parametrize(
+    "labels", [[0, 1, 2, 3], ["_filler", "kw1", 2, "kw3"], [b"_filler", b"kw1", b"kw2", b"kw3"]]
+)
+def test_save_refuses_labels_load_would_refuse(tmp_path, labels):
+    # load_model reads labels only as a list of str, so save_model writes nothing else
+    arch = get_arch("cnn-one", 4)
+    path = tmp_path / "m.kwsm"
+    first_bad = next(name for name in labels if not isinstance(name, str))
+    with pytest.raises(TypeError, match=f"label {labels.index(first_bad)} is"):
+        save_model(path, arch, init_weights(arch, 0), labels)
+    assert not path.exists()
+
+
 def test_corrupted_weight_values_still_load_shape_safe(saved):
     # flipping payload bytes must not crash loading; shapes are intact
     path, data = saved

@@ -4,6 +4,7 @@ the names its documentation cites."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -75,6 +76,93 @@ def test_no_module_keeps_process_wide_state_behind_a_global_or_a_lock():
             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in ("Lock", "RLock")
         ]
     assert not found, found
+
+
+def _parameters(fn):
+    args = fn.args
+    return [*args.posonlyargs, *args.args, *args.kwonlyargs, *filter(None, (args.vararg, args.kwarg))]
+
+
+def test_only_frame_count_takes_the_feature_format():
+    # the format is FrameConfig's constants, read where they are used; a
+    # parameter for it would take a look-alike config the rest of the
+    # frontend ignores (frame_count keeps one for the benchmark's call)
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name != "frame_count":
+                found += [
+                    f"{path.name}:{node.lineno} {node.name}({arg.arg})"
+                    for arg in _parameters(node)
+                    if arg.annotation is not None and "FrameConfig" in ast.unparse(arg.annotation)
+                ]
+    assert not found, f"functions taking a FrameConfig: {found}"
+
+
+def _bench_calls():
+    """(where, callee, call) for every call in kwsbench/*.py whose callee
+    resolves to a kwslite function or class: `kwslite.x.y(...)`, a name
+    imported from kwslite, or a name bound to a kwslite module or function
+    (`importlib.import_module("kwslite.train")`, `forward = kwslite.arch.forward`)."""
+    for path in sorted((ROOT / "kwsbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "kwslite":
+                        bound = alias.name if alias.asname else "kwslite"  # `import kwslite.cli` binds kwslite
+                        importlib.import_module(alias.name)
+                        names[alias.asname or bound] = importlib.import_module(bound)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kwslite":
+                module = importlib.import_module(node.module)
+                names.update({alias.asname or alias.name: getattr(module, alias.name) for alias in node.names})
+        aliases = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and len(node.targets) == 1
+                   and isinstance(node.targets[0], ast.Name)]
+        for node in aliases:
+            value = node.value
+            if (isinstance(value, ast.Call) and ast.unparse(value.func) == "importlib.import_module"
+                    and isinstance(value.args[0], ast.Constant) and value.args[0].value.startswith("kwslite")):
+                names[node.targets[0].id] = importlib.import_module(value.args[0].value)
+        for node in aliases:
+            target = _kwslite_object(node.value, names)
+            if callable(target):
+                names[node.targets[0].id] = target
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                target = _kwslite_object(node.func, names)
+                if callable(target):
+                    yield f"{path.name}:{node.lineno}", target, node
+
+
+def _kwslite_object(node, names):
+    """What a name or attribute chain over `names` refers to, if kwslite's."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in names:
+        return None
+    owner = names[node.id]
+    for part in reversed(parts):
+        owner = getattr(owner, part, None)
+    module = getattr(owner, "__module__", None) or getattr(owner, "__name__", "")
+    return owner if module.split(".")[0] == "kwslite" else None
+
+
+def test_every_benchmark_call_into_kwslite_binds():
+    # the benchmark calls kwslite by positional and keyword arguments; a
+    # changed signature would otherwise surface only in a benchmark run
+    checked, broken = 0, []
+    for where, target, call in _bench_calls():
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue
+        checked += 1
+        try:
+            inspect.signature(target).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            broken.append(f"{where} {ast.unparse(call)}: {exc}")
+    assert checked >= 40 and not broken, (checked, broken)
 
 
 def _tracer():

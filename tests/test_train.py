@@ -455,6 +455,12 @@ def tiny_corpus():
     return arch, center_window_examples(ds.train, arch.context)
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, -1e-3])
+def test_learning_rate_must_be_finite_and_non_negative(lr):
+    with pytest.raises(ValueError, match="learning rate"):
+        TrainConfig(learning_rate=lr)
+
+
 def test_zero_learning_rate_keeps_init(tiny_corpus):
     arch, examples = tiny_corpus
     cfg = TrainConfig(learning_rate=0.0, epochs=2, seed=11)
