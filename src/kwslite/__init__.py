@@ -77,7 +77,6 @@ from .posterior import (
     DetectionEvent,
     DetectorConfig,
     StreamingDetector,
-    confidence,
     detect,
     posteriors_from_waveform,
     smooth,

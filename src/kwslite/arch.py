@@ -19,6 +19,7 @@ advanced by one frame costs one frame's stream rows, not a whole window.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +42,6 @@ __all__ = [
     "FrozenWeights",
     "TraceEntry",
     "validate",
-    "layer_names",
     "weight_manifest",
     "init_weights",
     "forward",
@@ -126,11 +126,6 @@ class ArchSpec:
         return per_frame < sum(p.layer.cost(p.in_shape).multiplies for p in self.placed)
 
 
-def layer_names(arch: ArchSpec) -> list[str]:
-    """Stable per-layer names: kind-scoped counters, e.g. conv1, dense2."""
-    return [p.name for p in arch.placed]
-
-
 def validate(arch: ArchSpec) -> list[TraceEntry]:
     """Walk the layer stack symbolically and return the shape trace.
 
@@ -213,7 +208,7 @@ class FrozenWeights(Mapping[str, np.ndarray]):
             buffer, offset = buffer[offset:], 0
         tensors = {}
         for name, shape in manifest:
-            count = int(np.prod(shape))
+            count = math.prod(shape)  # a Python integer, which cannot wrap
             tensors[name] = np.frombuffer(buffer, dtype="<f4", count=count, offset=offset).reshape(shape)
             offset += 4 * count
         self._tensors = tensors

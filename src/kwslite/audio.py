@@ -74,8 +74,12 @@ def read_wav(path: str | Path) -> Waveform:
 
 def write_wav(path: str | Path, samples: np.ndarray) -> None:
     """Write float samples in [-1, 1] as mono 16-bit PCM at SAMPLE_RATE.
-    A sample that is not finite raises NumericError, and nothing is written."""
+    Samples that are not one 1-D signal raise AudioFormatError, as Waveform
+    does, and a sample that is not finite NumericError; either way nothing
+    is written."""
     x = np.asarray(samples, dtype=np.float64)
+    if x.ndim != 1:
+        raise AudioFormatError(f"samples must be 1-D mono, got shape {x.shape}")
     check_finite(x)
     x = np.clip(x, -1.0, 1.0)
     ints = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")

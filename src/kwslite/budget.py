@@ -117,9 +117,9 @@ def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
 
     `template` maps a map count n >= 1 to a full ArchSpec. Parameter totals
     must be nondecreasing in n (they are, for every stock template: each
-    weight tensor grows with n). Exponential search brackets the cap, binary
-    search pins the answer, and the winning spec is re-counted (which
-    validates it) before being returned.
+    weight tensor grows with n). Exponential search brackets the cap and
+    binary search pins the answer, whose count (which validates it) is
+    within the cap: the searches keep params(lo) <= cap.
     """
     if cap < 1:
         raise InfeasibleBudgetError(f"parameter cap must be >= 1, got {cap}")
@@ -143,10 +143,7 @@ def fit_to_budget(template: Callable[[int], ArchSpec], cap: int) -> ArchSpec:
             lo = mid
         else:
             hi = mid
-    best = template(lo)
-    if report(best).total.params > cap:
-        raise InfeasibleBudgetError(f"internal error: fit result exceeds cap {cap}")
-    return best
+    return template(lo)
 
 
 def instrumented_forward(

@@ -158,8 +158,6 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--model", required=True)
     p.add_argument("--iters", type=_positive_int, default=20)
-    p.add_argument("--path", choices=("naive", "optimized"), default=None,
-                   help="time only one path (default: both)")
     p.add_argument("--seed", type=int, default=None)
     add_format(p)
 
@@ -412,9 +410,8 @@ def cmd_bench(args) -> int:
     worst = _check_agreement(model.arch, model.weights, frames)
     window = stack_context(frames, model.arch.context)[0]
 
-    paths = (args.path,) if args.path else ("naive", "optimized")
     timings = {}
-    for path in paths:
+    for path in ("naive", "optimized"):
         samples = []
         for _ in range(args.iters):
             start = time.perf_counter()
@@ -423,8 +420,7 @@ def cmd_bench(args) -> int:
         arr = np.array(samples)
         timings[path] = {"mean_ms": float(arr.mean() * 1e3), "p50_ms": float(np.median(arr) * 1e3)}
 
-    settings = {"model": args.model, "iters": args.iters, "seed": seed,
-                "path": args.path or "both"}
+    settings = {"model": args.model, "iters": args.iters, "seed": seed}
     doc = {"agreement": "OK", "worst_bound_fraction": worst, "timings": timings}
     lines = [f"agreement check OK (worst layer error {worst:.3e} of its float32 bound)"]
     for path, stats in timings.items():

@@ -29,9 +29,10 @@ in the promoted dtype of its input and weights, so float32 models
 accumulate in float32, each output within the float32 bound that
 `bound_check` measures against the naive path, the oracle: the naive conv
 kernel, and the flat kernels on float64 operands.
-Training's passes run over a leading example axis; a conv's forward is
-`tensor.conv2d_im2col` on the chunk, the kernel inference runs. Every
-product in them (that conv, col2im, the pool scatter, the input gradients)
+Training's passes run inference's kernels over a leading example axis (a
+flat layer one product per row, the bits of a one-window product), so its
+posteriors equal `forward`'s bit for bit before softmax's float32 cast.
+Every product in them (that conv, col2im, the pool scatter, the input gradients)
 runs in the dtype of the weights they are given: float32 in `train`,
 float64 in `grad_check`. Gradients are summed into float64 totals, a tuple
 like the tensors: a conv's per example, in example order; a flat layer's
@@ -176,34 +177,25 @@ def _fraction(got: np.ndarray, exact: np.ndarray, bound: np.ndarray) -> float:
         return float(np.where(err == 0, 0.0, err / bound).max())
 
 
-def _maxpool_route(x: np.ndarray, pool: Pool) -> tuple[np.ndarray, np.ndarray]:
-    """Max-pool over the last three axes (time, freq, channels) of x, and its route.
-
-    The route is a bool map laid out (..., t2, pool.time, f2, pool.freq, c)
-    that marks each window's first maximum, in (time, freq) order: argmax's
-    tie rule, built from comparisons of the window positions' strided views.
-    Pooled values and routes equal argmax's bit for bit, but for a window
-    holding a NaN, which pools to NaN and routes nowhere; such a route is
-    never used, as `train.loss_and_grads` stops before the backward whenever
-    a posterior is not finite.
+def _maxpool_route(x: np.ndarray, pooled: np.ndarray, pool: Pool) -> np.ndarray:
+    """The route of pooled = tensor.maxpool(x, pool), any leading axes: a
+    bool map laid out (..., t2, pool.time, f2, pool.freq, c) that marks each
+    window's first maximum in (time, freq) order, argmax's, found by
+    comparing the window positions' strided views with `pooled`. A window
+    holding a NaN routes nowhere; `train.loss_and_grads` stops before the
+    backward whenever a posterior is not finite.
     """
-    *lead, t, f, c = x.shape
     pt, pf = pool.time, pool.freq
-    t2, f2 = tensor.pool_output_shape(t, f, pool)
-    offsets = [(dt, df) for dt in range(pt) for df in range(pf)]
-    views = [x[..., dt : t2 * pt : pt, df : f2 * pf : pf, :] for dt, df in offsets]
-    # numpy's maximum returns its second operand on equal zeros, so the
-    # running maximum keeps the earliest zero's sign, as argmax does
-    pooled = views[0].copy()
-    for view in views[1:]:
-        np.maximum(view, pooled, out=pooled)
-    route = np.empty((*lead, t2, pt, f2, pf, c), dtype=bool)
-    free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum no earlier view took
-    for (dt, df), view in zip(offsets, views):
-        hit = np.equal(view, pooled, out=route[..., dt, :, df, :])
-        hit &= free
-        free ^= hit
-    return pooled, route
+    t2, f2 = pooled.shape[-3:-1]
+    route = np.empty((*pooled.shape[:-3], t2, pt, f2, pf, pooled.shape[-1]), dtype=bool)
+    free = np.ones(pooled.shape, dtype=bool)  # windows whose maximum no earlier position took
+    for dt in range(pt):
+        for df in range(pf):
+            view = x[..., dt : t2 * pt : pt, df : f2 * pf : pf, :]
+            hit = np.equal(view, pooled, out=route[..., dt, :, df, :])
+            hit &= free
+            free ^= hit
+    return route
 
 
 def _maxpool_scatter(grad_pooled: np.ndarray, route: np.ndarray, pre_shape: Shape) -> np.ndarray:
@@ -317,10 +309,7 @@ class Conv(Layer):
 
         def time_pool(bound: tuple, x: np.ndarray, counter: Counter) -> np.ndarray:
             n = len(x) - pool_keep
-            y = x[:n]
-            for k in range(1, self.pool.time):
-                y = np.maximum(y, x[k * d : k * d + n])
-            return y
+            return tensor.fold_max([x[k * d : k * d + n] for k in range(self.pool.time)])
 
         return ((keep, conv), (pool_keep, time_pool)), d * self.pool.time
 
@@ -356,8 +345,8 @@ class Conv(Layer):
         cache["x"] = x
         if not self.pool.active:
             return pre
-        pooled, route = _maxpool_route(pre, self.pool)
-        cache.update(route=route, pre_shape=pre.shape)
+        pooled = tensor.maxpool(pre, self.pool)
+        cache.update(route=_maxpool_route(pre, pooled, self.pool), pre_shape=pre.shape)
         return pooled
 
     def train_backward(
@@ -557,9 +546,7 @@ class SoftmaxOut(_Affine):
         return "softmax"  # a valid stack has exactly one
 
     def _activate(self, z: np.ndarray, cache: dict) -> np.ndarray:
-        z = z.astype(np.float64)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
+        return tensor.softmax(z)  # float64, as inference's before its cast
 
     def _activation_grad(self, delta: np.ndarray, cache: dict) -> np.ndarray:
         return delta  # the caller starts from d loss / d logits of softmax + cross-entropy

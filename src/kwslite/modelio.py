@@ -13,6 +13,7 @@ executed, and the architecture is re-validated before any payload is read.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -138,7 +139,8 @@ def load_model(path: str | Path) -> LoadedModel:
             f"{path}: {len(labels)} label names for {arch.labels} outputs"
         )
 
-    expected_bytes = sum(4 * int(np.prod(shape)) for _, shape in expected_manifest)
+    # Python integers: an int64 count of a hostile header's shapes can wrap to 0
+    expected_bytes = sum(4 * math.prod(shape) for _, shape in expected_manifest)
     payload_bytes = len(data) - (12 + header_len)
     if payload_bytes < expected_bytes:
         raise TruncatedPayloadError(

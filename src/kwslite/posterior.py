@@ -1,9 +1,9 @@
-"""Posterior smoothing, windowed confidence, and event detection.
+"""Posterior smoothing and event detection.
 
 Frame posteriors from the classifier are noisy; detection therefore works on
 two trailing windows, the posterior handling of Chen, Parada and Heigold
 (ICASSP 2014). smooth() averages each label over the last w_smooth frames;
-confidence() takes the max of the smoothed keyword posteriors over the last
+a keyword's confidence is the max of its smoothed posterior over the last
 w_max frames (the filler class never counts as a keyword). detect() fires an
 event whenever some keyword's confidence crosses the threshold and no event
 fired within the last `refractory` frames.
@@ -41,7 +41,6 @@ __all__ = [
     "DetectorConfig",
     "DetectionEvent",
     "smooth",
-    "confidence",
     "detect",
     "StreamingDetector",
     "posteriors_from_waveform",
@@ -107,19 +106,6 @@ def smooth(probs: np.ndarray, w_smooth: int) -> np.ndarray:
         full += x[k : n - w + 1 + k]
     sums /= np.minimum(np.arange(1, n + 1), w)[:, None]
     return sums.astype(probs.dtype, copy=False)
-
-
-def confidence(smoothed: np.ndarray, j: int, w_max: int, filler_index: int = 0) -> np.ndarray:
-    """Per-label trailing max of smoothed posteriors; filler forced to zero."""
-    smoothed = _check_posteriors(smoothed)
-    check_counts("confidence", 0, j=j)
-    check_counts("confidence", 1, w_max=w_max)
-    _check_filler(filler_index, smoothed.shape[1])
-    if not 0 <= j < smoothed.shape[0]:
-        raise ValueError(f"frame {j} out of range for {smoothed.shape[0]} frames")
-    conf = np.max(smoothed[max(0, j - w_max + 1) : j + 1], axis=0)
-    conf[filler_index] = 0.0
-    return conf
 
 
 def detect(

@@ -11,16 +11,17 @@ accumulate in float32, and each output is held to the a-priori float32
 bound gamma(K + 1) times the sum of the magnitudes of its K products and
 bias (``conv2d_error_bound``; Higham, Accuracy and Stability of Numerical
 Algorithms, ch. 3), not to a relative tolerance, which a float32 sum cannot
-meet near cancellation. Softmax takes its exp and normalisation in float64.
+meet near cancellation. ``softmax`` takes its exp and normalisation in float64.
 ``conv2d_optimized``, ``conv2d_im2col`` on float64 copies, is cast back
 like ``conv2d_valid``. Every kernel takes an optional MacCounter and adds
 the multiplies it executes, so a caller can meter either path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
-a batch of windows is classified at once. ``conv2d_im2col`` and ``im2col``
-also take any leading axes, so training's conv forward on a (batch, time,
-freq, channels) chunk is the kernel inference runs on one map.
+a batch of windows is classified at once. ``conv2d_im2col``, ``im2col`` and
+``maxpool`` also take any leading axes: training runs on a (batch, time,
+freq, channels) chunk the kernels inference runs on one map, and equals the
+per-window forward bit for bit before softmax's float32 cast.
 
 Conv and pool geometry is stated once, here: ``conv_output_shape`` and
 ``pool_output_shape`` raise ShapeError naming the axis on which a kernel or
@@ -310,12 +311,27 @@ def conv2d_error_bound(x: np.ndarray, filters: FilterBank, stride: Stride = Stri
     return gamma(k + 1) * conv2d_im2col(np.abs(x).astype(np.float64), magnitudes, stride)
 
 
+def fold_max(views: list[np.ndarray]) -> np.ndarray:
+    """The elementwise maximum of equal-shape views, folded earliest first:
+    each later view is np.maximum's first operand, and numpy returns the
+    second on equal zeros, so a tie keeps the earliest zero's sign, as
+    argmax picks the first maximum."""
+    out = views[0].copy()
+    for view in views[1:]:
+        np.maximum(view, out, out=out)
+    return out
+
+
 def maxpool(x: np.ndarray, pool: Pool) -> np.ndarray:
-    """Non-overlapping max-pool; trailing remainder positions are dropped."""
-    x = _require_tensor3(x, "maxpool")
-    t2, f2 = pool_output_shape(x.shape[0], x.shape[1], pool)
-    cropped = x[: t2 * pool.time, : f2 * pool.freq, :]
-    return cropped.reshape(t2, pool.time, f2, pool.freq, x.shape[2]).max(axis=(1, 3))
+    """Non-overlapping max-pool of (..., time, freq, channels) maps, trailing
+    remainder positions dropped: fold_max over the window positions' strided
+    views in (time, freq) order, so each value is the one argmax picks."""
+    x = np.asarray(x)
+    if x.ndim < 3:
+        raise ShapeError(f"maxpool expects (..., time, freq, channels) maps, got shape {x.shape}")
+    pt, pf = pool.time, pool.freq
+    t2, f2 = pool_output_shape(x.shape[-3], x.shape[-2], pool)
+    return fold_max([x[..., dt : t2 * pt : pt, df : f2 * pf : pf, :] for dt in range(pt) for df in range(pf)])
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
@@ -383,7 +399,12 @@ def dense(
     if activation == "relu":
         return np.maximum(z, 0.0, out=z)  # NaN stays NaN
     if activation == "softmax":
-        wide = z.astype(np.float64)
-        e = np.exp(wide - wide.max(axis=-1, keepdims=True))
-        return (e / e.sum(axis=-1, keepdims=True)).astype(z.dtype, copy=False)
+        return softmax(z).astype(z.dtype, copy=False)
     return z
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in float64: dense casts it back, training keeps it."""
+    wide = z.astype(np.float64)
+    e = np.exp(wide - wide.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -3,12 +3,13 @@ finite-difference gradient oracle.
 
 Everything here is desk-scale by design: full analytic gradients through the
 im2col convolution path, plain (mini-batch) gradient descent, no momentum, no
-regularization. Forward and backward products run in the weights' dtype
-(float32 weights in `train`) and gradients are summed in float64, as in
-mixed-precision training; a flat layer's weight gradient widens its
-products too, to one float64 product per chunk, where a product of two
-float32 values is exact. Given the same architecture, examples, and config,
-two runs produce bit-identical weights.
+regularization. `loss_and_grads` and `evaluate` run one forward, inference's
+kernels on CHUNK windows at a time. Forward and backward products run in the
+weights' dtype (float32 weights in `train`) and gradients are summed in
+float64, as in mixed-precision training; a flat layer's weight gradient
+widens its products too, to one float64 product per chunk, where a product
+of two float32 values is exact. Given the same architecture, examples, and
+config, two runs produce bit-identical weights.
 """
 
 from __future__ import annotations
@@ -107,10 +108,11 @@ def cross_entropy(posterior: np.ndarray, label: int) -> float:
 CHUNK = 8
 
 
-def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
+def _forward(arch: ArchSpec, weights: Mapping[str, np.ndarray], x: np.ndarray):
     """Forward pass over windows x of shape (B, input_t, input_f).
 
     Returns (posteriors (B, labels) float64, caches): one cache per layer.
+    Row i cast to float32 is arch.forward(arch, weights, x[i]), bit for bit.
     """
     x = x[..., None]
     caches: list[dict] = []
@@ -118,6 +120,17 @@ def _forward(arch: ArchSpec, weights: dict[str, np.ndarray], x: np.ndarray):
         caches.append({})
         x = p.layer.train_forward(p.tensors(weights), x, caches[-1])
     return x, caches
+
+
+def _chunks(arch: ArchSpec, weights: Mapping[str, np.ndarray], examples: list[LabeledExample]):
+    """_forward over the examples CHUNK at a time, their windows in the
+    weights' dtype: (labels, posteriors, caches) per chunk."""
+    dtype = np.result_type(*weights.values())
+    for start in range(0, len(examples), CHUNK):
+        chunk = examples[start : start + CHUNK]
+        windows = np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk])
+        posteriors, caches = _forward(arch, weights, windows)
+        yield [ex.label for ex in chunk], posteriors, caches
 
 
 def _backward(
@@ -181,15 +194,9 @@ def loss_and_grads(
         _check_examples(arch, batch)
         _arch.check_weights(arch, weights)
     grads64 = {name: np.zeros(w.shape, dtype=np.float64) for name, w in weights.items()}
-    dtype = np.result_type(*weights.values())
     total_loss = 0.0
     correct = 0
-    for start in range(0, len(batch), CHUNK):
-        chunk = batch[start : start + CHUNK]
-        labels = [ex.label for ex in chunk]
-        posteriors, caches = _forward(
-            arch, weights, np.stack([np.asarray(ex.window, dtype=dtype) for ex in chunk])
-        )
+    for labels, posteriors, caches in _chunks(arch, weights, batch):
         if not np.all(np.isfinite(posteriors)):
             # overflowed weights; report a NaN loss so train() can flag divergence
             total_loss = float("nan")
@@ -316,15 +323,17 @@ def evaluate(
     arch: ArchSpec, weights: Mapping[str, np.ndarray], examples: list[LabeledExample]
 ) -> tuple[float, float]:
     """Mean cross-entropy and accuracy of a fixed model over examples, whose
-    windows and labels are checked first, as in train()."""
+    windows and labels are checked first, as in train(), as are the weights
+    against the manifest (ManifestMismatchError). Runs training's forward,
+    CHUNK examples at a time, and scores its float64 posteriors."""
     if not examples:
         raise ValueError("no examples to evaluate")
     _check_examples(arch, examples)
+    _arch.check_weights(arch, weights)
     total_loss = 0.0
     correct = 0
-    for ex in examples:
-        posterior = _arch.forward(arch, weights, ex.window)
-        total_loss += cross_entropy(posterior, ex.label)
-        if int(np.argmax(posterior)) == ex.label:
-            correct += 1
+    for labels, posteriors, _ in _chunks(arch, weights, examples):
+        for posterior, label in zip(posteriors, labels):
+            total_loss += cross_entropy(posterior, label)
+        correct += int(np.count_nonzero(posteriors.argmax(axis=1) == labels))
     return total_loss / len(examples), correct / len(examples)

@@ -17,10 +17,10 @@ from kwslite import (
     Stride,
     validate,
 )
-from kwslite.arch import weight_manifest
+from kwslite.arch import arch_to_dict, weight_manifest
 from kwslite.audio import write_wav
 from kwslite.errors import ShapeError
-from kwslite.modelio import load_model
+from kwslite.modelio import MAGIC, VERSION, load_model
 
 # property tests draw the same examples on every run, with no per-example
 # time limit (timings on a loaded machine vary too much for one)
@@ -176,3 +176,15 @@ def with_nan_weight(src, dst, tensor):
     struct.pack_into("<f", data, offset, float("nan"))
     dst.write_bytes(bytes(data))
     return dst
+
+
+def oversized_model(path):
+    """A model file whose tensor sizes wrap to 0 as int64 element counts:
+    lowrank rank 2**61 makes both weight tensors 2**64 * k elements, so with
+    softmax's 8 biases they once passed for a 32-byte payload."""
+    arch = ArchSpec("huge", Context(2, 1), (Flatten(), LowRank(2**61), SoftmaxOut(8)))
+    manifest = [[name, list(shape)] for name, shape in weight_manifest(arch)]
+    doc = {"arch": arch_to_dict(arch), "labels": [f"kw{i}" for i in range(8)], "manifest": manifest}
+    header = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header)) + header + bytes(32))
+    return path

@@ -32,7 +32,7 @@ from kwslite import (
     validate,
     weight_manifest,
 )
-from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, bound_fractions, layer_names
+from kwslite.arch import BLOCK_WINDOWS, arch_from_dict, arch_to_dict, bound_fractions
 from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeError
 from kwslite.frontend import FrameConfig, stack_context
 from kwslite.tensor import (
@@ -172,7 +172,7 @@ def test_validate_requires_flatten_before_dense():
 
 
 def test_layer_names_are_kind_scoped():
-    assert layer_names(build_cnn_trad(4)) == [
+    assert [p.name for p in build_cnn_trad(4).placed] == [
         "conv1", "conv2", "flatten1", "lowrank1", "dense1", "softmax",
     ]
 
@@ -191,16 +191,17 @@ def test_manifest_matches_trace(rng):
 
 def test_cached_manifest_and_names_are_handed_out_as_copies():
     arch = build_cnn_trad(4)
-    manifest, names = weight_manifest(arch), layer_names(arch)
+    manifest = weight_manifest(arch)
     manifest.append(("extra.weights", (1,)))
     manifest[0] = ("conv1.weights", (0,))
-    names.reverse()
     fresh = arch_from_dict(arch_to_dict(arch))  # an equal spec that has cached nothing
     assert fresh is not arch
     assert weight_manifest(arch) == weight_manifest(fresh)
     assert weight_manifest(arch)[0] == ("conv1.weights", (21, 9, 1, 64))
     assert len(weight_manifest(arch)) == len(manifest) - 1
-    assert layer_names(arch) == layer_names(fresh) == ["conv1", "conv2", "flatten1", "lowrank1", "dense1", "softmax"]
+    assert [p.name for p in arch.placed] == [p.name for p in fresh.placed] == [
+        "conv1", "conv2", "flatten1", "lowrank1", "dense1", "softmax",
+    ]
 
 
 def test_invalid_spec_raises_on_every_call():

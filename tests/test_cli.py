@@ -18,7 +18,7 @@ from kwslite.frontend import read_feature_dump
 from kwslite.modelio import load_model
 from kwslite.posterior import posteriors_from_waveform
 
-from conftest import CRAFTED_HEADERS, hostile_wavs, rewrite_header, with_nan_weight
+from conftest import CRAFTED_HEADERS, hostile_wavs, oversized_model, rewrite_header, with_nan_weight
 
 
 def make_wav(path, seconds=1.0, freq=1000.0):
@@ -269,6 +269,13 @@ def test_train_bad_environment_seed_is_usage_error(tmp_path, capsys, monkeypatch
     assert "KWS_SEED" in err
 
 
+def test_oversized_model_is_a_data_error(tmp_path, capsys, tone_wav):
+    model = str(oversized_model(tmp_path / "huge.kwsm"))
+    for argv in (["bench", "--model", model, "--iters", "1"], ["detect", tone_wav, "--model", model]):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "weight payload has 32 bytes" in err, (argv, err)
+
+
 def test_detect_hostile_wav_headers_are_data_errors(tmp_path, capsys, tiny_model):
     for wav in hostile_wavs(tmp_path):
         code, _, err = run(capsys, "detect", str(wav), "--model", tiny_model)
@@ -402,12 +409,6 @@ def test_bench_times_both_paths(capsys, tiny_model):
     assert set(doc["timings"]) == {"naive", "optimized"}
     for stats in doc["timings"].values():
         assert stats["mean_ms"] > 0.0
-
-
-def test_bench_single_path(capsys, tiny_model):
-    doc = run_json(capsys, "bench", "--model", tiny_model, "--iters", "2",
-                   "--path", "optimized")
-    assert set(doc["timings"]) == {"optimized"}
 
 
 def test_bench_zero_iters_is_usage_error(capsys, tiny_model):

@@ -294,6 +294,15 @@ def test_write_wav_refuses_non_finite_samples(tmp_path, bad):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("shape", [(100, 2), (2, 100), (), (1, 1, 5)])
+def test_write_wav_refuses_anything_but_one_signal(tmp_path, shape):
+    # a (100, 2) array was once written flattened, as 200 interleaved mono samples
+    path = tmp_path / "x.wav"
+    with pytest.raises(AudioFormatError, match="1-D"):
+        write_wav(path, np.zeros(shape))
+    assert not path.exists()
+
+
 def test_wav_rejects_wrong_formats(tmp_path):
     import struct
     import wave

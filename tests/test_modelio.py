@@ -37,7 +37,7 @@ from kwslite.errors import (
 )
 from kwslite.modelio import MAGIC
 
-from conftest import CRAFTED_HEADERS, rewrite_header, with_nan_weight
+from conftest import CRAFTED_HEADERS, oversized_model, rewrite_header, with_nan_weight
 
 LABELS = ["_filler", "kw1", "kw2", "kw3"]
 
@@ -128,6 +128,13 @@ def test_trailing_garbage(saved):
     path.write_bytes(data + b"\x00" * 16)
     with pytest.raises(TruncatedPayloadError):
         load_model(path)
+
+
+def test_tensor_sizes_are_counted_without_wrapping(tmp_path):
+    # int64 element counts of 2**64 * k read 0, and the file's 32 bytes once
+    # passed for its payload, failing later as a bare ValueError
+    with pytest.raises(TruncatedPayloadError, match="has 32 bytes"):
+        load_model(oversized_model(tmp_path / "huge.kwsm"))
 
 
 def test_truncated_header(saved):

@@ -1,4 +1,4 @@
-"""Posterior smoothing, confidence, batch detection against a brute-force
+"""Posterior smoothing, batch detection against a brute-force
 oracle, and streaming equivalence."""
 
 import numpy as np
@@ -11,7 +11,6 @@ from kwslite import (
     DetectionEvent,
     DetectorConfig,
     StreamingDetector,
-    confidence,
     detect,
     smooth,
 )
@@ -83,26 +82,7 @@ def test_smooth_validates(rng):
         smooth(random_stream(rng), 0)
 
 
-# --- confidence -------------------------------------------------------------
-
-
-def test_confidence_excludes_filler(rng):
-    probs = random_stream(rng)
-    smoothed = smooth(probs, 5)
-    conf = confidence(smoothed, 30, 10)
-    assert conf[0] == 0.0
-    assert conf.shape == (probs.shape[1],)
-
-
-def test_confidence_is_window_max():
-    stream = np.zeros((10, 2), dtype=np.float32)
-    stream[:, 0] = 1.0
-    stream[4, 1] = 0.9
-    stream[4, 0] = 0.1
-    conf = confidence(stream, 9, 10, filler_index=0)
-    assert conf[1] == np.float32(0.9)
-    # window too short to reach frame 4
-    assert confidence(stream, 9, 3, filler_index=0)[1] == 0.0
+# --- detection --------------------------------------------------------------
 
 
 def test_all_filler_stream_has_zero_confidence():
@@ -110,9 +90,6 @@ def test_all_filler_stream_has_zero_confidence():
     stream[:, 0] = 1.0
     events = detect(stream, DetectorConfig(threshold=0.5))
     assert events == []
-
-
-# --- detection --------------------------------------------------------------
 
 
 def test_single_ramp_fires_once_at_first_crossing():
@@ -228,7 +205,7 @@ def test_non_finite_posterior_raises_on_both_paths(value, frame):
     assert [e.frame_index for e in detect(clean, cfg)] == [6, 9, 12, 15, 18]
     bad = clean.copy()
     bad[frame, 1] = value
-    for check in (lambda: detect(bad, cfg), lambda: smooth(bad, 3), lambda: confidence(bad, 19, 5)):
+    for check in (lambda: detect(bad, cfg), lambda: smooth(bad, 3)):
         with pytest.raises(NumericError, match=f"frame {frame} is not finite"):
             check()
     # push refuses the row before touching its state: the clean row pushed
@@ -245,13 +222,6 @@ BAD_ARGUMENTS = {
     "smooth window 2.5": (lambda p: smooth(p, 2.5), TypeError),
     "smooth window True": (lambda p: smooth(p, True), TypeError),
     "smooth window 0": (lambda p: smooth(p, 0), ValueError),
-    "confidence frame 2.5": (lambda p: confidence(p, 2.5, 3), TypeError),
-    "confidence frame True": (lambda p: confidence(p, True, 3), TypeError),
-    "confidence window 2.5": (lambda p: confidence(p, 4, 2.5), TypeError),
-    "confidence window True": (lambda p: confidence(p, 4, True), TypeError),
-    "confidence window 0": (lambda p: confidence(p, 4, 0), ValueError),
-    "confidence filler 3": (lambda p: confidence(p, 4, 3, filler_index=3), ShapeError),
-    "confidence filler -1": (lambda p: confidence(p, 4, 3, filler_index=-1), ShapeError),
     "detect filler 7": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=7), ShapeError),
     "detect filler -1": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=-1), ShapeError),
     "detect filler True": (lambda p: detect(p, DetectorConfig(0.5, 3, 5, 2), filler_index=True), ShapeError),

@@ -99,35 +99,53 @@ def test_only_frame_count_takes_the_feature_format():
     assert not found, f"functions taking a FrameConfig: {found}"
 
 
+def _imported_from(node):
+    """The kwslite module an `ImportFrom` node reads, or None: `from kwslite.x
+    import ...`, and in the package `from .x import ...` and `from . import x`."""
+    if node.level:
+        return "kwslite" + (f".{node.module}" if node.module else "")
+    return node.module if (node.module or "").split(".")[0] == "kwslite" else None
+
+
+def _kwslite_names(tree):
+    """What each name a file binds to a kwslite module, function or class
+    refers to: `import kwslite.x`, `from kwslite.x import y`, relative imports
+    in the package, a name bound by `importlib.import_module("kwslite.train")`,
+    and an alias of either (`forward = kwslite.arch.forward`)."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "kwslite":
+                    bound = alias.name if alias.asname else "kwslite"  # `import kwslite.cli` binds kwslite
+                    importlib.import_module(alias.name)
+                    names[alias.asname or bound] = importlib.import_module(bound)
+        elif isinstance(node, ast.ImportFrom) and _imported_from(node):
+            module = importlib.import_module(_imported_from(node))
+            for alias in node.names:
+                # as Python does: the module's attribute, else its submodule
+                found = getattr(module, alias.name, None)
+                names[alias.asname or alias.name] = found or importlib.import_module(f"{module.__name__}.{alias.name}")
+    aliases = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and len(node.targets) == 1
+               and isinstance(node.targets[0], ast.Name)]
+    for node in aliases:
+        value = node.value
+        if (isinstance(value, ast.Call) and ast.unparse(value.func) == "importlib.import_module"
+                and isinstance(value.args[0], ast.Constant) and value.args[0].value.startswith("kwslite")):
+            names[node.targets[0].id] = importlib.import_module(value.args[0].value)
+    for node in aliases:
+        target = _kwslite_object(node.value, names)
+        if callable(target):
+            names[node.targets[0].id] = target
+    return names
+
+
 def _bench_calls():
     """(where, callee, call) for every call in kwsbench/*.py whose callee
-    resolves to a kwslite function or class: `kwslite.x.y(...)`, a name
-    imported from kwslite, or a name bound to a kwslite module or function
-    (`importlib.import_module("kwslite.train")`, `forward = kwslite.arch.forward`)."""
+    resolves to a kwslite function or class (see _kwslite_names)."""
     for path in sorted((ROOT / "kwsbench").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "kwslite":
-                        bound = alias.name if alias.asname else "kwslite"  # `import kwslite.cli` binds kwslite
-                        importlib.import_module(alias.name)
-                        names[alias.asname or bound] = importlib.import_module(bound)
-            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "kwslite":
-                module = importlib.import_module(node.module)
-                names.update({alias.asname or alias.name: getattr(module, alias.name) for alias in node.names})
-        aliases = [node for node in ast.walk(tree) if isinstance(node, ast.Assign) and len(node.targets) == 1
-                   and isinstance(node.targets[0], ast.Name)]
-        for node in aliases:
-            value = node.value
-            if (isinstance(value, ast.Call) and ast.unparse(value.func) == "importlib.import_module"
-                    and isinstance(value.args[0], ast.Constant) and value.args[0].value.startswith("kwslite")):
-                names[node.targets[0].id] = importlib.import_module(value.args[0].value)
-        for node in aliases:
-            target = _kwslite_object(node.value, names)
-            if callable(target):
-                names[node.targets[0].id] = target
+        names = _kwslite_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 target = _kwslite_object(node.func, names)
@@ -163,6 +181,43 @@ def test_every_benchmark_call_into_kwslite_binds():
         except TypeError as exc:
             broken.append(f"{where} {ast.unparse(call)}: {exc}")
     assert checked >= 40 and not broken, (checked, broken)
+
+
+# Public functions that no module, demo or benchmark file uses, and why they stay.
+WITHOUT_CALLER = {
+    "grad_check": "the backprop oracle: tests hold training's gradients to it",
+    "read_feature_dump": "the reader of the format `kwslite featurize` writes",
+    "write_wav": "the writer of the one WAV format read_wav accepts, for making test and user inputs",
+}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # a function in a module's __all__ stays API only while something other
+    # than the tests uses it: its own or another module of the package (not
+    # __init__, which re-exports every one), a demo, or the benchmark, whose
+    # tracer wraps functions by name
+    used = {id(getattr(importlib.import_module(module), attr)) for module, attr, _ in _tracer().TRACED
+            if "." not in attr}
+    files = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    for path in files + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "kwsbench").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _kwslite_names(tree)
+        used |= {id(target) for target in names.values()}  # imported
+        if path.parent == PACKAGE:
+            names = {**vars(importlib.import_module(f"kwslite.{path.stem}")), **names}  # its own globals
+        used |= {id(_kwslite_object(node, names)) for node in ast.walk(tree)
+                 if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    unused = {}
+    for path in files:
+        module = importlib.import_module(f"kwslite.{path.stem}")
+        for name in getattr(module, "__all__", ()):
+            obj = getattr(module, name)
+            function = callable(obj) and not isinstance(obj, type) and obj.__module__ == module.__name__
+            if function and id(obj) not in used:
+                unused[name] = f"{path.stem}.{name}"
+    orphans = [where for name, where in unused.items() if name not in WITHOUT_CALLER]
+    assert not orphans, f"public functions that only the tests use: {orphans}"
+    assert set(WITHOUT_CALLER) <= set(unused), "an allowed name is gone or has a caller now"
 
 
 def _tracer():

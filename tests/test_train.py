@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import kwslite.arch
 import kwslite.layers
@@ -18,6 +18,7 @@ from kwslite import (
     ARCHITECTURES,
     ArchSpec,
     Context,
+    Conv,
     Dense,
     DetectorConfig,
     Flatten,
@@ -49,7 +50,7 @@ from kwslite.data import (
 )
 from kwslite.errors import DivergenceError, KwsError, ManifestMismatchError, NumericError, ShapeError
 from kwslite.layers import _col2im, _maxpool_route, _maxpool_scatter
-from kwslite.tensor import Pool, Stride, im2col
+from kwslite.tensor import Pool, Stride, im2col, maxpool
 from kwslite.train import CHUNK
 from kwslite.audio import write_wav
 
@@ -303,8 +304,9 @@ def test_training_finds_its_tensors_whatever_the_key_order(rng, monkeypatch, arc
 
 
 def oracle_maxpool_argmax(x, pool):
-    """The reference for `_maxpool_route`: each window's positions moved to a
-    last axis, whose argmax (the first maximum) picks the pooled value."""
+    """The reference for `tensor.maxpool` and `_maxpool_route`: each window's
+    positions moved to a last axis, whose argmax (the first maximum) picks
+    the pooled value."""
     *lead, t, f, c = x.shape
     t2, f2 = kwslite.tensor.pool_output_shape(t, f, pool)
     blocks = x[..., : t2 * pool.time, : f2 * pool.freq, :].reshape(*lead, t2, pool.time, f2, pool.freq, c)
@@ -328,7 +330,8 @@ def oracle_maxpool_scatter(grad_pooled, arg, pre_shape, pool):
 def test_maxpool_routing_conserves_gradient(rng):
     x = rng.standard_normal((6, 9, 3)).astype(np.float64)
     pool = Pool(2, 3)
-    pooled, route = _maxpool_route(x, pool)
+    pooled = maxpool(x, pool)
+    route = _maxpool_route(x, pooled, pool)
     upstream = rng.standard_normal(pooled.shape)
     routed = _maxpool_scatter(upstream, route, x.shape)
     # every window's gradient lands on exactly one input position
@@ -347,7 +350,7 @@ def test_maxpool_routing_conserves_gradient(rng):
 
 def test_maxpool_ties_break_to_earliest():
     x = np.zeros((2, 2, 1), dtype=np.float64)  # all equal: earliest wins
-    _, route = _maxpool_route(x, Pool(2, 2))
+    route = _maxpool_route(x, maxpool(x, Pool(2, 2)), Pool(2, 2))
     # the route is laid out (t2, pool.time, f2, pool.freq, c)
     assert route[0, :, 0, :, 0].tolist() == [[True, False], [False, False]]
 
@@ -378,7 +381,7 @@ def test_col2im_is_the_adjoint_of_im2col(case):
 def pool_cases(draw):
     pool = Pool(draw(st.integers(1, 3)), draw(st.integers(1, 3)))
     t, f = draw(st.integers(pool.time, 8)), draw(st.integers(pool.freq, 8))
-    shape = (*draw(st.sampled_from([(1,), (3,), (2, 3)])), t, f, draw(st.integers(1, 3)))
+    shape = (*draw(st.sampled_from([(), (1,), (3,), (2, 3)])), t, f, draw(st.integers(1, 3)))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     return shape, pool, dtype, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
@@ -394,10 +397,13 @@ def test_maxpool_route_equals_the_argmax_oracle(case):
     shape, pool, dtype, ties, seed = case
     rng = np.random.default_rng(seed)
     x = pool_map(shape, dtype, ties, rng)
+    # tensor.maxpool, which inference and training both run, on one map or
+    # on leading axes: the oracle's pooled values byte for byte, signed zeros included
     want_pooled, arg = oracle_maxpool_argmax(x, pool)
-    pooled, route = _maxpool_route(x, pool)
+    pooled = maxpool(x, pool)
     assert (pooled.dtype, pooled.shape) == (want_pooled.dtype, want_pooled.shape)
     assert pooled.tobytes() == want_pooled.tobytes()
+    route = _maxpool_route(x, pooled, pool)
     upstream = rng.standard_normal(pooled.shape).astype(dtype)
     want = oracle_maxpool_scatter(upstream, arg, shape, pool)
     routed = _maxpool_scatter(upstream, route, shape)
@@ -408,13 +414,16 @@ def test_maxpool_route_equals_the_argmax_oracle(case):
 @given(pool_cases())
 def test_batched_maxpool_equals_stacked_examples(case):
     shape, pool, dtype, ties, seed = case
+    assume(len(shape) > 3)
     rng = np.random.default_rng(seed)
     x = pool_map(shape, dtype, ties, rng)
-    pooled, route = _maxpool_route(x, pool)
+    pooled = maxpool(x, pool)
+    route = _maxpool_route(x, pooled, pool)
     upstream = rng.standard_normal(pooled.shape).astype(dtype)
     routed = _maxpool_scatter(upstream, route, x.shape)
     for b in range(shape[0]):
-        pooled_b, route_b = _maxpool_route(x[b], pool)
+        pooled_b = maxpool(x[b], pool)
+        route_b = _maxpool_route(x[b], pooled_b, pool)
         npt.assert_array_equal(pooled[b], pooled_b)
         npt.assert_array_equal(route[b], route_b)
         npt.assert_array_equal(routed[b], _maxpool_scatter(upstream[b], route_b, x[b].shape))
@@ -427,15 +436,18 @@ def test_training_with_the_argmax_oracle_gives_the_same_bytes(monkeypatch, name)
     want = train(arch, examples, cfg)
     calls = []
 
-    def oracle_route(x, pool):
+    def oracle_pool(x, pool):
+        return oracle_maxpool_argmax(x, pool)[0]
+
+    def oracle_route(x, pooled, pool):
         calls.append(pool)
-        pooled, arg = oracle_maxpool_argmax(x, pool)
-        return pooled, (arg, pool)
+        return oracle_maxpool_argmax(x, pool)[1], pool
 
     def oracle_scatter(grad_pooled, route, pre_shape):
         arg, pool = route
         return oracle_maxpool_scatter(grad_pooled, arg, pre_shape, pool)
 
+    monkeypatch.setattr(kwslite.tensor, "maxpool", oracle_pool)
     monkeypatch.setattr(kwslite.layers, "_maxpool_route", oracle_route)
     monkeypatch.setattr(kwslite.layers, "_maxpool_scatter", oracle_scatter)
     got = train(arch, examples, cfg)
@@ -443,6 +455,56 @@ def test_training_with_the_argmax_oracle_gives_the_same_bytes(monkeypatch, name)
     assert [s.loss for s in got.history] == [s.loss for s in want.history]
     for key, w in want.weights.items():
         assert got.weights[key].tobytes() == w.tobytes(), key
+
+
+def test_the_stream_time_pool_keeps_maxpools_tie_rule(rng):
+    # the stream pools a row in frequency, then folds rows 2i and 2i + 1 in
+    # time: on maps full of +-0 ties, only the first-maximum rule in both
+    # makes its row 2i the 2-D pool's row i, bit for bit
+    layer = Conv(1, 1, 1, pool=Pool(2, 3))
+    x = rng.choice([-0.0, 0.0, 1.0], (16, 9, 1), p=[0.45, 0.45, 0.1]).astype(np.float32)
+    (_, _), (_, time_pool) = layer.stream(x.shape, 1, len(x))[0]
+    rows = time_pool(None, maxpool(x, Pool(1, 3)), None)
+    assert rows[::2].tobytes() == oracle_maxpool_argmax(x, Pool(2, 3))[0].tobytes()
+
+
+# --- one forward ------------------------------------------------------------
+
+
+def zero_heavy_windows(rng, arch):
+    """Windows whose zeros, whole rows and single bins, make ties and
+    exact-zero products likely."""
+    windows = np.stack([random_window(rng, arch) for _ in range(5)])
+    windows[0] = 0.0
+    windows[1, ::2] = 0.0
+    windows[2] = np.maximum(windows[2], 0.0)
+    windows[3, :, ::3] = -0.0
+    return windows
+
+
+def test_training_forward_is_the_per_window_forward(rng):
+    # the same kernels on a batch: training's float64 posteriors, cast to
+    # float32 as dense casts its softmax, equal forward()'s bit for bit
+    stacks = [get_arch(name, 4) for name in ARCHITECTURES] + [random_arch(rng, max_convs=3) for _ in range(12)]
+    for arch in stacks + [STEPS_ARCH]:
+        weights = init_weights(arch, 3, init_scale=0.2)
+        windows = zero_heavy_windows(rng, arch)
+        posteriors, _ = train_module._forward(arch, weights, windows)
+        for i, window in enumerate(windows):
+            want = kwslite.arch.forward(arch, weights, window)
+            assert posteriors[i].astype(np.float32).tobytes() == want.tobytes(), (arch.layers, i)
+
+
+def test_evaluate_scores_the_training_forward(rng):
+    arch = get_arch("cnn-tpool2", 4)
+    weights = init_weights(arch, 5, init_scale=0.2)
+    examples = [LabeledExample(w, i % 4) for i, w in enumerate(np.concatenate([zero_heavy_windows(rng, arch)] * 2))]
+    posteriors = [kwslite.arch.forward(arch, weights, ex.window) for ex in examples]
+    loss, accuracy = evaluate(arch, weights, examples)
+    assert accuracy == np.mean([p.argmax() == ex.label for p, ex in zip(posteriors, examples)])
+    # float64 posteriors: within float32's rounding of each probability
+    want = np.mean([cross_entropy(p, ex.label) for p, ex in zip(posteriors, examples)])
+    assert abs(loss - want) <= 2**-23
 
 
 # --- training loop ----------------------------------------------------------
@@ -526,8 +588,9 @@ def test_weights_off_the_manifest_are_rejected_by_name(rng, name):
         (misshaped, "dense1.bias has shape"),
         (extra, "unexpected tensor dense9.bias"),
     ):
-        with pytest.raises(ManifestMismatchError, match=match):
-            loss_and_grads(arch, bad, batch)
+        for call in (loss_and_grads, evaluate):
+            with pytest.raises(ManifestMismatchError, match=match):
+                call(arch, bad, batch)
 
 
 def test_history_records_time_and_gradient_norm(tiny_corpus):
