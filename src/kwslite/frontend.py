@@ -223,14 +223,31 @@ def stack_context(frames: np.ndarray, context: Context) -> np.ndarray:
 
 def write_feature_dump(path: str | Path, windows: np.ndarray) -> None:
     """Write stacked windows as an ASCII header line `t f count` then raw
-    little-endian float32 values in C order."""
-    windows = np.asarray(windows, dtype=np.float32)
-    if windows.ndim != 3:
-        raise ShapeError(f"feature dump expects (count, t, f) windows, got {windows.shape}")
+    little-endian float32 values in C order.
+
+    Refuses, writing nothing, what read_feature_dump would refuse: a zero
+    dimension (ShapeError), and a value not finite after the float32 cast
+    (NumericError, naming the first bad window, frame and feature).
+    """
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        windows = np.asarray(windows, dtype=np.float32)
+    if windows.ndim != 3 or min(windows.shape) < 1:
+        raise ShapeError(f"feature dump expects non-empty (count, t, f) windows, got {windows.shape}")
+    _check_finite_windows(path, windows)
     count, t, f = windows.shape
     with open(path, "wb") as fh:
         fh.write(f"{t} {f} {count}\n".encode("ascii"))
         fh.write(np.ascontiguousarray(windows, dtype="<f4").tobytes())
+
+
+def _check_finite_windows(path: str | Path, windows: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(windows))
+    if len(bad):
+        w, frame, feature = bad[0]
+        raise NumericError(
+            f"{path}: feature {feature} of frame {frame} in window {w} is not finite "
+            f"({windows[w, frame, feature]})"
+        )
 
 
 def read_feature_dump(path: str | Path) -> np.ndarray:
@@ -250,11 +267,5 @@ def read_feature_dump(path: str | Path) -> np.ndarray:
             f"{path}: feature payload has {len(payload)} bytes, expected {expected}"
         )
     windows = np.frombuffer(payload, dtype="<f4").reshape(count, t, f).copy()
-    bad = np.argwhere(~np.isfinite(windows))
-    if len(bad):
-        w, frame, feature = bad[0]
-        raise NumericError(
-            f"{path}: feature {feature} of frame {frame} in window {w} is not finite "
-            f"({windows[w, frame, feature]})"
-        )
+    _check_finite_windows(path, windows)
     return windows

@@ -24,11 +24,12 @@ kind also needs the stack rule in `ArchSpec.placed`).
 Inference calls the kernels through the `tensor` module at call time, so
 tracers that wrap them see every call, and a MacCounter passed in meters
 every multiply they execute. A layer's binding is its stored tensors as
-they are, a conv's as one FilterBank. The optimized path runs every product
-in the promoted dtype of its input and weights, so float32 models
-accumulate in float32, each output within the float32 bound that
-`bound_check` measures against the naive path, the oracle: the naive conv
-kernel, and the flat kernels on float64 operands.
+they are, a conv's as one FilterBank. The optimized path, whose conv is
+`tensor.conv2d_optimized`, runs every product in the promoted dtype of its
+input and weights, so float32 models accumulate in float32, each output
+within the float32 bound that `bound_check` measures against the naive
+path, the oracle: `tensor.conv2d_valid`, and the flat kernels on float64
+operands.
 Training's passes run inference's kernels over a leading example axis (a
 flat layer one product per row, the bits of a one-window product), so its
 posteriors equal `forward`'s bit for bit before softmax's float32 cast.
@@ -288,7 +289,7 @@ class Conv(Layer):
         freq_only, freq_pool = Stride(1, self.stride.freq), Pool(1, self.pool.freq)
 
         def phase(bound: tuple, rows: np.ndarray, counter: Counter) -> np.ndarray:
-            return self._step(tensor.conv2d_im2col, bound, rows, freq_only, freq_pool, counter)
+            return self._step(tensor.conv2d_optimized, bound, rows, freq_only, freq_pool, counter)
 
         def conv(bound: tuple, x: np.ndarray, counter: Counter) -> np.ndarray:
             if step == 1:
@@ -324,7 +325,7 @@ class Conv(Layer):
     def forward(
         self, bound: tuple, x: np.ndarray, counter: Counter, conv_path: str = "optimized"
     ) -> np.ndarray:
-        kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_im2col
+        kernel = tensor.conv2d_valid if conv_path == "naive" else tensor.conv2d_optimized
         return self._step(kernel, bound, x, self.stride, self.pool, counter)
 
     def bound_check(self, bound: tuple, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -334,14 +335,14 @@ class Conv(Layer):
         naive-path output on x, rounded and pooled from the same exact sums."""
         bank = bound[0]
         exact = tensor.conv2d_valid(x.astype(np.float64), bank, self.stride)
-        got = tensor.conv2d_im2col(x, bank, self.stride)
+        got = tensor.conv2d_optimized(x, bank, self.stride)
         fraction = _fraction(got, exact, tensor.conv2d_error_bound(x, bank, self.stride))
         y = exact.astype(np.promote_types(x.dtype, bank.weights.dtype), copy=False)
         return fraction, tensor.maxpool(y, self.pool) if self.pool.active else y
 
     def train_forward(self, tensors: Tensors, x: np.ndarray, cache: dict) -> np.ndarray:
-        """tensor.conv2d_im2col on the (B, T, F, C) chunk: the kernel inference runs."""
-        pre = tensor.conv2d_im2col(x, FilterBank(*tensors), self.stride)
+        """tensor.conv2d_optimized on the (B, T, F, C) chunk: the kernel inference runs."""
+        pre = tensor.conv2d_optimized(x, FilterBank(*tensors), self.stride)
         cache["x"] = x
         if not self.pool.active:
             return pre
@@ -362,7 +363,7 @@ class Conv(Layer):
         kt, kf, stride = self.kernel_t, self.kernel_f, self.stride
         grad_weights, grad_bias = grads[0].reshape(-1, self.maps), grads[1]
         for i, d in enumerate(dmat):
-            grad_weights += tensor.im2col(x[i], kt, kf, stride)[0].T @ d
+            grad_weights += tensor.im2col(x[i], kt, kf, stride).T @ d
             grad_bias += d.sum(axis=0)
         if not input_grad:
             return None

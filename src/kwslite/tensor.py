@@ -4,21 +4,21 @@ Two convolution paths are provided on purpose. ``conv2d_valid`` is the
 reference, written as its definition: one float64 einsum, no BLAS, over
 the sliding windows of the input, cast back to the promoted input/weight
 dtype; it shares neither unfold nor product with the fast path.
-``conv2d_im2col``, the production conv, lowers the same computation to one
-im2col matrix product run in the promoted dtype itself, as ``linear`` and
-``dense`` run their product, bias and ReLU: float32 inputs and weights
-accumulate in float32, and each output is held to the a-priori float32
-bound gamma(K + 1) times the sum of the magnitudes of its K products and
-bias (``conv2d_error_bound``; Higham, Accuracy and Stability of Numerical
-Algorithms, ch. 3), not to a relative tolerance, which a float32 sum cannot
-meet near cancellation. ``softmax`` takes its exp and normalisation in float64.
-``conv2d_optimized``, ``conv2d_im2col`` on float64 copies, is cast back
-like ``conv2d_valid``. Every kernel takes an optional MacCounter and adds
-the multiplies it executes, so a caller can meter either path exactly.
+``conv2d_optimized``, the production conv, lowers the same computation to
+one im2col matrix product (Chellapilla, Puri and Simard, 2006) run in the
+promoted dtype itself, as ``linear`` and ``dense`` run their product, bias
+and ReLU: float32 inputs and weights accumulate in float32, and each output
+is held to the a-priori float32 bound gamma(K + 1) times the sum of the
+magnitudes of its K products and bias (``conv2d_error_bound``; Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 3), not to a relative
+tolerance, which a float32 sum cannot meet near cancellation. ``softmax``
+takes its exp and normalisation in float64. Every kernel takes an optional
+MacCounter and adds the multiplies it executes, so a caller can meter either
+path exactly.
 
 Tensors are plain numpy arrays. Feature maps are (time, freq, channels);
 flattened activations are 1-D vectors, or (windows, features) matrices when
-a batch of windows is classified at once. ``conv2d_im2col``, ``im2col`` and
+a batch of windows is classified at once. ``conv2d_optimized``, ``im2col`` and
 ``maxpool`` also take any leading axes: training runs on a (batch, time,
 freq, channels) chunk the kernels inference runs on one map, and equals the
 per-window forward bit for bit before softmax's float32 cast.
@@ -46,7 +46,6 @@ __all__ = [
     "pool_output_shape",
     "conv2d_valid",
     "conv2d_optimized",
-    "conv2d_im2col",
     "conv2d_error_bound",
     "gamma",
     "maxpool",
@@ -137,13 +136,6 @@ class MacCounter:
         self.count += int(n)
 
 
-def _require_tensor3(x: np.ndarray, who: str) -> np.ndarray:
-    x = np.asarray(x)
-    if x.ndim != 3:
-        raise ShapeError(f"{who} expects a (time, freq, channels) tensor, got shape {x.shape}")
-    return x
-
-
 def _check_fits(what: str, in_t: int, in_f: int, span_t: int, span_f: int) -> None:
     if span_t > in_t:
         raise ShapeError(f"{what} spans {span_t} frames but the input has {in_t}", axis="time")
@@ -201,7 +193,9 @@ def conv2d_valid(
     Returns:
         (out_t, out_f, maps) tensor in the promoted input/weight dtype.
     """
-    x = _require_tensor3(x, "conv2d_valid")
+    x = np.asarray(x)
+    if x.ndim != 3:
+        raise ShapeError(f"conv2d_valid expects a (time, freq, channels) tensor, got shape {x.shape}")
     _check_conv_args(x, filters, stride)
     x64, w64, b64 = (t.astype(np.float64, copy=False) for t in (x, filters.weights, filters.bias))
     # (out_t, out_f, channels, kernel_t, kernel_f): the placements, strided
@@ -213,14 +207,15 @@ def conv2d_valid(
     return out.astype(np.promote_types(x.dtype, filters.weights.dtype), copy=False)
 
 
-def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple[np.ndarray, int, int]:
+def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> np.ndarray:
     """Unfold conv patches into rows of a (out_t*out_f, kernel_t*kernel_f*channels) matrix.
 
     x is (..., time, freq, channels); leading axes are kept, so a batch of
-    maps gives (..., out_t*out_f, kernel_t*kernel_f*channels). Row p
-    corresponds to output position (p // out_f, p % out_f); within a row the
-    patch is laid out (kernel_t, kernel_f, channels), matching a FilterBank's
-    weights reshaped to (kernel_t*kernel_f*channels, maps).
+    maps gives (..., out_t*out_f, kernel_t*kernel_f*channels), (out_t, out_f)
+    being conv_output_shape's. Row p corresponds to output position
+    (p // out_f, p % out_f); within a row the patch is laid out (kernel_t,
+    kernel_f, channels), matching a FilterBank's weights reshaped to
+    (kernel_t*kernel_f*channels, maps).
 
     The patches are one read-only strided view of x, already in that layout,
     (..., out_t, out_f, kernel_t, kernel_f, channels), which the reshape
@@ -240,24 +235,10 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> tuple
         strides=(*lead_strides, st * stride.time, sf * stride.freq, st, sf, sc),
     )
     patches.flags.writeable = False
-    return patches.reshape(*lead, out_t * out_f, -1), out_t, out_f
+    return patches.reshape(*lead, out_t * out_f, -1)
 
 
 def conv2d_optimized(
-    x: np.ndarray,
-    filters: FilterBank,
-    stride: Stride = Stride(),
-    counter: MacCounter | None = None,
-) -> np.ndarray:
-    """Same contract as conv2d_valid, counter included: conv2d_im2col on
-    float64 copies of its operands, cast back to the promoted dtype."""
-    x = _require_tensor3(x, "conv2d_optimized")
-    out_dtype = np.promote_types(x.dtype, filters.weights.dtype)
-    f64 = FilterBank(*(t.astype(np.float64, copy=False) for t in (filters.weights, filters.bias)))
-    return conv2d_im2col(x.astype(np.float64), f64, stride, counter).astype(out_dtype, copy=False)
-
-
-def conv2d_im2col(
     x: np.ndarray,
     filters: FilterBank,
     stride: Stride = Stride(),
@@ -275,12 +256,12 @@ def conv2d_im2col(
     """
     x = np.asarray(x)
     if x.ndim < 3:
-        raise ShapeError(f"conv2d_im2col expects (..., time, freq, channels) maps, got {x.shape}")
+        raise ShapeError(f"conv2d_optimized expects (..., time, freq, channels) maps, got {x.shape}")
     out_t, out_f = _check_conv_args(x, filters, stride)
     dtype = np.promote_types(x.dtype, filters.weights.dtype)
     weights = filters.weights.astype(dtype, copy=False)
     kt, kf, _, maps = weights.shape
-    cols = im2col(x.astype(dtype, copy=False), kt, kf, stride)[0]
+    cols = im2col(x.astype(dtype, copy=False), kt, kf, stride)
     if counter is not None:
         counter.add(cols.size * maps)
     out = cols @ weights.reshape(-1, maps)
@@ -303,12 +284,12 @@ def gamma(n: int) -> float:
 
 def conv2d_error_bound(x: np.ndarray, filters: FilterBank, stride: Stride = Stride()) -> np.ndarray:
     """Float64 (out_t, out_f, maps) bound on a float32 conv's error per
-    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being conv2d_im2col
+    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being conv2d_optimized
     run in float64 on |x|, |w| and |b|: sums of terms of one sign, whose own
     float64 rounding is far below the bound."""
     magnitudes = FilterBank(*(np.abs(t).astype(np.float64) for t in (filters.weights, filters.bias)))
     k = filters.kernel_t * filters.kernel_f * filters.in_channels
-    return gamma(k + 1) * conv2d_im2col(np.abs(x).astype(np.float64), magnitudes, stride)
+    return gamma(k + 1) * conv2d_optimized(np.abs(x).astype(np.float64), magnitudes, stride)
 
 
 def fold_max(views: list[np.ndarray]) -> np.ndarray:

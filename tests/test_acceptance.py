@@ -52,7 +52,7 @@ from kwslite.errors import (
     TruncatedPayloadError,
     UnsupportedVersionError,
 )
-from kwslite.tensor import FilterBank, Stride
+from kwslite.tensor import FilterBank, Stride, conv2d_error_bound
 from tests.conftest import random_arch, random_window
 
 LABELS4 = ["_filler", "kw1", "kw2", "kw3"]
@@ -275,9 +275,14 @@ def test_optimized_conv_agrees_with_naive(tmp_path, capsys):
             rng.standard_normal((kt, kf, channels, maps)).astype(np.float32),
             rng.standard_normal(maps).astype(np.float32),
         )
-        naive = conv2d_valid(x, bank, stride)
+        # the tolerance on float64 copies of the operands; the float32 conv
+        # within its float32 error bound of the exact sums
+        x64 = x.astype(np.float64)
+        bank64 = FilterBank(bank.weights.astype(np.float64), bank.bias.astype(np.float64))
+        naive = conv2d_valid(x64, bank64, stride)
+        assert np.allclose(conv2d_optimized(x64, bank64, stride), naive, rtol=1e-5, atol=1e-8)
         fast = conv2d_optimized(x, bank, stride)
-        assert np.allclose(fast, naive, rtol=1e-5, atol=1e-8)
+        assert np.all(np.abs(fast - naive) <= conv2d_error_bound(x, bank, stride))
 
     arch = get_arch("cnn-one", 4)
     model = tmp_path / "bench.kwsm"

@@ -417,11 +417,11 @@ def test_a_conv_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypat
     arch = get_arch("cnn-trad", 4)
     weights = init_weights(arch, 0, init_scale=0.2)
     window = random_window(rng, arch)
-    honest = kwslite.tensor.conv2d_im2col
-    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
+    honest = kwslite.tensor.conv2d_optimized
+    monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
     # conv1 sums K = 189 products: its bound is gamma(190), about 1.1e-5 of their magnitudes
     assert bound_fractions(arch, weights, window)["conv1"] > 1
-    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * np.nan)
+    monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * np.nan)
     fractions = bound_fractions(arch, weights, window)
     assert all(np.isnan(fractions[name]) for name in ("conv1", "conv2"))
 

@@ -391,9 +391,9 @@ def test_bench_checks_each_conv_layer_against_its_float32_bound(capsys, monkeypa
     # an error a little over float32 rounding, in the production conv kernel
     # itself, moves the per-window and streamed rows alike: only the
     # per-layer bound against the naive kernel sees it
-    honest = kwslite.tensor.conv2d_im2col
+    honest = kwslite.tensor.conv2d_optimized
     for error in (1e-3, np.nan):
-        monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + error))
+        monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * (1 + error))
         code, out, err = run(capsys, "bench", "--model", tiny_model, "--iters", "1")
         assert code == 3
         assert "float32 error bound" in err and "conv1 on window 0" in err and "agreement check OK" not in out

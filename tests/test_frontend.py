@@ -395,12 +395,30 @@ def test_feature_dump_roundtrip(tmp_path, rng):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_feature_dump_rejects_non_finite_values(tmp_path, rng, bad):
+    # a file the writer refuses to make, written by hand
     windows = rng.standard_normal((3, 4, 5)).astype(np.float32)
     windows[1, 2, 3] = windows[2, 0, 0] = bad
     path = tmp_path / "feats.bin"
-    write_feature_dump(path, windows)
+    path.write_bytes(b"4 5 3\n" + windows.astype("<f4").tobytes())
     with pytest.raises(NumericError, match=r"feature 3 of frame 2 in window 1 is not finite"):
         read_feature_dump(path)
+
+
+@pytest.mark.parametrize(
+    "windows, error, match",
+    [
+        (np.where(np.arange(24).reshape(2, 3, 4) == 13, np.nan, 1.0), NumericError, "feature 1 of frame 0 in window 1"),
+        (np.full((1, 1, 1), 1e300), NumericError, "feature 0 of frame 0 in window 0"),  # inf after the float32 cast
+        (np.zeros((0, 3, 4)), ShapeError, r"\(0, 3, 4\)"),
+        (np.zeros((2, 3, 0)), ShapeError, r"\(2, 3, 0\)"),
+        (np.zeros((3, 4)), ShapeError, r"\(3, 4\)"),
+    ],
+)
+def test_feature_dump_writes_nothing_the_reader_refuses(tmp_path, windows, error, match):
+    path = tmp_path / "feats.bin"
+    with pytest.raises(error, match=match):
+        write_feature_dump(path, windows)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("header", [b"-1 -1 4\n", b"0 5 3\n", b"2 0 1\n", b"2 2 0\n", b"2 -2 -1\n"])

@@ -2,13 +2,21 @@
 the names its documentation cites."""
 
 import ast
+import collections
 import importlib
-import importlib.util
 import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+
+import kwslite.tensor
+from kwslite import Conv, LabeledExample, forward, forward_frames, get_arch, init_weights, load_model, save_model
 from kwslite.arch import ARCHITECTURES
+from kwslite.budget import report
+from kwslite.frontend import stack_context
+from kwslite.tensor import MacCounter
+from kwslite.train import loss_and_grads
 
 MAX_COLUMNS = 110
 ROOT = Path(__file__).resolve().parents[1]
@@ -196,7 +204,7 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     # than the tests uses it: its own or another module of the package (not
     # __init__, which re-exports every one), a demo, or the benchmark, whose
     # tracer wraps functions by name
-    used = {id(getattr(importlib.import_module(module), attr)) for module, attr, _ in _tracer().TRACED
+    used = {id(getattr(importlib.import_module(module), attr)) for module, attr, _ in _traced()
             if "." not in attr}
     files = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     for path in files + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "kwsbench").glob("*.py")):
@@ -220,25 +228,71 @@ def test_every_public_function_has_a_caller_outside_the_tests():
     assert set(WITHOUT_CALLER) <= set(unused), "an allowed name is gone or has a caller now"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("kwsbench_tracer", ROOT / "kwsbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer
+def _traced():
+    """kwsbench/tracer.py's TRACED, (module, attribute, span name) triples,
+    read off its source."""
+    tree = ast.parse((ROOT / "kwsbench" / "tracer.py").read_text(encoding="utf-8"))
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "TRACED" for target in node.targets)]
+    return ast.literal_eval(value)
 
 
 def test_every_function_the_benchmark_traces_exists():
     # kwsbench's tracer wraps kwslite functions by name and skips a missing
     # one, so a renamed kernel would only show as untraced in a benchmark run
-    tracer = _tracer()
+    traced = _traced()
     missing = []
-    for module, attr, _ in tracer.TRACED:
+    for module, attr, _ in traced:
         owner = importlib.import_module(module)
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         if not callable(owner):
             missing.append(f"{module}.{attr}")
-    assert tracer.TRACED and not missing, f"traced but not in kwslite: {missing}"
+    assert traced and not missing, f"traced but not in kwslite: {missing}"
+
+
+def test_production_paths_run_the_conv_the_benchmark_traces(tmp_path, monkeypatch):
+    # the benchmark's tensor.conv spans wrap these two kernels by name: every
+    # optimized path must run the production conv, the naive path the oracle
+    convs = ("conv2d_optimized", "conv2d_valid")
+    assert {("kwslite.tensor", name, "tensor.conv") for name in convs} <= set(_traced())
+    calls = collections.Counter()
+    for name in convs:
+        def counted(*args, kernel=getattr(kwslite.tensor, name), name=name, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(kwslite.tensor, name, counted)
+    arch = get_arch("cnn-trad", 4)
+    weights = init_weights(arch, 0, init_scale=0.2)
+    save_model(tmp_path / "model.kwsm", arch, weights, ["a", "b", "c", "d"])
+    loaded = load_model(tmp_path / "model.kwsm").weights
+    frames = np.random.default_rng(3).standard_normal((arch.input_t + 4, arch.input_f)).astype(np.float32)
+    windows = stack_context(frames, arch.context)
+    forward(arch, loaded, windows[0])
+    forward(arch, loaded, windows[1])  # primes the loaded model's kept stream
+
+    def continued_hop():
+        counter = MacCounter()
+        forward(arch, loaded, windows[2], counter=counter)
+        assert counter.count == report(arch).per_frame  # the stream was continued
+
+    runs = {
+        "forward_frames": lambda: forward_frames(arch, weights, frames),
+        "forward": lambda: forward(arch, weights, windows[0]),
+        "continued hop": continued_hop,
+        "loss_and_grads": lambda: loss_and_grads(arch, weights, [LabeledExample(windows[0], 1)]),
+        "naive forward": lambda: forward(arch, weights, windows[0], conv_path="naive"),
+    }
+    ran = {}
+    for what, run in runs.items():
+        calls.clear()
+        run()
+        ran[what] = dict(calls)
+    conv_layers = sum(isinstance(layer, Conv) for layer in arch.layers)
+    assert ran["naive forward"] == {"conv2d_valid": conv_layers}
+    for what in list(runs)[:-1]:
+        assert ran[what].keys() == {"conv2d_optimized"}, (what, ran[what])
 
 
 # A backticked dotted name, optionally called: `arch.forward`, `Layer.stream`,
@@ -287,7 +341,7 @@ def test_every_documented_kwslite_name_exists():
         for name, obj in vars(module).items()
         if isinstance(obj, type) and obj.__module__.startswith("kwslite")
     }
-    spans = {span for _, _, span in _tracer().TRACED}
+    spans = {span for _, _, span in _traced()}
     checked, broken = 0, []
     for where, text in _documents().items():
         for ref in DOTTED.findall(text):

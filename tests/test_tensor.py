@@ -20,7 +20,6 @@ from kwslite.errors import ShapeError
 from kwslite.tensor import (
     UNIT_ROUNDOFF,
     conv2d_error_bound,
-    conv2d_im2col,
     conv_output_shape,
     gamma,
     im2col,
@@ -68,7 +67,13 @@ def test_conv_known_shape(rng):
     assert out.shape == (12, 32, 64)
 
 
+def float64_copies(x, bank):
+    return x.astype(np.float64), FilterBank(bank.weights.astype(np.float64), bank.bias.astype(np.float64))
+
+
 def test_conv_paths_agree_random(rng):
+    # float64 operands meet a relative tolerance; float32 ones, whose sums a
+    # float32 accumulation cannot hold to one near cancellation, their bound
     for _ in range(150):
         t, f, c = int(rng.integers(2, 14)), int(rng.integers(2, 14)), int(rng.integers(1, 4))
         kt, kf = int(rng.integers(1, t + 1)), int(rng.integers(1, f + 1))
@@ -76,15 +81,17 @@ def test_conv_paths_agree_random(rng):
         s = Stride(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         x = rng.standard_normal((t, f, c)).astype(np.float32)
         bank = _rand_bank(rng, kt, kf, c, n)
-        a = conv2d_valid(x, bank, s)
-        b = conv2d_optimized(x, bank, s)
+        x64, bank64 = float64_copies(x, bank)
+        a = conv2d_valid(x64, bank64, s)
+        b = conv2d_optimized(x64, bank64, s)
         assert a.shape == b.shape
         npt.assert_allclose(a, b, rtol=1e-5, atol=0)
+        assert np.all(np.abs(conv2d_optimized(x, bank, s) - a) <= conv2d_error_bound(x, bank, s))
 
 
 def test_production_conv_accumulates_in_the_promoted_dtype_within_the_bound(rng):
     # float32 operands: a float32 product, each output within its a-priori
-    # bound of the exact sums; a float64 operand: conv2d_optimized bit for bit
+    # bound of the exact sums; a float64 operand: a float64 product
     worst = 0.0
     for _ in range(300):
         t, f, c = int(rng.integers(1, 13)), int(rng.integers(1, 13)), int(rng.integers(1, 4))
@@ -92,16 +99,15 @@ def test_production_conv_accumulates_in_the_promoted_dtype_within_the_bound(rng)
         s = Stride(int(rng.integers(1, 3)), int(rng.integers(1, 3)))
         x = rng.standard_normal((t, f, c)).astype(np.float32)
         bank = _rand_bank(rng, kt, kf, c, int(rng.integers(1, 7)))
-        fast = conv2d_im2col(x, bank, s)
+        fast = conv2d_optimized(x, bank, s)
         assert fast.dtype == np.float32
         err = np.abs(fast - conv2d_valid(x.astype(np.float64), bank, s))
         bound = conv2d_error_bound(x, bank, s)
         assert bound.dtype == np.float64 and np.all(err <= bound)
         worst = max(worst, float(np.max(err / bound)))
-        bank64 = FilterBank(bank.weights.astype(np.float64), bank.bias.astype(np.float64))
-        for args in ((x, bank64), (x.astype(np.float64), bank), (x.astype(np.float64), bank64)):
-            got, want = conv2d_im2col(*args, s), conv2d_optimized(*args, s)
-            assert got.dtype == want.dtype == np.float64 and got.tobytes() == want.tobytes()
+        x64, bank64 = float64_copies(x, bank)
+        for args in ((x, bank64), (x64, bank), (x64, bank64)):
+            assert conv2d_optimized(*args, s).dtype == np.float64
     assert 0 < worst < 1
 
 
@@ -159,8 +165,7 @@ def sliding_window_im2col(x, kernel_t, kernel_f, stride):
     windows = np.lib.stride_tricks.sliding_window_view(x, (kernel_t, kernel_f), axis=(-3, -2))
     windows = windows[..., :: stride.time, :: stride.freq, :, :, :]
     out_t, out_f = windows.shape[-5], windows.shape[-4]
-    cols = windows.transpose(*range(x.ndim - 1), -2, -1, -3).reshape(*x.shape[:-3], out_t * out_f, -1)
-    return cols, out_t, out_f
+    return windows.transpose(*range(x.ndim - 1), -2, -1, -3).reshape(*x.shape[:-3], out_t * out_f, -1)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -181,9 +186,8 @@ def test_im2col_equals_the_sliding_window_unfold_bit_for_bit(rng, dtype, lead):
         inputs.append(np.moveaxis(rng.standard_normal(shape + lead).astype(dtype), (0, 1, 2), (-3, -2, -1)))
         for x in inputs:
             got, want = im2col(x, kt, kf, stride), sliding_window_im2col(x, kt, kf, stride)
-            assert got[1:] == want[1:]
-            assert got[0].shape == want[0].shape and got[0].dtype == want[0].dtype == dtype
-            assert got[0].tobytes() == want[0].tobytes(), (shape, kt, kf, stride, x.strides)
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes(), (shape, kt, kf, stride, x.strides)
     with pytest.raises(ShapeError):
         im2col(np.zeros(lead + (5, 6, 2), dtype), 6, 6, Stride())
 
@@ -191,7 +195,7 @@ def test_im2col_equals_the_sliding_window_unfold_bit_for_bit(rng, dtype, lead):
 def test_conv_counter_meters_actual_multiplies(rng):
     x = rng.standard_normal((9, 11, 2)).astype(np.float32)
     bank = _rand_bank(rng, 3, 4, 2, 5)
-    for conv in (conv2d_valid, conv2d_optimized, conv2d_im2col):
+    for conv in (conv2d_valid, conv2d_optimized):
         counter = MacCounter()
         out = conv(x, bank, Stride(2, 1), counter=counter)
         out_t, out_f, n = out.shape
@@ -209,8 +213,8 @@ def test_production_conv_on_a_batch_is_its_maps_stacked_bit_for_bit(rng, dtype):
             for s in (Stride(1, 1), Stride(2, 1), Stride(1, 2), Stride(2, 2)):
                 x = rng.standard_normal((batch, t, f, c)).astype(dtype)
                 counter, singles = MacCounter(), [MacCounter() for _ in range(batch)]
-                got = conv2d_im2col(x, bank, s, counter)
-                want = np.stack([conv2d_im2col(m, bank, s, one) for m, one in zip(x, singles)])
+                got = conv2d_optimized(x, bank, s, counter)
+                want = np.stack([conv2d_optimized(m, bank, s, one) for m, one in zip(x, singles)])
                 assert got.dtype == want.dtype == dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (t, kt, batch, s)
                 assert counter.count == sum(one.count for one in singles)
@@ -228,16 +232,16 @@ def test_conv_errors_name_axis(rng):
         conv2d_optimized(x, _rand_bank(rng, 2, 7, 2, 4))
     assert info.value.axis == "freq"
     with pytest.raises(ShapeError) as info:
-        conv2d_im2col(x, _rand_bank(rng, 2, 2, 3, 4))
+        conv2d_optimized(x, _rand_bank(rng, 2, 2, 3, 4))
     assert info.value.axis == "channels"
     with pytest.raises(ShapeError) as info:
-        conv2d_im2col(np.stack([x, x]), _rand_bank(rng, 2, 2, 3, 4))
+        conv2d_optimized(np.stack([x, x]), _rand_bank(rng, 2, 2, 3, 4))
     assert info.value.axis == "channels"
     with pytest.raises(ShapeError) as info:
-        conv2d_im2col(np.stack([x, x]), _rand_bank(rng, 6, 2, 2, 4))
+        conv2d_optimized(np.stack([x, x]), _rand_bank(rng, 6, 2, 2, 4))
     assert info.value.axis == "time"
     with pytest.raises(ShapeError) as info:
-        conv2d_im2col(x[:, :, 0], _rand_bank(rng, 2, 2, 1, 4))
+        conv2d_optimized(x[:, :, 0], _rand_bank(rng, 2, 2, 1, 4))
     assert info.value.axis is None  # no channels axis to name: a map needs all three
 
 

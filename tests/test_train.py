@@ -180,8 +180,8 @@ def test_training_runs_the_production_conv_kernel(rng, monkeypatch):
     weights = init_weights(arch, 3, init_scale=0.2)
     batch = [LabeledExample(random_window(rng, arch), label) for label in (0, 2, 3)]
     grads, loss, _ = loss_and_grads(arch, weights, batch)
-    honest = kwslite.tensor.conv2d_im2col
-    monkeypatch.setattr(kwslite.tensor, "conv2d_im2col", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
+    honest = kwslite.tensor.conv2d_optimized
+    monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * (1 + 1e-4))
     off_grads, off_loss, _ = loss_and_grads(arch, weights, batch)
     assert off_loss != loss
     assert not np.array_equal(off_grads["conv1.weights"], grads["conv1.weights"])
@@ -370,7 +370,7 @@ def test_col2im_is_the_adjoint_of_im2col(case):
     rng = np.random.default_rng(seed)
     # positive entries: no cancellation, so the two sums agree to rounding
     x = rng.uniform(1.0, 2.0, shape)
-    cols = im2col(x, kernel_t, kernel_f, stride)[0]
+    cols = im2col(x, kernel_t, kernel_f, stride)
     g = rng.uniform(1.0, 2.0, cols.shape)
     back = _col2im(g, shape, kernel_t, kernel_f, stride)
     assert back.shape == shape
