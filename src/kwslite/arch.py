@@ -283,15 +283,17 @@ def _run_stages(
 
 
 # Windows classified per chunk by forward_frames. Every conv position is
-# computed once whatever the chunk size; larger chunks save per-call
-# overhead and hold larger im2col matrices, and in a process that scans
-# 10 s clips with all five stock models (the repository benchmark's scan
-# workload) a few MB more tracemalloc peak has cost several MB of peak RSS.
-# The peak of a warm call on a 998-frame clip (plain-dict float32 weights,
-# 2-vCPU x86 VM, one BLAS thread) is one chunk's patch matrix and products:
-# 0.25 MB (dnn), 2.68 (cnn-trad), 1.52 (cnn-one), 1.96 (cnn-tstride2) and
-# 1.96 (cnn-tpool2) at 32 windows, and 0.37, 3.90, 2.25, 2.52 and 2.51 at 48.
-BLOCK_WINDOWS = 32
+# computed once whatever the chunk size; larger chunks save per-chunk
+# bookkeeping and hold larger im2col matrices. The peak of a warm call on a
+# 998-frame clip (plain-dict float32 weights, 2-vCPU x86 VM, one BLAS
+# thread) is one chunk's patch matrix and products: 0.48 MB (dnn), 5.12
+# (cnn-trad), 2.97 (cnn-one), 3.20 (cnn-tstride2) and 3.19 (cnn-tpool2) at
+# 64 windows, against 0.25, 2.68, 1.52, 1.96 and 1.96 at 32. Framing a
+# 10 s clip whole would take 11.4 MB; log_mel_frames frames 64 frames at a
+# time, so the repository benchmark's scan workload (10 s clips, all five
+# stock models) reads a lower peak RSS with blocks and 64 windows than with
+# whole-clip framing and 32 windows (60.2 against 62.8 MB).
+BLOCK_WINDOWS = 64
 
 
 def forward(

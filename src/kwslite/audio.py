@@ -68,7 +68,8 @@ def read_wav(path: str | Path) -> Waveform:
         raise AudioFormatError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate} Hz")
     if len(raw) % width:
         raise AudioFormatError(f"{path}: the data chunk ends mid-sample ({len(raw)} bytes)")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.float32)
+    samples /= 32768.0  # in place: no second clip-sized float32 array
     return Waveform(samples)
 
 

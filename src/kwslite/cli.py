@@ -83,6 +83,7 @@ def _default_seed() -> int:
         raise UsageError(f"KWS_SEED must be an integer, got {env!r}") from exc
 
 
+@functools.cache  # argparse spends about 1 ms per build, mostly formatting help for each argument
 def _build_parser() -> _Parser:
     parser = _Parser(prog="kwslite", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -8,6 +8,8 @@ replicating edge frames where the context runs off either end.
 
 Settings are FrameConfig's class constants; no function here takes them.
 All intermediate math is float64; emitted features are float32.
+log_mel_frames works through a clip FRAME_BLOCK frames at a time, so its
+float64 intermediates take one block's memory whatever the clip's length.
 """
 
 from __future__ import annotations
@@ -193,14 +195,37 @@ def log_mel(frames: np.ndarray) -> np.ndarray:
     return np.log(np.maximum(energies, FrameConfig.log_floor)).astype(np.float32)
 
 
+# Frames framed and projected per block by log_mel_frames: a block's float64
+# frames, spectrum and power take about 1 MB, whatever the clip's length.
+FRAME_BLOCK = 64
+
+
 def log_mel_frames(w: Waveform) -> np.ndarray:
     """Waveform straight to (n_frames, mel_filters) float32 features.
 
     Raises NumericError naming the first sample that is not finite: one NaN
     sample would otherwise turn every frame that covers it into NaN features.
+
+    After that one check over the whole clip, a clip of more than
+    FRAME_BLOCK frames is worked through FRAME_BLOCK frames at a time: block
+    [a, b) runs log_mel(frame_signal(...)) on just the samples its frames
+    cover, a*hop .. (b-1)*hop + window_length, into its rows of one
+    preallocated output, so the float64 working set is one block's, not the
+    clip's. A frame does not depend on its neighbours (frame_signal rebuilds
+    each frame's first column from the raw sample; log_mel projects each row
+    on its own), so every row equals the whole clip's framing bit for bit.
+    A clip of at most one block takes that one call.
     """
     check_finite(w.samples)
-    return log_mel(frame_signal(w))
+    n = frame_count(len(w.samples))
+    if n <= FRAME_BLOCK:
+        return log_mel(frame_signal(w))  # also raises InsufficientAudioError for n == 0
+    hop, width = FrameConfig.hop, FrameConfig.window_length
+    out = np.empty((n, FrameConfig.mel_filters), dtype=np.float32)
+    for a in range(0, n, FRAME_BLOCK):
+        b = min(a + FRAME_BLOCK, n)
+        out[a:b] = log_mel(frame_signal(Waveform(w.samples[a * hop : (b - 1) * hop + width])))
+    return out
 
 
 def stack_context(frames: np.ndarray, context: Context) -> np.ndarray:

@@ -37,6 +37,7 @@ from kwslite.errors import InsufficientAudioError, ManifestMismatchError, ShapeE
 from kwslite.frontend import FrameConfig, stack_context
 from kwslite.tensor import (
     FilterBank,
+    conv2d_error_bound,
     conv2d_optimized,
     conv2d_valid,
     conv_output_shape,
@@ -424,6 +425,23 @@ def test_a_conv_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypat
     monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * np.nan)
     fractions = bound_fractions(arch, weights, window)
     assert all(np.isnan(fractions[name]) for name in ("conv1", "conv2"))
+
+
+def test_the_conv_bound_does_not_depend_on_the_kernel_it_judges(rng, monkeypatch):
+    # a bound summed through the public conv would turn NaN with a NaN
+    # kernel, and the NaN check above would then pass vacuously
+    arch = get_arch("cnn-trad", 4)
+    weights = init_weights(arch, 0, init_scale=0.2)
+    window = random_window(rng, arch)
+    x = rng.standard_normal((3, 3, 1)).astype(np.float32)
+    bank = FilterBank(rng.standard_normal((2, 2, 1, 2)).astype(np.float32))
+    honest_bound = conv2d_error_bound(x, bank)
+    assert np.isfinite(honest_bound).all()
+    honest = kwslite.tensor.conv2d_optimized
+    monkeypatch.setattr(kwslite.tensor, "conv2d_optimized", lambda *args, **kw: honest(*args, **kw) * np.nan)
+    assert conv2d_error_bound(x, bank).tobytes() == honest_bound.tobytes()
+    fractions = bound_fractions(arch, weights, window)
+    assert all(np.isnan(fractions[name]) for name in ("conv1", "conv2")), fractions
 
 
 def test_a_flat_kernel_off_by_more_than_rounding_breaks_the_bound(rng, monkeypatch):

@@ -441,3 +441,16 @@ def test_every_command_echoes_config(capsys, tmp_path, tiny_model, tone_wav):
 def test_no_command_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+def test_main_builds_its_parser_once_per_process(capsys):
+    # in-process callers (the benchmark, tests, notebooks) call main many
+    # times; argparse spends about 1 ms building the parser. A usage error
+    # raised while parsing must not spoil the kept parser for the next call.
+    cli._build_parser.cache_clear()
+    assert run(capsys, "describe", "--arch", "dnn")[0] == 0
+    assert run(capsys, "describe", "--arch", "bogus")[0] == 1
+    code, text, _ = run(capsys, "budget", "--arch", "cnn-one")
+    assert code == 0 and "cnn-one" in text
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -215,6 +215,41 @@ def test_streamed_hop_frames_equal_batch_frames():
         npt.assert_array_equal(log_mel_frames(Waveform(hop))[0], batch[h], err_msg=f"hop {h}")
 
 
+@pytest.mark.parametrize("frames", [1, 63, 64, 65, 127, 128, 129, 998, 6000])
+def test_block_frontend_equals_whole_clip_frontend_bit_for_bit(frames):
+    # log_mel_frames frames and projects FRAME_BLOCK frames at a time; every
+    # length on either side of one and two blocks, with 159 trailing samples
+    # that fill no window, must give the whole clip's one framing by bytes
+    cfg = FrameConfig()
+    rng = np.random.default_rng(frames)
+    samples = (0.3 * rng.standard_normal((frames - 1) * cfg.hop + cfg.window_length + 159)).astype(np.float32)
+    w = Waveform(samples)
+    got, expected = log_mel_frames(w), log_mel(frame_signal(w))
+    assert got.shape == expected.shape == (frames, 40) and got.tobytes() == expected.tobytes()
+
+
+def test_block_frontend_memory_does_not_grow_with_clip_length():
+    # the float64 frames, spectrum and power are one block's whatever the
+    # clip's length; framing the whole clip at once would hold 11.4 MB on
+    # 10 s and 205.6 MB on 180 s. The finiteness check's one-byte-per-sample
+    # mask is freed before the output, which is the same size, is allocated.
+    # The slack covers allocator jitter, far below one block's 205 kB of
+    # float64 frames.
+    rng = np.random.default_rng(2)
+    slack = 64 * 1024
+    above_output = {}
+    for seconds in (10, 180):
+        w = Waveform((0.3 * rng.standard_normal(seconds * SR)).astype(np.float32))
+        log_mel_frames(w)
+        tracemalloc.start()
+        try:
+            out = log_mel_frames(w)
+            above_output[seconds] = tracemalloc.get_traced_memory()[1] - out.nbytes
+        finally:
+            tracemalloc.stop()
+    assert above_output[180] <= above_output[10] + slack, above_output
+
+
 def test_log_mel_rejects_overlong_frames():
     with pytest.raises(ShapeError) as info:
         log_mel(np.zeros((3, 600)))

@@ -1,6 +1,8 @@
 """Posterior smoothing, batch detection against a brute-force
 oracle, and streaming equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -11,7 +13,11 @@ from kwslite import (
     DetectionEvent,
     DetectorConfig,
     StreamingDetector,
+    Waveform,
     detect,
+    get_arch,
+    init_weights,
+    posteriors_from_waveform,
     smooth,
 )
 from kwslite.errors import NumericError, ShapeError
@@ -350,3 +356,23 @@ def test_interleaved_detectors_share_no_state():
         got_b.append(db.push(rb))
     assert [e for e in got_a if e is not None] == detect(a, cfg)
     assert [e for e in got_b if e is not None] == detect(b, cfg, filler_index=2)
+
+
+def test_long_clip_detection_peak_does_not_follow_its_length():
+    # the frontend frames 64 frames at a time and the classifier classifies
+    # 64 windows per chunk, so beyond its samples a 180 s clip holds its
+    # features (2.9 MB), its posteriors and one chunk's working set (5.1 MB
+    # on cnn-trad): 8.2 MB measured, where framing the whole clip at once
+    # would take 205.6 MB
+    arch = get_arch("cnn-trad", 4)
+    weights = init_weights(arch, 0)
+    samples = (0.1 * np.random.default_rng(4).standard_normal(180 * 16000)).astype(np.float32)
+    wave = Waveform(samples)
+    detect(posteriors_from_waveform(arch, weights, Waveform(samples[:16000])), DetectorConfig())
+    tracemalloc.start()
+    try:
+        detect(posteriors_from_waveform(arch, weights, wave), DetectorConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, f"peak {peak} bytes on a 180 s clip"
