@@ -164,10 +164,10 @@ class _Plan(NamedTuple):
     spec, whose placed layers hold the stream stages; every layer's binding
     (Layer.bind), which the stages take at call time; and, for a plan a
     FrozenWeights keeps, that model's stream, the window forward() classified
-    last and the stage carries after it (None until a continued call primes
-    them). A plan is never changed: a hop publishes a new one whole
-    (_replace), so concurrent callers can at worst miss a continuation or
-    rebuild a plan."""
+    last if it was finite (None otherwise) and the stage carries after it
+    (None until a continued call primes them). A plan is never changed: a
+    hop publishes a new one whole (_replace), so concurrent callers can at
+    worst miss a continuation or rebuild a plan."""
 
     arch: ArchSpec
     bound: tuple[tuple, ...]
@@ -175,11 +175,13 @@ class _Plan(NamedTuple):
     carries: tuple[np.ndarray | None, ...] | None = None
 
     def advanced_by(self, window: np.ndarray) -> bool:
-        """Whether `window` is `last` advanced by one finite frame, bit for bit."""
+        """Whether `window` is `last` advanced by one finite frame, bit for
+        bit (so -0.0 differs from 0.0, and NaN payloads differ). forward()
+        keeps only a finite `last`, so only the new row needs the check."""
         return (
             self.last is not None
-            and np.array_equal(window[:-1].view(np.uint32), self.last[1:].view(np.uint32))
-            and bool(np.isfinite(window).all())
+            and window[:-1].tobytes() == self.last[1:].tobytes()
+            and bool(np.isfinite(window[-1]).all())
         )
 
 
@@ -316,11 +318,12 @@ def forward(
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is
     cheaper (ArchSpec.streams_cheaper): a float32 window on the optimized
-    path that is the window the model's plan classified last advanced by one
-    finite frame, bit for bit, pushes only its new row through the stages
-    forward_frames runs, from the carries after the last window, and meters
-    report(arch).per_frame. The first such call primes the carries by
-    streaming the last window's rows, metering streamed_multiplies(arch, 2).
+    path that is the finite window the model's plan classified last
+    advanced by one finite frame, bit for bit, pushes only its new row
+    through the stages forward_frames runs, from the carries after the last
+    window, and meters report(arch).per_frame. The first such call primes
+    the carries by streaming the last window's rows, metering
+    streamed_multiplies(arch, 2).
     The row equals forward_frames' for that window at BLOCK_WINDOWS = 1, bit
     for bit. Every other call runs per window and restarts the stream. The
     stream lives and dies with its plan (see _plan()): each loaded model
@@ -340,7 +343,8 @@ def forward(
     for p, b in zip(arch.placed, plan.bound):
         x = p.layer.forward(b, x, counter, conv_path)
     if kept:
-        weights._plan = plan._replace(last=window.copy() if streams else None, carries=None)
+        last = window.copy() if streams and np.isfinite(window).all() else None
+        weights._plan = plan._replace(last=last, carries=None)
     return x
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from .audio import SAMPLE_RATE, Waveform, check_finite
 from .errors import InsufficientAudioError, KwsError, NumericError, ShapeError, check_counts
+from .tensor import gamma
 
 __all__ = [
     "FrameConfig",
@@ -214,10 +215,20 @@ def log_mel_frames(w: Waveform) -> np.ndarray:
     clip's. A frame does not depend on its neighbours (frame_signal rebuilds
     each frame's first column from the raw sample; log_mel projects each row
     on its own), so every row equals the whole clip's framing bit for bit.
-    A clip of at most one block takes that one call.
+    A clip of two to FRAME_BLOCK frames takes that one call.
+
+    A clip of one frame, a streamed hop, takes a one-frame path instead
+    (_log_mel_one), which saves the framing and 2-D dispatch a hop would
+    otherwise pay for. Its bits equal the batch row's: it makes frame_signal's
+    float64 multiplies and subtracts, takes the same rfft on a 1-D frame,
+    and projects by a 1-D product with a C-contiguous bank.T, which runs the
+    one-row BLAS kernel log_mel's per-row products run. Both paths are held
+    to the frontend's reference, _log_mel_reference, within its stated bound.
     """
     check_finite(w.samples)
     n = frame_count(len(w.samples))
+    if n == 1:
+        return _log_mel_one(w.samples)
     if n <= FRAME_BLOCK:
         return log_mel(frame_signal(w))  # also raises InsufficientAudioError for n == 0
     hop, width = FrameConfig.hop, FrameConfig.window_length
@@ -226,6 +237,101 @@ def log_mel_frames(w: Waveform) -> np.ndarray:
         b = min(a + FRAME_BLOCK, n)
         out[a:b] = log_mel(frame_signal(Waveform(w.samples[a * hop : (b - 1) * hop + width])))
     return out
+
+
+def _log_mel_one(samples: np.ndarray) -> np.ndarray:
+    """log_mel(frame_signal(...)) of a clip of one frame, (1, mel_filters),
+    in 1-D operations: the same float64 multiplies, adds and subtracts in the
+    same order, a 1-D rfft, and a 1-D product with a C-contiguous bank.T,
+    which runs the one-row kernel the batch's per-row products run."""
+    x = samples[: FrameConfig.window_length].astype(np.float64)
+    scaled = x * FrameConfig.preemphasis
+    x[1:] -= scaled[:-1]  # x[0] keeps its raw sample, as frame_signal's column 0
+    x *= _hamming()
+    spectrum = np.fft.rfft(x, n=FrameConfig.fft_size)
+    power = spectrum.real * spectrum.real
+    imag = spectrum.imag
+    imag *= imag
+    power += imag
+    energies = power @ _bank_t()
+    np.maximum(energies, FrameConfig.log_floor, out=energies)
+    np.log(energies, out=energies)
+    return energies.astype(np.float32)[None]
+
+
+@cache
+def _bank_t() -> np.ndarray:
+    return _read_only(np.ascontiguousarray(build_mel_filterbank().T))
+
+
+def _log_mel_reference(w: Waveform) -> tuple[np.ndarray, np.ndarray]:
+    """The frontend's definition, and each feature's stated bound:
+    (n_frames, mel_filters) float64 features, and the bound that
+    |log_mel_frames(w) - features| may not exceed.
+
+    The oracle of the frontend, as tensor.conv2d_valid is of the conv. Each
+    frame is cut from the signal, emphasized and windowed on its own (the
+    float64 operations frame_signal makes, so the frames are equal bit for
+    bit). Its power spectrum is an explicit float64 DFT, one einsum over
+    cosine and sine tables: no FFT and no BLAS. Each filter's energy sums its
+    triangle, evaluated at every bin from the mel points, times the power.
+    Then the floored log, left in float64.
+
+    The bound adds four terms per feature:
+    - the FFT's norm-wise error: Higham (Accuracy and Stability of Numerical
+      Algorithms, Theorem 24.2) bounds ||fft(x)^ - fft(x)||_2 by
+      eps ||fft(x)||_2, eps = L eta / (1 - L eta), L = log2(fft_size) and
+      eta = u + gamma_4 (sqrt(2) + u) for twiddles correct to u, and
+      ||fft(x)||_2 = sqrt(fft_size) ||x||_2. With the reference DFT's own
+      error, gamma_(window + 14) ||x||_1 per part (the sum's gamma_window and
+      the tables' 14 u), each bin is off by at most d. Through the squared
+      magnitude that moves its power by (2 |X| + d) d, plus gamma_3 of each
+      side for the squares, their sum and |X|.
+    - gamma(bins) of each side for the projection, whose terms all have one
+      sign, so |computed - exact| <= gamma(bins) times the sum itself.
+    - the log's 1/E: log(max(E, floor)) moves by at most dE / max(E - dE,
+      floor), plus a float64 rounding of each log.
+    - half a float32 ulp of the result for the final cast.
+    Near and under the floor the bound is loose by design: both energies are
+    floored to one value.
+    """
+    x = np.asarray(w.samples, dtype=np.float64)
+    n = frame_count(len(x))
+    width, hop, size = FrameConfig.window_length, FrameConfig.hop, FrameConfig.fft_size
+    if n == 0:
+        raise InsufficientAudioError(f"insufficient audio: {len(x)} samples < one {width}-sample window")
+    raw = x[np.arange(n)[:, None] * hop + np.arange(width)]
+    frames = raw.copy()
+    frames[:, 1:] = raw[:, 1:] - raw[:, :-1] * FrameConfig.preemphasis
+    frames *= _hamming()
+
+    bins = size // 2 + 1
+    angle = 2 * np.pi / size * (np.arange(width)[:, None] * np.arange(bins) % size)
+    re, im = np.einsum("fn,cnk->cfk", frames, np.stack((np.cos(angle), -np.sin(angle))))
+    power = re * re + im * im
+
+    freqs = np.arange(bins) * SAMPLE_RATE / size
+    hz = _mel_points()
+    lo, centre, hi = hz[:-2, None], hz[1:-1, None], hz[2:, None]
+    triangles = np.where(
+        (lo < freqs) & (freqs <= centre),
+        (freqs - lo) / (centre - lo),
+        np.where((centre < freqs) & (freqs < hi), (hi - freqs) / (hi - centre), 0.0),
+    )
+    energies = np.einsum("fk,mk->fm", power, triangles)
+    features = np.log(np.maximum(energies, FrameConfig.log_floor))
+
+    u = 2.0**-53  # float64's unit roundoff
+    levels, eta = np.log2(size), u + gamma(4, u) * (np.sqrt(2) + u)
+    eps = levels * eta / (1 - levels * eta)
+    d = (eps * np.sqrt(size) * np.sqrt(np.einsum("fn,fn->f", frames, frames))
+         + np.sqrt(2) * gamma(width + 14, u) * np.abs(frames).sum(axis=1))[:, None]
+    magnitude = np.sqrt(power)
+    most = (magnitude + d) ** 2  # bounds either side's power
+    d_power = (2 * magnitude + d) * d + gamma(3, u) * (most + power)
+    d_energy = np.einsum("fk,mk->fm", d_power + gamma(bins, u) * (most + power), triangles)
+    d_log = d_energy / np.maximum(energies - d_energy, FrameConfig.log_floor) + 2 * u * np.abs(features)
+    return features, d_log + 2.0**-24 * (np.abs(features) + d_log)
 
 
 def stack_context(frames: np.ndarray, context: Context) -> np.ndarray:

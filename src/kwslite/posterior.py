@@ -11,16 +11,23 @@ fired within the last `refractory` frames.
 smooth() and detect() compute both windows for the whole stream at once, and
 their results are bit-identical to averaging and maxing each frame's block
 on its own (the per-frame loops the tests keep as the reference):
-- np.mean over a C-ordered float64 (k, labels) block adds the k rows one at
-  a time, oldest first, then divides by k. smooth() makes the same float64
-  additions in the same order: a running sum (np.add.accumulate) for the
-  first frames, whose blocks are cut short by the start of the stream, and
-  w_smooth shifted slice adds for the rest.
+- np.add.reduce over a C-ordered float64 (k, labels) block adds the k rows
+  one at a time, oldest first (np.mean makes these additions, then divides
+  by k). smooth() makes the same float64 additions in the same order: a
+  running sum (np.add.accumulate) for the first frames, whose blocks are cut
+  short by the start of the stream, and w_smooth shifted slice adds for the
+  rest.
 - max is exact in any order, so detect() builds the trailing max by
   doubling: the max over the 2k rows ending at j is the max of the k-row
   maxima ending at j and at j - k.
 StreamingDetector reproduces the batch results exactly from ring buffers
-that hand out the same trailing windows.
+that hand out the same trailing windows: per pushed row, one np.add.reduce
+over the raw block and one divide by its row count, and one
+np.maximum.reduce over the smoothed window.
+
+A posterior stream must be floating point: smooth() casts its means back
+to the stream's dtype, so an integer stream would truncate them. Both paths
+refuse one with NumericError, as they refuse a row that is not finite.
 """
 
 from __future__ import annotations
@@ -76,6 +83,8 @@ def _check_posteriors(probs: np.ndarray) -> np.ndarray:
         raise ShapeError(f"posterior stream must be (frames, labels), got {probs.shape}")
     if probs.shape[1] < 2:
         raise ShapeError("posterior stream needs at least two label columns", axis="labels")
+    if probs.dtype.kind != "f":  # smooth() casts its means back to this dtype: an integer one truncates them
+        raise NumericError(f"posteriors must be floating point, got dtype {probs.dtype}")
     bad = np.flatnonzero(~np.isfinite(probs).all(axis=1))
     if bad.size:
         raise NumericError(
@@ -144,13 +153,16 @@ class StreamingDetector:
     Keeps the last w_smooth raw rows and the last w_max smoothed rows in two
     preallocated float64 rings of 2*w rows. Every row is written at slot i
     and at slot i + w, so the trailing window is always the contiguous slice
-    ring[i + 1 : i + 1 + w], oldest row first: np.mean over it makes the
-    float64 additions smooth() makes, in the same order, with no per-frame
-    stacking, and the threshold test runs in the pushed row's dtype, the
-    dtype of smooth()'s output that detect() tests. push() returns the event
-    fired at this frame, if any; a row that is not finite raises NumericError
-    and changes nothing. A first row of fewer than two labels, or a
-    filler_index that is not one of its label columns, raises ShapeError.
+    ring[i + 1 : i + 1 + w], oldest row first: np.add.reduce over it makes
+    the float64 additions smooth() makes, in the same order, with no
+    per-frame stacking, and one divide by the row count rounds as smooth()
+    (and np.mean) does. The confidence is one np.maximum.reduce over the
+    smoothed window, and the threshold test runs in the pushed row's dtype,
+    the dtype of smooth()'s output that detect() tests. push() returns the
+    event fired at this frame, if any; a row that is not floating point or
+    not finite raises NumericError and changes nothing. A first row of fewer
+    than two labels, or a filler_index that is not one of its label columns,
+    raises ShapeError.
     """
 
     def __init__(self, cfg: DetectorConfig = DetectorConfig(), filler_index: int = 0):
@@ -165,6 +177,8 @@ class StreamingDetector:
         frame_probs = np.asarray(frame_probs)
         if frame_probs.ndim != 1:
             raise ShapeError(f"push expects one posterior row, got shape {frame_probs.shape}")
+        if frame_probs.dtype.kind != "f":  # as _check_posteriors refuses them
+            raise NumericError(f"posteriors must be floating point, got dtype {frame_probs.dtype}")
         if not np.isfinite(frame_probs).all():
             raise NumericError(f"posterior of frame {self._frame + 1} is not finite")
         if self._raw is None:
@@ -178,16 +192,19 @@ class StreamingDetector:
                 f"push got {frame_probs.shape[0]} labels after rows of {self._raw.shape[1]}", axis="labels"
             )
         self._frame += 1
-        # np.mean over a C-ordered float64 (w, labels) block adds its rows oldest first, as smooth() does
+        # np.add.reduce over a C-ordered float64 (w, labels) block adds its rows
+        # oldest first, as smooth() does; one divide then gives np.mean's bits
         block = _append(self._raw, self._frame, frame_probs)
-        smoothed = np.mean(block, axis=0).astype(frame_probs.dtype)
+        sums = np.add.reduce(block, axis=0)
+        sums /= len(block)
+        smoothed = sums.astype(frame_probs.dtype, copy=False)
         window = _append(self._smoothed, self._frame, smoothed)
         if self._last_fired is not None and self._frame - self._last_fired <= self.cfg.refractory:
             return None
         # the ring holds smoothed rows exactly; the threshold test runs in their dtype
-        conf = np.max(window, axis=0).astype(frame_probs.dtype)
+        conf = np.maximum.reduce(window, axis=0).astype(frame_probs.dtype, copy=False)
         conf[self.filler_index] = 0.0
-        best = int(np.argmax(conf))
+        best = int(conf.argmax())
         if conf[best] >= self.cfg.threshold:
             self._last_fired = self._frame
             return DetectionEvent(self._frame, best, float(conf[best]))

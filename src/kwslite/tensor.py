@@ -281,13 +281,14 @@ def _im2col_product(
 UNIT_ROUNDOFF = 2.0**-24  # u of float32: half the gap between 1 and the next float32
 
 
-def gamma(n: int) -> float:
-    """Higham's gamma(n) = n*u / (1 - n*u) at float32's unit roundoff u: a
-    float32 sum of n products errs by at most gamma(n) times the sum of
-    their magnitudes (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
-    nu = n * UNIT_ROUNDOFF
+def gamma(n: int, u: float = UNIT_ROUNDOFF) -> float:
+    """Higham's gamma(n) = n*u / (1 - n*u) at unit roundoff u, float32's
+    unless given (the frontend's float64 bound passes 2**-53): a sum of n
+    products errs by at most gamma(n) times the sum of their magnitudes
+    (Accuracy and Stability of Numerical Algorithms, ch. 3)."""
+    nu = n * u
     if nu >= 1:
-        raise ValueError(f"no float32 error bound for sums of {n} terms")
+        raise ValueError(f"no error bound for sums of {n} terms at unit roundoff {u}")
     return nu / (1 - nu)
 
 

@@ -25,7 +25,7 @@ from kwslite import (
     write_wav,
 )
 from kwslite.errors import AudioFormatError, InsufficientAudioError, KwsError, NumericError, ShapeError
-from kwslite.frontend import frame_count
+from kwslite.frontend import _log_mel_reference, frame_count
 
 from conftest import hostile_wavs
 
@@ -204,15 +204,37 @@ def test_one_row_log_mel_equals_its_batch_row():
     npt.assert_array_equal(log_mel(frames[3:10]), batch[3:10])
 
 
-def test_streamed_hop_frames_equal_batch_frames():
+# float64 signals, cast to float32 by the test: a one-frame clip takes
+# log_mel_frames' one-frame path, a longer clip its blocks
+HOP_SIGNALS = {
+    "rising-noise": lambda rng: rng.standard_normal(3 * SR) * np.geomspace(1e-3, 1.0, 3 * SR),
+    "digital-silence": lambda rng: np.zeros(SR),  # every bin at the log floor
+    "full-scale-square": lambda rng: np.where(np.arange(SR) // 20 % 2, 1.0, -1.0),
+    "subnormal": lambda rng: 1e-40 * rng.standard_normal(SR),  # float32 subnormals
+    "one-frame": lambda rng: 0.3 * rng.standard_normal(400),
+    "one-frame-and-159-samples": lambda rng: 0.3 * rng.standard_normal(559),
+}
+
+
+@pytest.mark.parametrize("signal", HOP_SIGNALS)
+def test_streamed_hop_frames_equal_batch_frames(signal):
     cfg = FrameConfig()
-    n = 3 * SR
-    rng = np.random.default_rng(7)
-    samples = (rng.standard_normal(n) * np.geomspace(1e-3, 1.0, n)).astype(np.float32)
-    batch = log_mel_frames(Waveform(samples))
+    samples = HOP_SIGNALS[signal](np.random.default_rng(7)).astype(np.float32)
+    w = Waveform(samples)
+    batch = log_mel_frames(w)
+    assert batch.tobytes() == log_mel(frame_signal(w)).tobytes()
     for h in range(len(batch)):
         hop = samples[h * cfg.hop : h * cfg.hop + cfg.window_length]
-        npt.assert_array_equal(log_mel_frames(Waveform(hop))[0], batch[h], err_msg=f"hop {h}")
+        assert log_mel_frames(Waveform(hop)).tobytes() == batch[h : h + 1].tobytes(), f"hop {h}"
+
+
+def test_one_frame_clip_errors():
+    samples = (0.1 * np.sin(np.arange(400) / 7.0)).astype(np.float32)
+    with pytest.raises(InsufficientAudioError):
+        log_mel_frames(Waveform(samples[:399]))
+    samples[123] = np.nan
+    with pytest.raises(NumericError, match="sample 123 "):
+        log_mel_frames(Waveform(samples))
 
 
 @pytest.mark.parametrize("frames", [1, 63, 64, 65, 127, 128, 129, 998, 6000])
@@ -248,6 +270,53 @@ def test_block_frontend_memory_does_not_grow_with_clip_length():
         finally:
             tracemalloc.stop()
     assert above_output[180] <= above_output[10] + slack, above_output
+
+
+# --- the reference ------------------------------------------------------------
+
+
+def _oracle_signal(kind, n):
+    rng = np.random.default_rng(13)
+    t = np.arange(n) / SR
+    signal = {
+        "random": lambda: 0.3 * rng.standard_normal(n),
+        "tone": lambda: 0.5 * np.sin(2 * np.pi * 1000 * t) + 0.01 * np.sin(2 * np.pi * 6100 * t),
+        "near-silence": lambda: 3e-7 * rng.standard_normal(n),  # energies on both sides of the floor
+        "clipped": lambda: np.clip(4 * rng.standard_normal(n), -1.0, 1.0),
+    }[kind]()
+    return Waveform(signal.astype(np.float32))
+
+
+# one frame, one frame with trailing samples (the one-frame path), and 130
+# frames, three blocks
+CLIP_SAMPLES = [400, 559, 129 * 160 + 400]
+
+
+def _within_bound(w):
+    reference, bound = _log_mel_reference(w)
+    return np.abs(log_mel_frames(w) - reference) <= bound
+
+
+@pytest.mark.parametrize("samples", CLIP_SAMPLES)
+@pytest.mark.parametrize("kind", ["random", "tone", "near-silence", "clipped"])
+def test_log_mel_frames_stays_within_the_reference_bound(kind, samples):
+    assert _within_bound(_oracle_signal(kind, samples)).all()
+
+
+WRONG_FFTS = {
+    "gain-1e-5": lambda spectrum: spectrum * (1 + 1e-5),
+    "one-bin-late": lambda spectrum: np.roll(spectrum, 1, axis=-1),
+}
+
+
+@pytest.mark.parametrize("samples", CLIP_SAMPLES)
+@pytest.mark.parametrize("wrong", WRONG_FFTS)
+def test_a_wrong_fft_breaks_the_reference_bound(monkeypatch, wrong, samples):
+    # the reference takes its spectrum by an explicit DFT, so it does not
+    # see the patched FFT that both frontend paths call
+    honest = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda *args, **kwargs: WRONG_FFTS[wrong](honest(*args, **kwargs)))
+    assert not _within_bound(_oracle_signal("random", samples)).all()
 
 
 def test_log_mel_rejects_overlong_frames():

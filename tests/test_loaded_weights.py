@@ -427,15 +427,19 @@ def test_windows_that_do_not_advance_by_one_frame_run_per_window(tmp_path, rng, 
 
 def test_windows_holding_a_nan_never_continue(tmp_path, rng):
     # every window holds frame 4 (a NaN frame), at the row a one-frame
-    # advance moves it to, so the rows shared with the last window match bit for bit
+    # advance moves it to, so the rows shared with the last window match bit
+    # for bit. Of 5 frames, frame 4 is every window's new row; of 12, it sits
+    # in a row before every window's finite new row, so a window that
+    # continued the last one would need that one kept although it held a NaN
     arch = get_arch("cnn-trad", 4)
     plain, loaded = saved_and_loaded(tmp_path, arch, 2)
-    frames = rng.standard_normal((5, arch.input_f)).astype(np.float32)
-    frames[4] = np.nan
-    for window in stack_context(frames, arch.context):
-        got, count = metered(arch, loaded, window)
-        assert_same_bits(got, forward(arch, plain, window))
-        assert count == report(arch).total.multiplies
+    for n in (5, 12):
+        frames = rng.standard_normal((n, arch.input_f)).astype(np.float32)
+        frames[4] = np.nan
+        for window in stack_context(frames, arch.context):
+            got, count = metered(arch, loaded, window)
+            assert_same_bits(got, forward(arch, plain, window))
+            assert count == report(arch).total.multiplies
 
 
 def test_plain_dicts_never_continue(rng):

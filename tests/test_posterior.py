@@ -224,6 +224,27 @@ def test_non_finite_posterior_raises_on_both_paths(value, frame):
     assert events == detect(clean, cfg)
 
 
+@pytest.mark.parametrize("dtype", [int, np.int8, bool])
+def test_integer_posterior_streams_are_refused_on_both_paths(dtype):
+    # smooth() casts its float64 means back to the stream's dtype, so an
+    # integer stream would truncate each mean of 0.5 here to 0: as float32
+    # every frame fires, as int only frame 0 would
+    cfg = DetectorConfig(threshold=0.5, w_smooth=2, w_max=1, refractory=0)
+    clean = np.array([[0, 1], [1, 0]] * 40, dtype=np.float32)
+    assert len(detect(clean, cfg)) == 80
+    bad = clean.astype(dtype)
+    for check in (lambda: detect(bad, cfg), lambda: smooth(bad, 2)):
+        with pytest.raises(NumericError, match="floating point"):
+            check()
+    # a refused push leaves the detector as it was
+    detector = StreamingDetector(cfg)
+    events = stream_events(detector, clean[:3])
+    with pytest.raises(NumericError, match="floating point"):
+        detector.push(bad[3])
+    events += stream_events(detector, clean[3:])
+    assert events == detect(clean, cfg)
+
+
 BAD_ARGUMENTS = {
     "smooth window 2.5": (lambda p: smooth(p, 2.5), TypeError),
     "smooth window True": (lambda p: smooth(p, True), TypeError),
