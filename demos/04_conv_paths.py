@@ -10,7 +10,10 @@ and beside it each weighted layer's worst error against the naive path as
 a fraction of its float32 bound. A float32 model's convs and flat layers run
 as float32 products, so they are held to that bound, gamma(K + 1) times the
 sum of the magnitudes of each output's K products and bias, not to a
-relative tolerance. It exits with status 1 if a count or an event list
+relative tolerance. Then the products each conv layer of every stock
+architecture runs per call in a 64-window chunk of `forward_frames`: its tap
+group, the products per call, each product's (M, K, N), and the bytes of the
+patch matrix it unfolds. It exits with status 1 if a count or an event list
 disagrees, or a layer breaks its bound.
 
 Run with: python3 demos/04_conv_paths.py
@@ -21,6 +24,7 @@ import time
 
 import numpy as np
 
+import kwslite.tensor
 from kwslite import (
     ARCHITECTURES,
     DetectorConfig,
@@ -38,7 +42,8 @@ from kwslite import (
     stack_context,
     streamed_multiplies,
 )
-from kwslite.arch import bound_fractions
+from kwslite.arch import BLOCK_WINDOWS, bound_fractions
+from kwslite.tensor import conv_output_shape
 
 arch = get_arch("cnn-one", 4)
 weights = init_weights(arch, 0)
@@ -47,8 +52,9 @@ window = rng.standard_normal((arch.input_t, arch.input_f)).astype(np.float32)
 
 # the naive path is the oracle: each conv is its definition, one float64
 # sum of products over the sliding windows of its input, and each flat layer
-# its kernel on float64 operands; the optimized path lowers conv to a single
-# matrix multiply, and runs every product in float32 for these float32 weights
+# its kernel on float64 operands; the optimized path lowers conv to im2col
+# matrix products (one here: cnn-one's taps are too shallow to group), and
+# runs every product in float32 for these float32 weights
 naive = forward(arch, weights, window, conv_path="naive")
 fast = forward(arch, weights, window, conv_path="optimized")
 print(f"max |naive - optimized| = {np.max(np.abs(naive - fast)):.3e}")
@@ -157,3 +163,44 @@ if over_bound:
     print(f"layers over their float32 bound: {', '.join(over_bound)}")
 if mismatched or over_bound:
     sys.exit(1)
+
+
+def conv_calls(arch, weights, frames):
+    """(layer name, x, filters, stride) of every conv2d_optimized call
+    forward_frames makes on `frames`, in order."""
+    names = {p.manifest[0][1]: p.name for p in arch.placed if p.layer.kind == "conv"}
+    honest, calls = kwslite.tensor.conv2d_optimized, []
+
+    def recording(x, filters, stride, counter=None):
+        calls.append((names[filters.weights.shape], x, filters, stride))
+        return honest(x, filters, stride, counter)
+
+    kwslite.tensor.conv2d_optimized = recording
+    try:
+        forward_frames(arch, weights, frames)
+    finally:
+        kwslite.tensor.conv2d_optimized = honest
+    return calls
+
+
+# a conv whose time taps hold at least TAP_DEPTH values unfolds only a group
+# of g taps at time stride 1 and sums kernel_t/g products over row-shifted
+# views of that smaller matrix; a shallower one is a single im2col product
+print(f"conv products per call in a {BLOCK_WINDOWS}-window chunk of forward_frames "
+      f"(tensor.TAP_DEPTH {kwslite.tensor.TAP_DEPTH}):")
+print(f"{'arch':<13}{'layer':<7}{'calls':>6}{'tap group':>10}{'products':>9}{'(M, K, N) each':>20}"
+      f"{'patch matrix':>14}")
+for name in ARCHITECTURES[1:]:
+    clf = get_arch(name, 4)
+    calls = conv_calls(clf, init_weights(clf, 0), features[: 2 * BLOCK_WINDOWS])
+    steady = calls[len(calls) // 2 :]  # the second chunk, which starts from carried rows
+    for layer in dict.fromkeys(call[0] for call in steady):
+        _, x, bank, stride = next(call for call in steady if call[0] == layer)
+        g, (rows_t, rows_f, c) = bank.tap_group, x.shape
+        out_t, out_f = conv_output_shape(rows_t, rows_f, bank.kernel_t, bank.kernel_f, stride)
+        unfolded = rows_t - g + 1 if g < bank.kernel_t else out_t
+        depth = g * bank.kernel_f * c
+        patch_kb = unfolded * out_f * depth * x.dtype.itemsize / 1e3
+        shape = f"({out_t * out_f}, {depth}, {bank.maps})"
+        print(f"{name:<13}{layer:<7}{sum(call[0] == layer for call in steady):>6}{g:>10}"
+              f"{bank.kernel_t // g:>9}{shape:>20}{patch_kb:>11.0f} kB")

@@ -288,12 +288,13 @@ def _run_stages(
 # computed once whatever the chunk size; larger chunks save per-chunk
 # bookkeeping and hold larger im2col matrices. The peak of a warm call on a
 # 998-frame clip (plain-dict float32 weights, 2-vCPU x86 VM, one BLAS
-# thread) is one chunk's patch matrix and products: 0.48 MB (dnn), 5.12
-# (cnn-trad), 2.97 (cnn-one), 3.20 (cnn-tstride2) and 3.19 (cnn-tpool2) at
-# 64 windows, against 0.25, 2.68, 1.52, 1.96 and 1.96 at 32. Framing a
-# 10 s clip whole would take 11.4 MB; log_mel_frames frames 64 frames at a
-# time, so the repository benchmark's scan workload (10 s clips, all five
-# stock models) reads a lower peak RSS with blocks and 64 windows than with
+# thread) is one chunk's patch matrix and products: 0.48 MB (dnn), 2.45
+# (cnn-trad), 2.94 (cnn-one), 2.97 (cnn-tstride2) and 2.97 (cnn-tpool2) at
+# 64 windows, against 0.25, 1.41, 1.49, 1.93 and 1.93 at 32; conv2 unfolds
+# only a group of its time taps (tensor.TAP_DEPTH). Framing a 10 s clip
+# whole would take 11.4 MB; log_mel_frames frames 64 frames at a time, so
+# the repository benchmark's scan workload (10 s clips, all five stock
+# models) reads a lower peak RSS with blocks and 64 windows than with
 # whole-clip framing and 32 windows (60.2 against 62.8 MB).
 BLOCK_WINDOWS = 64
 
@@ -311,9 +312,10 @@ def forward(
     meters on `counter` every scalar multiply it executes, which is
     report(arch).total.multiplies. Every layer's output takes
     promote_types(its input, its stored weights). The optimized path runs
-    every product in that dtype, a conv as one im2col product, so float32
-    weights accumulate in float32, each layer within the bound
-    bound_fractions checks; softmax's exp and normalisation run in float64.
+    every product in that dtype, a conv as im2col products over groups of
+    its time taps (tensor.conv2d_optimized), so float32 weights accumulate
+    in float32, each layer within the bound bound_fractions checks;
+    softmax's exp and normalisation run in float64.
     The naive path sums every layer in float64 and rounds to that dtype.
 
     Loaded weights (a FrozenWeights) continue the stream where streaming is

@@ -24,7 +24,9 @@ kind also needs the stack rule in `ArchSpec.placed`).
 Inference calls the kernels through the `tensor` module at call time, so
 tracers that wrap them see every call, and a MacCounter passed in meters
 every multiply they execute. A layer's binding is its stored tensors as
-they are, a conv's as one FilterBank. The optimized path, whose conv is
+they are, a conv's as one FilterBank, which fixes the group of time taps
+each of its products unfolds (`tensor.TAP_DEPTH`): the whole kernel for a
+stock conv1, one tap for a stock conv2. The optimized path, whose conv is
 `tensor.conv2d_optimized`, runs every product in the promoted dtype of its
 input and weights, so float32 models accumulate in float32, each output
 within the float32 bound that `bound_check` measures against the naive
@@ -356,8 +358,9 @@ class Conv(Layer):
         if self.pool.active:
             delta = _maxpool_scatter(delta, cache["route"], cache["pre_shape"])
         dmat = delta.reshape(len(delta), -1, self.maps)
-        # im2col is redone one example at a time from the cached input: no
-        # chunk of patch matrices is held from forward to backward; per-example
+        # the whole kernel's im2col is redone one example at a time from the
+        # cached input, whatever tap group the forward summed: no chunk of
+        # patch matrices is held from forward to backward; per-example
         # gradients are added in example order
         x = cache["x"]
         kt, kf, stride = self.kernel_t, self.kernel_f, self.stride

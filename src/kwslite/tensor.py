@@ -5,10 +5,14 @@ reference, written as its definition: one float64 einsum, no BLAS, over
 the sliding windows of the input, cast back to the promoted input/weight
 dtype; it shares neither unfold nor product with the fast path.
 ``conv2d_optimized``, the production conv, lowers the same computation to
-one im2col matrix product (Chellapilla, Puri and Simard, 2006) run in the
-promoted dtype itself, as ``linear`` and ``dense`` run their product, bias
-and ReLU: float32 inputs and weights accumulate in float32, and each output
-is held to the a-priori float32 bound gamma(K + 1) times the sum of the
+im2col matrix products (Chellapilla, Puri and Simard, 2006): one over the
+whole kernel where its rows are shallow (every stock conv1), else one per
+group of time taps over a matrix that unfolds only that group, read at
+shifted rows and summed (MEC; Cho and Brand, 2017), with TAP_DEPTH setting
+the group. It runs in the promoted dtype itself, as ``linear`` and
+``dense`` run their product, bias and ReLU: float32 inputs and weights
+accumulate in float32, and each output is held, whatever its summation
+order, to the a-priori float32 bound gamma(K + 1) times the sum of the
 magnitudes of its K products and bias (``conv2d_error_bound``; Higham,
 Accuracy and Stability of Numerical Algorithms, ch. 3), not to a relative
 tolerance, which a float32 sum cannot meet near cancellation. ``softmax``
@@ -31,6 +35,7 @@ layer traces in ``layers`` and training all take their shapes from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,12 +86,33 @@ class Pool:
         return self.time > 1 or self.freq > 1
 
 
+# The depth a conv product's operand rows must reach before conv2d_optimized
+# splits its kernel into groups of time taps (FilterBank.tap_group): the
+# smallest divisor g of kernel_t with g * kernel_f * in_channels >= TAP_DEPTH,
+# else kernel_t. A stock conv2 (10 x 4 taps over 64 channels) gets g = 1, ten
+# products of depth 256 over a patch matrix a tenth of its whole kernel's; its
+# warm forward_frames ran about 6% faster so, as fast as at g = 2 (2-vCPU x86
+# VM, one BLAS thread). A conv1 tap holds 9 values, so every stock conv1 and
+# cnn-one's conv stay one im2col product.
+TAP_DEPTH = 256
+
+
+def _tap_group(kernel_t: int, kernel_f: int, in_channels: int) -> int:
+    for g in range(1, kernel_t):
+        if kernel_t % g == 0 and g * kernel_f * in_channels >= TAP_DEPTH:
+            return g
+    return kernel_t
+
+
 @dataclass(frozen=True)
 class FilterBank:
-    """Convolution weights (kernel_t, kernel_f, in_channels, maps) plus bias (maps,)."""
+    """Convolution weights (kernel_t, kernel_f, in_channels, maps) plus bias
+    (maps,), and the tap group conv2d_optimized runs them in (TAP_DEPTH),
+    fixed here from the weights' shape so no conv call decides it again."""
 
     weights: np.ndarray
     bias: np.ndarray = field(default=None)  # type: ignore[assignment]
+    tap_group: int = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights)
@@ -106,6 +132,7 @@ class FilterBank:
             )
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
+        object.__setattr__(self, "tap_group", _tap_group(*w.shape[:3]))
 
     @property
     def kernel_t(self) -> int:
@@ -207,6 +234,24 @@ def conv2d_valid(
     return out.astype(np.promote_types(x.dtype, filters.weights.dtype), copy=False)
 
 
+def _patches(x: np.ndarray, shape: tuple[int, int, int, int], step_t: int, step_f: int) -> np.ndarray:
+    """The read-only strided view (..., out_t, out_f, kernel_t, kernel_f,
+    channels) of the kernel placements of a contiguous (..., time, freq,
+    channels) x, `shape` being (out_t, out_f, kernel_t, kernel_f), every
+    step_t rows and step_f bins. np.ndarray over the buffer costs less per
+    call than as_strided or sliding_window_view, and refuses a view that
+    would run past the buffer."""
+    *lead_strides, st, sf, sc = x.strides
+    patches = np.ndarray(
+        (*x.shape[:-3], *shape, x.shape[-1]),
+        x.dtype,
+        x,
+        strides=(*lead_strides, st * step_t, sf * step_f, st, sf, sc),
+    )
+    patches.flags.writeable = False
+    return patches
+
+
 def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> np.ndarray:
     """Unfold conv patches into rows of a (out_t*out_f, kernel_t*kernel_f*channels) matrix.
 
@@ -223,19 +268,9 @@ def im2col(x: np.ndarray, kernel_t: int, kernel_f: int, stride: Stride) -> np.nd
     Raises ShapeError if the kernel does not fit.
     """
     x = np.ascontiguousarray(x)
-    *lead, t, f, c = x.shape
-    out_t, out_f = conv_output_shape(t, f, kernel_t, kernel_f, stride)
-    *lead_strides, st, sf, sc = x.strides
-    # np.ndarray over the buffer costs less per call than as_strided or
-    # sliding_window_view, and refuses a view that would run past the buffer
-    patches = np.ndarray(
-        (*lead, out_t, out_f, kernel_t, kernel_f, c),
-        x.dtype,
-        x,
-        strides=(*lead_strides, st * stride.time, sf * stride.freq, st, sf, sc),
-    )
-    patches.flags.writeable = False
-    return patches.reshape(*lead, out_t * out_f, -1)
+    out_t, out_f = conv_output_shape(x.shape[-3], x.shape[-2], kernel_t, kernel_f, stride)
+    patches = _patches(x, (out_t, out_f, kernel_t, kernel_f), stride.time, stride.freq)
+    return patches.reshape(*x.shape[:-3], out_t * out_f, -1)
 
 
 def conv2d_optimized(
@@ -244,15 +279,22 @@ def conv2d_optimized(
     stride: Stride = Stride(),
     counter: MacCounter | None = None,
 ) -> np.ndarray:
-    """The production conv: one im2col matrix product plus bias, counter
-    included, run in the promoted input/weight dtype, so float32 inputs and
-    weights accumulate in float32.
+    """The production conv: im2col matrix products over groups of time taps,
+    plus bias, counter included, run in the promoted input/weight dtype, so
+    float32 inputs and weights accumulate in float32.
 
-    Leading axes of x, a batch of maps, are kept: one stacked product of
+    The group is filters.tap_group, g (TAP_DEPTH). At g = kernel_t it is one
+    im2col product. Below, it unfolds g time rows at time stride 1 into a
+    (..., time - g + 1, out_f, g*kernel_f*in_channels) matrix, kernel_t/g
+    times smaller than the whole kernel's, and sums the kernel_t/g products
+    of its row-shifted views with their taps' weights, in tap order, into
+    one output, then adds the bias (MEC: Cho and Brand, ICML 2017).
+
+    Leading axes of x, a batch of maps, are kept: stacked products of
     per-map shapes, so a map's output does not depend on its batch. Each
     output is within conv2d_error_bound(x, filters, stride) of the exact
-    value: the float32 dot product of length K = kernel_t*kernel_f*
-    in_channels, plus its bias, errs by at most gamma(K + 1)*(sum|w*x| + |b|).
+    value: a float32 sum of the K = kernel_t*kernel_f*in_channels products
+    and the bias, in any order, errs by at most gamma(K + 1)*(sum|w*x| + |b|).
     """
     return _im2col_product(x, filters, stride, counter)
 
@@ -269,13 +311,31 @@ def _im2col_product(
     out_t, out_f = _check_conv_args(x, filters, stride)
     dtype = np.promote_types(x.dtype, filters.weights.dtype)
     weights = filters.weights.astype(dtype, copy=False)
-    kt, kf, _, maps = weights.shape
-    cols = im2col(x.astype(dtype, copy=False), kt, kf, stride)
+    kt, kf, c, maps = weights.shape
+    g, lead, rows = filters.tap_group, x.shape[:-3], out_t * out_f
+    x = np.ascontiguousarray(x, dtype=dtype)
     if counter is not None:
-        counter.add(cols.size * maps)
-    out = cols @ weights.reshape(-1, maps)
+        counter.add(math.prod(lead) * rows * weights.size)
+    taps = weights.reshape(kt // g, g * kf * c, maps)  # one (depth, maps) matrix per group
+    if g == kt:
+        out = _patches(x, (out_t, out_f, kt, kf), stride.time, stride.freq).reshape(*lead, rows, -1) @ taps[0]
+    else:
+        # output row i reads unfolded row i*stride.time + s*g for group s;
+        # copied whole even where the reshape could be a view (g = 1), so
+        # that each group's rows are one contiguous block, not a copy apiece
+        cols = _patches(x, (x.shape[-3] - g + 1, out_f, g, kf), 1, stride.freq)
+        cols = np.ascontiguousarray(cols.reshape(*cols.shape[:-3], -1))
+        span = (out_t - 1) * stride.time + 1
+        out = part = None
+        for s, w in enumerate(taps):
+            view = cols[..., s * g : s * g + span : stride.time, :, :].reshape(*lead, rows, -1)
+            if out is None:
+                out = view @ w
+            else:
+                part = np.matmul(view, w, out=part)
+                out += part
     out += filters.bias.astype(dtype, copy=False)  # in place: no second (rows, maps) array
-    return out.reshape(x.shape[:-3] + (out_t, out_f, maps))
+    return out.reshape(lead + (out_t, out_f, maps))
 
 
 UNIT_ROUNDOFF = 2.0**-24  # u of float32: half the gap between 1 and the next float32
@@ -294,11 +354,11 @@ def gamma(n: int, u: float = UNIT_ROUNDOFF) -> float:
 
 def conv2d_error_bound(x: np.ndarray, filters: FilterBank, stride: Stride = Stride()) -> np.ndarray:
     """Float64 (out_t, out_f, maps) bound on a float32 conv's error per
-    output: gamma(K + 1) * (sum|w*x| + |b|), the sums being the im2col
-    product run in float64 on |x|, |w| and |b|: sums of terms of one sign,
-    whose own float64 rounding is far below the bound. The product is the
-    private one behind conv2d_optimized, not that public name, so the bound
-    does not depend on the kernel it judges."""
+    output: gamma(K + 1) * (sum|w*x| + |b|), whatever order the conv sums
+    in, the sums being its products run in float64 on |x|, |w| and |b|:
+    sums of terms of one sign, whose own float64 rounding is far below the
+    bound. The products are the private ones behind conv2d_optimized, not
+    that public name, so the bound does not depend on the kernel it judges."""
     magnitudes = FilterBank(*(np.abs(t).astype(np.float64) for t in (filters.weights, filters.bias)))
     k = filters.kernel_t * filters.kernel_f * filters.in_channels
     return gamma(k + 1) * _im2col_product(np.abs(x).astype(np.float64), magnitudes, stride)

@@ -571,6 +571,35 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+# tracemalloc peaks of a warm forward_frames on a 998-frame clip with
+# plain-dict float32 weights, MB: the peaks measured on one and on two BLAS
+# threads (equal) plus 5%. The largest buffer is one chunk's conv patch matrix:
+# with a whole-kernel conv2 matrix the peaks read 5.12 (cnn-trad) and
+# 3.19-3.20 (cnn-tstride2, cnn-tpool2), over these gates.
+FORWARD_PEAK_MB = {"cnn-trad": 2.58, "cnn-one": 3.09, "cnn-tstride2": 3.13, "cnn-tpool2": 3.13}
+
+
+@pytest.mark.parametrize("name", sorted(FORWARD_PEAK_MB))
+def test_forward_frames_working_set(name):
+    arch = get_arch(name, 4)
+    weights = init_weights(arch, 0)
+    frames = np.random.default_rng(0).standard_normal((998, arch.input_f)).astype(np.float32)
+    forward_frames(arch, weights, frames)  # warm-up
+    peak = traced_peak(lambda: forward_frames(arch, weights, frames))
+    assert peak < FORWARD_PEAK_MB[name] * 1e6, f"{name}: forward_frames peaked at {peak} bytes"
+
+
+def test_stock_conv2s_sum_tap_groups_and_conv1s_run_whole():
+    # a conv1 tap holds 9 values, too shallow for TAP_DEPTH; conv2's 4 x 64 are not
+    for name in ARCHITECTURES[1:]:
+        arch = get_arch(name, 4)
+        weights = init_weights(arch, 0)
+        for p in arch.placed:
+            if p.name.startswith("conv"):
+                (bank,) = p.layer.bind(p.tensors(weights))
+                assert (bank.tap_group == bank.kernel_t) == (p.name == "conv1"), (name, p.name)
+
+
 def test_forward_frames_memory_does_not_grow_with_clip_length(rng):
     # Each im2col call leaves a few small tuples on the interpreter's free
     # lists until those lists are full; fill them first so the peaks compare

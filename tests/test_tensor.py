@@ -1,5 +1,7 @@
 """Kernel-level checks: both conv paths, pooling, dense layers, softmax."""
 
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from kwslite import (
 )
 from kwslite.errors import ShapeError
 from kwslite.tensor import (
+    TAP_DEPTH,
     UNIT_ROUNDOFF,
     conv2d_error_bound,
     conv_output_shape,
@@ -204,9 +207,10 @@ def test_conv_counter_meters_actual_multiplies(rng):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_production_conv_on_a_batch_is_its_maps_stacked_bit_for_bit(rng, dtype):
-    # one stacked product over (B, T, F, C) runs each map's own shapes, so a
-    # map's output does not depend on the batch it comes in
-    for t, f, c, kt, kf, n in ((9, 11, 2, 3, 4, 5), (32, 40, 1, 21, 8, 16)):
+    # stacked products over (B, T, F, C) run each map's own shapes, so a
+    # map's output does not depend on the batch it comes in; the last case
+    # sums grouped taps (a stock conv2's)
+    for t, f, c, kt, kf, n in ((9, 11, 2, 3, 4, 5), (32, 40, 1, 21, 8, 16), (14, 10, 64, 10, 4, 8)):
         bank = _rand_bank(rng, kt, kf, c, n)
         bank = FilterBank(bank.weights.astype(dtype), bank.bias.astype(dtype))
         for batch in (1, 3, 8):
@@ -218,6 +222,110 @@ def test_production_conv_on_a_batch_is_its_maps_stacked_bit_for_bit(rng, dtype):
                 assert got.dtype == want.dtype == dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (t, kt, batch, s)
                 assert counter.count == sum(one.count for one in singles)
+
+
+def grouped_case(rng, dtype, lead, time_stride):
+    """A random conv whose taps reach TAP_DEPTH below its kernel's whole time
+    span, in `dtype`, on maps with leading axes `lead`: (x, bank, stride)."""
+    kt = int(rng.choice([2, 3, 4, 6]))
+    g = int(rng.choice([d for d in range(1, kt) if kt % d == 0]))
+    kf = int(rng.integers(1, 4))
+    c = -(-TAP_DEPTH // (g * kf)) + int(rng.integers(0, 4))  # g taps reach the depth
+    stride = Stride(time_stride, int(rng.integers(1, 3)))
+    t, f = kt + int(rng.integers(0, 7)), kf + int(rng.integers(0, 4))
+    bank = _rand_bank(rng, kt, kf, c, int(rng.integers(1, 6)))
+    bank = FilterBank(bank.weights.astype(dtype), bank.bias.astype(dtype))
+    return rng.standard_normal(lead + (t, f, c)).astype(dtype), bank, stride
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_grouped_conv_keeps_the_bound_and_meters_the_closed_form(rng, dtype):
+    # kernel_t / tap_group products summed into one output: float32 operands
+    # within gamma(K + 1) of the exact sums, float64 ones within twice the
+    # same bound at float64's u (the oracle's einsum rounds in float64 too)
+    u, slack = (UNIT_ROUNDOFF, 1) if dtype == np.float32 else (2.0**-53, 2)
+    for trial in range(48):
+        lead = ((), (3,))[trial % 2]
+        x, bank, s = grouped_case(rng, dtype, lead, time_stride=1 + trial // 2 % 2)
+        assert bank.tap_group < bank.kernel_t
+        counter = MacCounter()
+        got = conv2d_optimized(x, bank, s, counter)
+        out_t, out_f = conv_output_shape(x.shape[-3], x.shape[-2], bank.kernel_t, bank.kernel_f, s)
+        assert got.dtype == dtype and got.shape == lead + (out_t, out_f, bank.maps)
+        assert counter.count == math.prod(lead) * out_t * out_f * bank.weights.size
+        k = bank.kernel_t * bank.kernel_f * bank.in_channels
+        bound = slack * gamma(k + 1, u) / gamma(k + 1) * conv2d_error_bound(x, bank, s)
+        exact = [conv2d_valid(m.astype(np.float64), bank, s) for m in x.reshape(-1, *x.shape[-3:])]
+        err = np.abs(got - np.reshape(exact, got.shape))
+        assert np.all(err <= bound), (trial, x.shape, bank.weights.shape, s)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_ungrouped_conv_is_one_im2col_product_bit_for_bit(rng, dtype):
+    # taps too shallow to reach TAP_DEPTH (every stock conv1, cnn-one's conv)
+    cases = [
+        ((84, 40, 1), 21, 9, Stride(1, 1)),
+        ((32, 40, 1), 21, 9, Stride(2, 1)),
+        ((32, 40, 1), 32, 9, Stride(1, 1)),
+        ((9, 11, 3), 3, 4, Stride(2, 1)),
+        ((7, 9, 2), 7, 9, Stride(1, 2)),
+    ]
+    for lead in ((), (3,)):
+        for shape, kt, kf, s in cases:
+            bank = _rand_bank(rng, kt, kf, shape[2], 16)
+            bank = FilterBank(bank.weights.astype(dtype), bank.bias.astype(dtype))
+            assert bank.tap_group == kt
+            x = rng.standard_normal(lead + shape).astype(dtype)
+            want = im2col(x, kt, kf, s) @ bank.weights.reshape(-1, bank.maps)
+            want += bank.bias
+            got = conv2d_optimized(x, bank, s)
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), (lead, shape, kt, s)
+
+
+def test_the_tap_group_is_the_smallest_divisor_whose_taps_reach_the_depth(rng):
+    for _ in range(200):
+        kt, kf, c = (int(n) for n in rng.integers(1, (13, 9, 2 * TAP_DEPTH // 3)))
+        bank = FilterBank(np.zeros((kt, kf, c, 1), dtype=np.float32))
+        reach = [g for g in range(1, kt + 1) if kt % g == 0 and g * kf * c >= TAP_DEPTH]
+        assert bank.tap_group == min(reach, default=kt), (kt, kf, c)
+
+
+def grouped_sum(x, bank, stride, out_t, first_rows):
+    """conv2d_optimized's grouped sum written out: group k's product reads x's
+    group unfold at rows first_rows[k], first_rows[k] + stride.time, ...
+    (None: group k is left out); the products are summed in group order,
+    then the bias is added."""
+    g = bank.tap_group
+    cols = im2col(x, g, bank.kernel_f, Stride(1, stride.freq))
+    cols = cols.reshape(x.shape[0] - g + 1, -1, cols.shape[-1])
+    taps = bank.weights.reshape(bank.kernel_t // g, -1, bank.maps)
+    out = None
+    for first, w in zip(first_rows, taps):
+        if first is not None:
+            part = cols[first : first + (out_t - 1) * stride.time + 1 : stride.time].reshape(-1, w.shape[0]) @ w
+            out = part if out is None else out + part
+    out += bank.bias
+    return out.reshape(out_t, -1, bank.maps)
+
+
+def test_a_grouped_conv_that_drops_or_shifts_a_tap_group_breaks_the_bound(rng):
+    bank = _rand_bank(rng, 10, 4, 64, 8)  # a stock conv2's taps over 64 channels
+    g, groups = bank.tap_group, 10 // bank.tap_group
+    assert groups > 1
+    x = rng.standard_normal((17, 10, 64)).astype(np.float32)
+    body = x[:-1]  # x's last row lets a group read one row later
+    for s in (Stride(1, 1), Stride(2, 1)):
+        out_t, _ = conv_output_shape(len(body), 10, 10, 4, s)
+        exact = conv2d_valid(body.astype(np.float64), bank, s)
+        bound = conv2d_error_bound(body, bank, s)
+        firsts = [k * g for k in range(groups)]
+        honest = grouped_sum(x, bank, s, out_t, firsts)
+        assert honest.tobytes() == conv2d_optimized(body, bank, s).tobytes()
+        assert np.all(np.abs(honest - exact) <= bound)
+        for k in range(groups):
+            for wrong in (None, firsts[k] + 1):  # group k dropped, or read a row late
+                broken = grouped_sum(x, bank, s, out_t, firsts[:k] + [wrong] + firsts[k + 1 :])
+                assert np.max(np.abs(broken - exact) / bound) > 1, (s, k, wrong)
 
 
 def test_conv_errors_name_axis(rng):
